@@ -424,16 +424,10 @@ def indep_witness_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Indep2DWitness:
     blocks = blocks_2d(spec, k1, k2)
     if len(blocks) <= 1:
         raise NoWitness(f"language has {len(blocks)} block(s); no free position")
-    n = k1 * k2
     family = shatter.BinaryFamily.from_words(
         "".join(str(s) for row in b.rows for s in row) for b in blocks
     )
-    k = 0
-    cum = 0
-    for j in range(n + 1):
-        cum += math.comb(n, j)
-        if len(family) > cum:
-            k = j + 1
+    k = shatter.forced_shatter_size(family)
     index_set = shatter.extract_shattered(family, k)
     cells = tuple(( (idx - 1) // k2 + 1, (idx - 1) % k2 + 1) for idx in index_set)
     witness = GridPositionSet.of(cells)

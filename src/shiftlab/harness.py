@@ -52,11 +52,20 @@ def _fmt_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _int_text(v: int) -> str:
+    """Exact decimal digits of an int >= 0; str() refuses past 4,300 by default."""
+    if v.bit_length() <= 2000:  # about 600 digits, under the lowest limit allowed
+        return str(v)
+    half = v.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(v, 10 ** half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
 def _fmt_value(v: Any) -> Any:
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
-        return str(v)
+        return _int_text(v)
     if isinstance(v, float):
         return _fmt_float(v)
     if isinstance(v, Fraction):
@@ -150,10 +159,15 @@ class ExperimentConfig:
                 f"target: expected one of {', '.join(TARGETS)}, got {target!r}"
             )
         seed = obj.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("seed: expected an integer")
         params = {k: v for k, v in obj.items() if k not in ("target", "seed")}
         return cls(target=target, params=params, seed=seed)
+
+
+def _is_int(v: Any) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not 1 here."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _require(params: dict, name: str) -> Any:
@@ -164,7 +178,7 @@ def _require(params: dict, name: str) -> Any:
 
 def _int_field(params: dict, name: str, lo: int = 1) -> int:
     v = _require(params, name)
-    if not isinstance(v, int) or v < lo:
+    if not _is_int(v) or v < lo:
         raise ConfigError(f"{name}: expected an integer >= {lo}")
     return v
 
@@ -389,13 +403,13 @@ def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> Any:
         return treeshifts.VertexSet.from_json(obj)
     if isinstance(obj, dict) and obj.get("generator") == "level_parity":
         parity = obj.get("parity")
-        if parity not in (0, 1):
+        if not _is_int(parity) or parity not in (0, 1):
             raise ConfigError("set.parity: expected 0 or 1")
         return treeshifts.LevelParity(parity)
     if isinstance(obj, dict) and obj.get("generator") == "sink_lift":
         positions = obj.get("positions")
         if not isinstance(positions, list) or not all(
-            isinstance(p, int) and p >= 1 for p in positions
+            _is_int(p) and p >= 1 for p in positions
         ):
             raise ConfigError("set.positions: expected a list of positive integers")
         return treeshifts.sink_lift(ts, positions)
@@ -413,7 +427,7 @@ def _run_density(params: dict) -> tuple:
     if (
         not isinstance(rng, list)
         or len(rng) != 3
-        or not all(isinstance(x, int) for x in rng)
+        or not all(_is_int(x) for x in rng)
         or rng[0] < 1
         or rng[1] < rng[0]
         or rng[2] < 1
@@ -816,7 +830,7 @@ def reproduce(key: str, depth: Optional[int] = None, seed: int = 0) -> Report:
         )
     if depth is None:
         depth = _DEFAULT_DEPTH[key]
-    if not isinstance(depth, int) or depth < 2:
+    if not _is_int(depth) or depth < 2:
         raise ConfigError("depth: expected an integer >= 2")
     columns, rows, summary, assertions = _REPRODUCERS[key](depth)
     cfg_obj = {"target": "reproduce", "theorem": key, "depth": depth, "seed": seed}
@@ -851,7 +865,7 @@ def run_config(cfg: ExperimentConfig) -> Report:
     if cfg.target == "reproduce":
         key = cfg.params.get("theorem")
         depth = cfg.params.get("depth")
-        if depth is not None and not isinstance(depth, int):
+        if depth is not None and not _is_int(depth):
             raise ConfigError("depth: expected an integer")
         return reproduce(key, depth=depth, seed=cfg.seed)
     runner = _RUNNERS.get(cfg.target)

@@ -172,6 +172,15 @@ def count_shattered(family: BinaryFamily) -> int:
     return total
 
 
+def forced_shatter_size(family: BinaryFamily) -> int:
+    """The largest k with |F| > sum_{j<k} C(N, j): F must shatter a k-set."""
+    k, below = 0, 1
+    while k <= family.length and len(family.masks) > below:
+        k += 1
+        below += math.comb(family.length, k)
+    return k
+
+
 def extract_shattered(family: BinaryFamily, k: int) -> tuple[int, ...]:
     """The lexicographically smallest shattered index set of size k.
 

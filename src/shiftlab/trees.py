@@ -11,10 +11,11 @@ themselves have no such bound.
 Beyond level counting this module classifies the matrix:
 
 * expanding number: the growth ratio |T_{n+1}|/|T_n| plus the spectral
-  radius (exact 1 for polynomially growing matrices, detected by finite
-  differencing of the big-integer level counts; vector-converged power
-  iteration otherwise, with a windowed exact-count mean when a periodic
-  dominant class keeps the iteration from settling);
+  radius (exactly 1 when every strongly connected class is a simple
+  cycle or a loopless singleton, the same test the sink decomposition
+  makes; vector-converged power iteration otherwise, with a windowed
+  exact-count mean when a periodic dominant class keeps the iteration
+  from settling);
 * sink decomposition: permutation to block upper-triangular form with
   every multi-vertex diagonal class verified to be a simple cycle, and
   the classes without exits marked as sinks;
@@ -184,24 +185,6 @@ class ExpandingNumber:
     expandable: bool
 
 
-def _polynomial_growth(matrix: AdjacencyMatrix) -> bool:
-    """True iff |T_k| grows polynomially (spectral radius exactly 1).
-
-    For a 0/1 matrix with no dead rows the level counts either grow like
-    a polynomial of degree < d (radius 1) or exponentially (radius > 1);
-    taking d successive finite differences separates the two exactly.
-    """
-    d = matrix.d
-    horizon = 3 * d + 60
-    geo = TreeGeometry(matrix)
-    seq = [geo.level_size(k) for k in range(1, horizon + 1)]
-    for _ in range(d):
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-        if all(x == 0 for x in seq[len(seq) // 2:]):
-            return True
-    return False
-
-
 def _power_iteration(matrix: AdjacencyMatrix, tol: float = 1e-13, max_iter: int = 30000) -> float:
     """Dominant growth rate of the level vectors.
 
@@ -235,8 +218,22 @@ def _growth_from_counts(matrix: AdjacencyMatrix) -> float:
     return math.exp((math.log(hi) - math.log(lo)) / window)
 
 
+def is_expandable(matrix: AdjacencyMatrix) -> bool:
+    """True iff the level counts grow exponentially (spectral radius > 1).
+
+    The radius is 1 exactly when every strongly connected class is a
+    simple cycle or a loopless singleton, which is what
+    ``sink_decomposition`` verifies.
+    """
+    try:
+        sink_decomposition(matrix)
+    except NotUnexpandable:
+        return True
+    return False
+
+
 def spectral_radius(matrix: AdjacencyMatrix) -> float:
-    if _polynomial_growth(matrix):
+    if not is_expandable(matrix):
         return 1.0
     return _power_iteration(matrix)
 
@@ -247,10 +244,9 @@ def expanding_number(matrix: AdjacencyMatrix, n: int) -> ExpandingNumber:
         raise DomainError("expanding-number estimate needs n >= 2")
     geo = TreeGeometry(matrix)
     ratio = geo.level_size(n + 1) / geo.level_size(n)
-    spectral = spectral_radius(matrix)
-    return ExpandingNumber(
-        ratio_est=ratio, spectral=spectral, expandable=spectral > 1 + 1e-9
-    )
+    expandable = is_expandable(matrix)
+    spectral = _power_iteration(matrix) if expandable else 1.0
+    return ExpandingNumber(ratio_est=ratio, spectral=spectral, expandable=expandable)
 
 
 @dataclass(frozen=True)

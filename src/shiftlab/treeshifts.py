@@ -5,14 +5,18 @@ A tree-shift spec pairs a tree geometry with a base constraint: either a
 one-step symbol matrix A (label t may follow label s when A[s][t] = 1).
 Patterns live on the truncated tree Delta_n.
 
-Counting is bottom-up dynamic programming keyed by (vertex type,
-base-automaton state, remaining depth); subtree shapes depend only on
-the last generator, so the DP is polynomial in depth even when the
-pattern counts have thousands of digits.  Surface counting and
-independence checking refine the same idea: instead of a single count
-per state they carry a map from "set of incoming states this partial
-labeling tolerates" to the number of distinct restrictions achieving
-it, which stays exact while collapsing unpinned subtrees to one class.
+Both kinds of base compile once per spec into one ``WordAutomaton``
+(a matrix base is the 1D shift forbidding each 2-word st with
+A[s][t] = 0), with integer states and the initial state 0.  Counting is
+bottom-up dynamic programming keyed by (vertex type, automaton state,
+remaining depth); subtree shapes depend only on the last generator, so
+the DP is polynomial in depth even when the pattern counts have
+thousands of digits.  Surface counting and independence checking refine
+the same idea: instead of a single count per state they carry a map
+from "set of incoming states this partial labeling tolerates", an int
+bitmask over the states, to the number of distinct restrictions
+achieving it.  That stays exact while collapsing unpinned subtrees to
+one class.
 
 Independence of a vertex set S: every assignment S -> alphabet extends
 to a full admissible labeling of Delta_n.  The check compares the exact
@@ -25,6 +29,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 
 from . import words as words_mod
 from .errors import (
@@ -35,29 +41,11 @@ from .errors import (
     NotHereditary,
     PreconditionViolated,
 )
-from .trees import AdjacencyMatrix, TreeGeometry, entering_counts, expanding_number, sink_decomposition, sink_level_counts
+from .trees import AdjacencyMatrix, TreeGeometry, entering_counts, is_expandable, sink_decomposition, sink_level_counts
 from .words import ShiftSpec1D, WordAutomaton
 
 CLASS_CAP = 4096
 ROOT = 0
-_START = -1  # incoming state before any symbol (matrix bases)
-
-
-class _MatrixAutomaton:
-    """One-step successor automaton: state = previous symbol, -1 at the root."""
-
-    def __init__(self, matrix: tuple[tuple[int, ...], ...]) -> None:
-        self.matrix = matrix
-        self.size = len(matrix)
-        self.initial = _START
-
-    def step(self, state: int, symbol: int):
-        if state == _START:
-            return symbol
-        return symbol if self.matrix[state][symbol] else None
-
-    def states(self) -> frozenset[int]:
-        return frozenset(range(-1, self.size))
 
 
 @dataclass(frozen=True)
@@ -77,15 +65,15 @@ class TreeShiftSpec:
     def geometry(self) -> TreeGeometry:
         return TreeGeometry(self.matrix)
 
-    def automaton(self):
+    @cached_property
+    def automaton(self) -> WordAutomaton:
+        """The base compiled once; a matrix base forbids each 2-word st with A[s][t] = 0."""
         if self.base is not None:
             return WordAutomaton(self.base)
-        return _MatrixAutomaton(self.step_matrix)
-
-    def state_universe(self) -> frozenset:
-        if self.base is not None:
-            return WordAutomaton(self.base).reachable_states()
-        return _MatrixAutomaton(self.step_matrix).states()
+        r = len(self.step_matrix)
+        return WordAutomaton(ShiftSpec1D.with_forbidden(
+            r, [(s, t) for s in range(r) for t in range(r) if not self.step_matrix[s][t]]
+        ))
 
     def to_json(self) -> dict:
         obj: dict = {"tree": self.matrix.to_json()}
@@ -107,9 +95,10 @@ def make_tree_shift(geometry, base) -> TreeShiftSpec:
     """Validated spec; raises EmptyBase / DeadSymbol on unusable bases."""
     matrix = geometry.matrix if isinstance(geometry, TreeGeometry) else geometry
     if isinstance(base, ShiftSpec1D):
-        if not WordAutomaton(base).is_viable():
+        ts = TreeShiftSpec(matrix=matrix, base=base, step_matrix=None)
+        if not ts.automaton.is_viable():
             raise EmptyBase("base language has no arbitrarily long words")
-        return TreeShiftSpec(matrix=matrix, base=base, step_matrix=None)
+        return ts
     step = tuple(tuple(int(x) for x in row) for row in base)
     r = len(step)
     if r < 2 or any(len(row) != r for row in step):
@@ -120,34 +109,28 @@ def make_tree_shift(geometry, base) -> TreeShiftSpec:
     return TreeShiftSpec(matrix=matrix, base=None, step_matrix=step)
 
 
-def _child_types(geo: TreeGeometry, vertex_type: int) -> tuple[int, ...]:
-    return geo.children_digits(vertex_type)
-
-
 def count_patterns(ts: TreeShiftSpec, n: int) -> int:
     """Exact number of admissible labelings of Delta_n."""
     if n < 0:
         raise DomainError("depth must be >= 0")
     geo = ts.geometry()
-    auto = ts.automaton()
-    r = ts.alphabet_size
+    auto = ts.automaton
     memo: dict = {}
 
-    def grow(vertex_type: int, state, depth: int) -> int:
+    def grow(vertex_type: int, state: int, depth: int) -> int:
         key = (vertex_type, state, depth)
         hit = memo.get(key)
         if hit is not None:
             return hit
         total = 0
-        for s in range(r):
-            nxt = auto.step(state, s)
+        for nxt in auto.table[state]:
             if nxt is None:
                 continue
             if depth == 0:
                 total += 1
                 continue
             prod = 1
-            for child in _child_types(geo, vertex_type):
+            for child in geo.children_digits(vertex_type):
                 prod *= grow(child, nxt, depth - 1)
                 if prod == 0:
                     break
@@ -177,22 +160,24 @@ def tree_entropy_est(ts: TreeShiftSpec, n: int) -> TreeEntropy:
     return TreeEntropy(raw=raws[-1], running_max_tail=max(tail))
 
 
-def _leaf_classes(auto, universe, r: int) -> dict:
-    out: dict = {}
-    for s in range(r):
-        compat = frozenset(q for q in universe if auto.step(q, s) is not None)
-        if compat:
-            out[compat] = out.get(compat, 0) + 1
+def _preimage(auto: WordAutomaton, mask: int, s: int) -> int:
+    """Bitmask of the states whose s-successor lies in ``mask``."""
+    out = 0
+    for q, row in enumerate(auto.table):
+        t = row[s]
+        if t is not None and mask >> t & 1:
+            out |= 1 << q
     return out
 
 
-def _combine_children(dicts, cap: int) -> dict:
-    """Product over children keyed by the intersection of tolerated states."""
-    acc: dict = None
+def _combine_children(dicts, auto: WordAutomaton, cap: int) -> dict:
+    """Product over children keyed by the intersection of tolerated states.
+
+    Starts from the one class of all states, so a leaf, which has no
+    children, tolerates everything below it.
+    """
+    acc = {(1 << auto.n_states) - 1: 1}
     for d in dicts:
-        if acc is None:
-            acc = dict(d)
-            continue
         nxt: dict = {}
         for c1, m1 in acc.items():
             for c2, m2 in d.items():
@@ -202,19 +187,26 @@ def _combine_children(dicts, cap: int) -> dict:
         acc = nxt
         if len(acc) > cap:
             raise CapExceeded(f"class dictionary exceeded {cap} entries")
-    return acc if acc is not None else {}
+    return acc
 
 
-def _lift_free(d: dict, auto, universe, r: int) -> dict:
-    """Existentially label this vertex: restrictions below stay the same."""
+def _lift(classes: dict, auto: WordAutomaton, pinned: bool, cap: int = CLASS_CAP) -> dict:
+    """Label this vertex and map each class to the incoming states it tolerates.
+
+    A pinned vertex keeps one class per symbol, since its label is part
+    of the restriction; a free vertex only needs some symbol to work, so
+    the restrictions below stay the same.
+    """
     out: dict = {}
-    for inter, mult in d.items():
-        compat = frozenset(
-            q for q in universe
-            if any(auto.step(q, s) in inter for s in range(r))
-        )
-        if compat:
-            out[compat] = out.get(compat, 0) + mult
+    for inter, mult in classes.items():
+        pre = [_preimage(auto, inter, s) for s in range(auto.size)]
+        if not pinned:
+            pre = [reduce(or_, pre)]
+        for compat in pre:
+            if compat:
+                out[compat] = out.get(compat, 0) + mult
+    if len(out) > cap:
+        raise CapExceeded(f"class dictionary exceeded {cap} entries")
     return out
 
 
@@ -234,9 +226,7 @@ def surface_entropy_est(ts: TreeShiftSpec, n: int, cap: int = CLASS_CAP) -> Surf
     if n < 1:
         raise DomainError("surface estimate needs n >= 1")
     geo = ts.geometry()
-    auto = ts.automaton()
-    universe = ts.state_universe()
-    r = ts.alphabet_size
+    auto = ts.automaton
     memo: dict = {}
 
     def classes(vertex_type: int, height: int) -> dict:
@@ -244,20 +234,16 @@ def surface_entropy_est(ts: TreeShiftSpec, n: int, cap: int = CLASS_CAP) -> Surf
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if height == 0:
-            out = _leaf_classes(auto, universe, r)
-        else:
-            inner = _combine_children(
-                (classes(c, height - 1) for c in _child_types(geo, vertex_type)), cap
-            )
-            out = _lift_free(inner, auto, universe, r)
-        if len(out) > cap:
-            raise CapExceeded(f"class dictionary exceeded {cap} entries")
+        kids = (
+            (classes(c, height - 1) for c in geo.children_digits(vertex_type))
+            if height else ()
+        )
+        out = _lift(_combine_children(kids, auto, cap), auto, height == 0, cap)
         memo[key] = out
         return out
 
     root = classes(ROOT, n)
-    count = sum(m for compat, m in root.items() if auto.initial in compat)
+    count = sum(m for compat, m in root.items() if compat & 1)  # bit of initial state 0
     size = geo.level_size(n)
     raw = (math.log(count) if count else float("-inf")) / size
     return SurfaceEntropy(count=count, raw=raw)
@@ -355,71 +341,31 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     if n < 0:
         raise DomainError("depth must be >= 0")
     geo = ts.geometry()
-    auto = ts.automaton()
-    universe = ts.state_universe()
-    r = ts.alphabet_size
+    auto = ts.automaton
     pins = _validate_vertices(geo, S.ids if isinstance(S, VertexSet) else S, n)
     prefixes = set()
     for vid in pins:
         for i in range(len(vid) + 1):
             prefixes.add(vid[:i])
-
-    viable_memo: dict = {}
-
-    def viable(vertex_type: int, height: int) -> frozenset:
-        key = (vertex_type, height)
-        hit = viable_memo.get(key)
-        if hit is not None:
-            return hit
-        if height == 0:
-            out = frozenset(
-                q for q in universe
-                if any(auto.step(q, s) is not None for s in range(r))
-            )
-        else:
-            kids = [viable(c, height - 1) for c in _child_types(geo, vertex_type)]
-            out = frozenset(
-                q for q in universe
-                if any(
-                    (nxt := auto.step(q, s)) is not None
-                    and all(nxt in kid for kid in kids)
-                    for s in range(r)
-                )
-            )
-        viable_memo[key] = out
-        return out
+    free_memo: dict = {}
 
     def node(vid: str, vertex_type: int, height: int) -> dict:
-        if vid not in prefixes:
-            v = viable(vertex_type, height)
-            return {v: 1} if v else {}
-        pinned = vid in pins
-        if height == 0:
-            if not pinned:
-                v = viable(vertex_type, 0)
-                return {v: 1} if v else {}
-            return _leaf_classes(auto, universe, r)
-        inner = _combine_children(
-            (
-                node(vid + str(c), c, height - 1)
-                for c in _child_types(geo, vertex_type)
-            ),
-            CLASS_CAP,
+        # a subtree without pins depends only on its type and height, and
+        # has at most one class: the states it can follow
+        free = vid not in prefixes
+        if free and (vertex_type, height) in free_memo:
+            return free_memo[vertex_type, height]
+        kids = (
+            (node(vid + str(c), c, height - 1) for c in geo.children_digits(vertex_type))
+            if height else ()
         )
-        if not pinned:
-            return _lift_free(inner, auto, universe, r)
-        out: dict = {}
-        for inter, mult in inner.items():
-            for s in range(r):
-                compat = frozenset(q for q in universe if auto.step(q, s) in inter)
-                if compat:
-                    out[compat] = out.get(compat, 0) + mult
-        if len(out) > CLASS_CAP:
-            raise CapExceeded(f"class dictionary exceeded {CLASS_CAP} entries")
+        out = _lift(_combine_children(kids, auto, CLASS_CAP), auto, vid in pins)
+        if free:
+            free_memo[vertex_type, height] = out
         return out
 
     root = node("", ROOT, n)
-    return sum(m for compat, m in root.items() if auto.initial in compat)
+    return sum(m for compat, m in root.items() if compat & 1)  # bit of initial state 0
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
@@ -533,7 +479,7 @@ def _surface_family(ts: TreeShiftSpec, n: int, cap: int = 4096, step_cap: int = 
     if ts.alphabet_size != 2:
         return None
     geo = ts.geometry()
-    auto = ts.automaton()
+    auto = ts.automaton
     leaves = geo.level_vertices(n)
     seen: set[str] = set()
     steps = 0
@@ -545,7 +491,7 @@ def _surface_family(ts: TreeShiftSpec, n: int, cap: int = 4096, step_cap: int = 
         if len(v) < n
     }
     labels: dict[str, int] = {}
-    states: dict[str, object] = {}
+    states: dict[str, int] = {}
 
     def assign(idx: int) -> bool:
         nonlocal steps
@@ -587,8 +533,7 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     """
     if boundary_levels < 1:
         raise DomainError("boundary depth must be >= 1")
-    spectral = expanding_number(ts.matrix, 2).spectral
-    if spectral <= 1 + 1e-9:
+    if not is_expandable(ts.matrix):
         raise PreconditionViolated(
             "boundary search expects an expanding tree (growth ratio > 1)"
         )
@@ -635,12 +580,7 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
             from . import shatter
 
             family = shatter.BinaryFamily.from_words(patterns)
-            width = len(leaf_order)
-            k, cum = 0, 0
-            for j in range(width + 1):
-                cum += math.comb(width, j)
-                if len(family) > cum:
-                    k = j + 1
+            k = shatter.forced_shatter_size(family)
             if k >= 1:
                 picked = shatter.extract_shattered(family, k)
                 seed = [leaf_order[i - 1] for i in picked]

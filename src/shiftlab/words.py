@@ -8,9 +8,11 @@ forbidden factor.  For the built-in catalog (golden mean, full shift,
 AtMostK, single-letter erasures) this coincides with the true block
 language of the shift.
 
-Provided quantities:
+Every spec compiles once into a ``WordAutomaton``: integer states and a
+``table[state][symbol]`` successor lookup.  Provided quantities:
 
-* exact block counts by a state DP, never materializing beyond the cap;
+* exact block counts by a state DP over that table, never materializing
+  beyond the cap;
 * entropy estimates in nats, with the subadditivity (Fekete) upper bound
   ``min_{m <= n} log |B_m| / m``;
 * hereditary closures (coordinatewise lowering) and a hereditary check;
@@ -123,7 +125,11 @@ class ShiftSpec1D:
     def to_json(self) -> dict:
         obj: dict = {"alphabet": self.alphabet.size, "kind": self.kind}
         if self.kind == FORBIDDEN:
-            obj["forbidden"] = [word_to_str(w) for w in self.forbidden]
+            # digit strings cannot spell symbols above 9
+            if any(s > 9 for w in self.forbidden for s in w):
+                obj["forbidden"] = [list(w) for w in self.forbidden]
+            else:
+                obj["forbidden"] = [word_to_str(w) for w in self.forbidden]
         elif self.kind == AT_MOST_K:
             obj["symbol"] = self.symbol
             obj["count"] = self.count
@@ -143,73 +149,68 @@ class ShiftSpec1D:
 
 
 class WordAutomaton:
-    """Incremental recognizer for a spec's locally admissible words.
+    """Compiled recognizer for a spec's locally admissible words.
 
-    A state carries just enough history to judge the next symbol: the
-    last ``max_forbidden_len - 1`` symbols for a forbidden-word spec, the
-    running (capped) occurrence count for AtMostK, a single state for the
-    full shift.  ``step`` returns the successor state, or None when the
-    extension would be inadmissible.
+    States are ``0 .. n_states - 1`` with the initial state 0.  The
+    constructor runs a breadth-first search over the history rule: a
+    history holds the last ``max_forbidden_len - 1`` symbols for a
+    forbidden-word spec, the running (capped) occurrence count for
+    AtMostK, nothing for the full shift.  Each reachable history becomes
+    one integer state, so ``n_states`` is the number of reachable
+    histories.  ``table[q][s]`` is the successor of q under s, or None
+    when the extension would be inadmissible.
     """
 
+    initial = 0
+
     def __init__(self, spec: ShiftSpec1D) -> None:
-        self.spec = spec
         self.size = spec.alphabet.size
-        if spec.kind == FORBIDDEN:
-            self._memory = max(spec.max_forbidden_len - 1, 0)
-            self.initial: object = ()
-        elif spec.kind == AT_MOST_K:
-            self._memory = 0
-            self.initial = 0
-        else:
-            self._memory = 0
-            self.initial = ()
-
-    def step(self, state, symbol: int):
-        spec = self.spec
-        if spec.kind == FULL:
-            return ()
-        if spec.kind == AT_MOST_K:
-            nxt = state + (1 if symbol == spec.symbol else 0)
-            return nxt if nxt <= spec.count else None
-        grown = state + (symbol,)
-        for f in spec.forbidden:
-            if len(f) <= len(grown) and grown[-len(f):] == f:
-                return None
-        return grown[-self._memory:] if self._memory else ()
-
-    def reachable_states(self) -> frozenset:
-        """All states reachable from the initial state (initial included)."""
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            state = frontier.pop()
+        start = 0 if spec.kind == AT_MOST_K else ()
+        histories: list = [start]
+        index = {start: 0}
+        table = []
+        for history in histories:  # grows while the search runs
+            row = []
             for s in range(self.size):
-                nxt = self.step(state, s)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
+                nxt = _next_history(spec, history, s)
+                if nxt is not None and nxt not in index:
+                    index[nxt] = len(histories)
+                    histories.append(nxt)
+                row.append(None if nxt is None else index[nxt])
+            table.append(tuple(row))
+        self.table: tuple[tuple[int | None, ...], ...] = tuple(table)
+        self.n_states = len(table)
 
-    def live_states(self) -> frozenset:
-        """Reachable states from which arbitrarily long extensions exist."""
-        live = set(self.reachable_states())
-        while True:
-            dead = {
-                state
-                for state in live
-                if not any(
-                    (nxt := self.step(state, s)) is not None and nxt in live
-                    for s in range(self.size)
-                )
-            }
-            if not dead:
-                return frozenset(live)
-            live -= dead
+    def step(self, state: int, symbol: int) -> int | None:
+        return self.table[state][symbol]
 
     def is_viable(self) -> bool:
-        """True when the language contains words of every length."""
-        return self.initial in self.live_states()
+        """True when the language contains words of every length.
+
+        Prunes states without a live successor until none is left; the
+        survivors are the states with arbitrarily long extensions.
+        """
+        live = set(range(self.n_states))
+        while True:
+            dead = {q for q in live if not any(t in live for t in self.table[q])}
+            if not dead:
+                return self.initial in live
+            live -= dead
+
+
+def _next_history(spec: ShiftSpec1D, history, symbol: int):
+    """The history after appending ``symbol``, or None if a window breaks."""
+    if spec.kind == FULL:
+        return ()
+    if spec.kind == AT_MOST_K:
+        seen = history + (1 if symbol == spec.symbol else 0)
+        return seen if seen <= spec.count else None
+    grown = history + (symbol,)
+    for f in spec.forbidden:
+        if len(f) <= len(grown) and grown[-len(f):] == f:
+            return None
+    memory = spec.max_forbidden_len - 1
+    return grown[-memory:] if memory > 0 else ()
 
 
 def block_counts(spec: ShiftSpec1D, n: int) -> list[int]:
@@ -217,17 +218,18 @@ def block_counts(spec: ShiftSpec1D, n: int) -> list[int]:
     if n < 0:
         raise DomainError("length must be >= 0")
     auto = WordAutomaton(spec)
-    dist: dict = {auto.initial: 1}
+    dist = [0] * auto.n_states
+    dist[auto.initial] = 1
     out = [1]
     for _ in range(n):
-        nxt: dict = {}
-        for state, mult in dist.items():
-            for s in range(auto.size):
-                t = auto.step(state, s)
-                if t is not None:
-                    nxt[t] = nxt.get(t, 0) + mult
+        nxt = [0] * auto.n_states
+        for mult, row in zip(dist, auto.table):
+            if mult:
+                for t in row:
+                    if t is not None:
+                        nxt[t] += mult
         dist = nxt
-        out.append(sum(dist.values()))
+        out.append(sum(dist))
     return out
 
 

@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from shiftlab import cli, harness
+from shiftlab import cli, harness, treeshifts
 from shiftlab.errors import ConfigError
 
 GOLDEN_CFG = {
     "target": "entropy1d",
     "spec": {"kind": "forbidden", "alphabet": 2, "forbidden": ["11"]},
     "n": 3,
+}
+DENSITY_CFG = {
+    "target": "density",
+    "tree": {"d": 2, "rows": ["11", "01"]},
+    "base": {"kind": "forbidden", "alphabet": 2, "forbidden": ["11"]},
+    "set": {"generator": "level_parity", "parity": 1},
+    "n_range": [2, 8, 2],
 }
 HARD_SQUARE_JSON = {
     "alphabet": 2,
@@ -52,6 +60,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             harness.ExperimentConfig.from_json({"target": "entropy1d", "seed": "x"})
 
+    @pytest.mark.parametrize(
+        "cfg,field",
+        [
+            ({**GOLDEN_CFG, "n": True}, "n"),
+            ({**GOLDEN_CFG, "seed": False}, "seed"),
+            ({"target": "reproduce", "theorem": "thm3", "depth": True}, "depth"),
+            ({**DENSITY_CFG, "n_range": [2, 8, True]}, "n_range"),
+            ({**DENSITY_CFG, "set": {"generator": "level_parity", "parity": True}}, "parity"),
+            (
+                {**DENSITY_CFG, "set": {"generator": "sink_lift", "positions": [1, True]}},
+                "positions",
+            ),
+        ],
+    )
+    def test_bool_is_not_an_integer(self, cfg, field, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=field):
+            run(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+
 
 class TestReports:
     def test_golden_mean_pinned_row(self):
@@ -70,6 +99,26 @@ class TestReports:
         rep = run(GOLDEN_CFG)
         obj = json.loads(rep.json_bytes())
         assert obj["rows"][-1]["estimate"] == 0.536479304145  # log(5)/3 to 12 digits
+
+    def test_counts_past_the_str_digit_limit_are_exact(self):
+        # the binary tree over the golden mean has a 7,242-digit count at n = 14
+        cfg = {
+            "target": "tree-entropy",
+            "tree": {"d": 2, "rows": ["11", "11"]},
+            "base": {"kind": "forbidden", "alphabet": 2, "forbidden": ["11"]},
+            "n": 14,
+        }
+        obj = json.loads(run(cfg).json_bytes())
+        ts = treeshifts.TreeShiftSpec.from_json(cfg)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for row in obj["rows"]:
+                want = str(treeshifts.count_patterns(ts, int(row["n"])))
+                assert row["count"] == want
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(obj["rows"][-1]["count"]) > limit
 
     def test_fractions_serialize_as_ratios(self):
         rep = run(
@@ -102,15 +151,7 @@ class TestReports:
             )
 
     def test_csv_view_headers(self):
-        rep = run(
-            {
-                "target": "density",
-                "tree": {"d": 2, "rows": ["11", "01"]},
-                "base": {"kind": "forbidden", "alphabet": 2, "forbidden": ["11"]},
-                "set": {"generator": "level_parity", "parity": 1},
-                "n_range": [2, 8, 2],
-            }
-        )
+        rep = run(DENSITY_CFG)
         text = rep.csv_text()
         assert text.splitlines()[0] == "n,count,ratio"
         assert len(text.splitlines()) == 1 + len(rep.rows)

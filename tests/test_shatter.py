@@ -206,9 +206,18 @@ class TestExtractShattered:
             cum += math.comb(n, j)
             if len(fam) > cum:
                 k = j + 1
+        assert shatter.forced_shatter_size(fam) == k
         got = shatter.extract_shattered(fam, k)
         assert len(got) == k
         assert shatter.is_shattered(fam, got)
+
+    def test_forced_shatter_size_pinned(self):
+        # |F| must exceed sum_{j<k} C(N, j): 1, then 1 + N, then 1 + N + C(N, 2)
+        assert shatter.forced_shatter_size(family_of("0101")) == 0
+        assert shatter.forced_shatter_size(family_of("0000", "0101")) == 1
+        assert shatter.forced_shatter_size(family_of("0000", "0001", "0010", "0100", "1000")) == 1
+        assert shatter.forced_shatter_size(family_of("000", "001", "010", "100", "111")) == 2
+        assert shatter.forced_shatter_size(family_of("00", "01", "10", "11")) == 2
 
 
 class TestPlumbing:

@@ -128,6 +128,18 @@ class TestGrowth:
         m = trees.AdjacencyMatrix.from_rows(["011", "100", "100"])
         assert trees.spectral_radius(m) == pytest.approx(2 ** 0.5, abs=1e-9)
 
+    def test_periodic_cycle_class_is_unexpandable(self):
+        # classes {1}, {2, 4, 3} (a 3-cycle) and nothing denser: the level
+        # counts grow linearly, while their finite differences never vanish
+        m = trees.AdjacencyMatrix.from_rows(["0001", "0001", "0010", "0110"])
+        assert trees.level_sizes(m, 7) == [1, 4, 5, 7, 8, 10, 11, 13]
+        assert not trees.is_expandable(m)
+        assert trees.spectral_radius(m) == 1.0
+        res = trees.expanding_number(m, 40)
+        assert res.spectral == 1.0
+        assert not res.expandable
+        trees.sink_decomposition(m)  # a certificate exists
+
     @given(m=small_matrices())
     @settings(max_examples=30, deadline=None)
     def test_windowed_growth_tracks_spectral(self, m):

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import trees, treeshifts, words
@@ -65,6 +65,49 @@ def naive_patterns(ts: treeshifts.TreeShiftSpec, n: int) -> list[dict]:
         ):
             out.append(lab)
     return out
+
+
+# ---------------------------------------------------------------------------
+# random small tree shifts for the differential checks against the oracle
+
+
+def _rows(bits: int, d: int) -> list[list[int]]:
+    rows = [[(bits >> (i * d + j)) & 1 for j in range(d)] for i in range(d)]
+    for i, row in enumerate(rows):
+        if not any(row):
+            row[i] = 1  # no dead ends, no dead symbols
+    return rows
+
+
+def _bases(r: int) -> st.SearchStrategy:
+    word = st.lists(st.integers(0, r - 1), min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        st.lists(word, min_size=1, max_size=3, unique=True).map(
+            lambda fs: words.ShiftSpec1D.with_forbidden(r, fs)
+        ),
+        st.builds(
+            words.ShiftSpec1D.at_most_k, st.just(r), st.integers(0, r - 1), st.integers(0, 2)
+        ),
+        st.integers(0, 2 ** (r * r) - 1).map(lambda bits: _rows(bits, r)),
+    )
+
+
+@st.composite
+def small_tree_shifts(draw):
+    """A viable tree shift with d <= 3 and the largest depth n <= 3 the oracle can enumerate."""
+    d = draw(st.integers(1, 3))
+    tree = trees.AdjacencyMatrix.from_rows(
+        ["".join(map(str, row)) for row in _rows(draw(st.integers(0, 2 ** (d * d) - 1)), d)]
+    )
+    base = draw(st.integers(2, 3).flatmap(_bases))
+    try:
+        ts = treeshifts.make_tree_shift(tree, base)
+    except EmptyBase:
+        assume(False)
+    geo = ts.geometry()
+    depths = [n for n in range(1, 4) if ts.alphabet_size ** geo.delta_size(n) <= 4096]
+    assume(depths)
+    return ts, depths[-1]
 
 
 class TestCounting:
@@ -155,6 +198,14 @@ class TestSurfaceEntropy:
             }
             assert got.count == len(want)
 
+    @given(case=small_tree_shifts())
+    @settings(max_examples=100, deadline=None)
+    def test_random_specs_match_leaf_projection_oracle(self, case):
+        ts, n = case
+        leaves = ts.geometry().level_vertices(n)
+        want = {tuple(lab[v] for v in leaves) for lab in naive_patterns(ts, n)}
+        assert treeshifts.surface_entropy_est(ts, n).count == len(want)
+
     def test_never_exceeds_pattern_count(self):
         for ts in (TS_COMB_GOLDEN, TS_BIN_A, TS_BIN_GOLDEN):
             for n in range(1, 6):
@@ -174,6 +225,17 @@ class TestIndependence:
             for S in itertools.combinations(verts, k):
                 want = len({tuple(lab[v] for v in S) for lab in pats})
                 assert treeshifts.distinct_restrictions(TS_COMB_GOLDEN, S, n) == want
+
+    @given(case=small_tree_shifts(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_specs_match_oracle(self, case, data):
+        ts, n = case
+        verts = ts.geometry().vertices(n)
+        S = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=6))
+        pats = naive_patterns(ts, n)
+        assert treeshifts.count_patterns(ts, n) == len(pats)
+        want = len({tuple(lab[v] for v in S) for lab in pats})
+        assert treeshifts.distinct_restrictions(ts, S, n) == want
 
     def test_is_indep_matches_oracle(self):
         n = 3

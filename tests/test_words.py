@@ -263,6 +263,12 @@ class TestSpecPlumbing:
     def test_json_round_trip(self, spec):
         assert words.ShiftSpec1D.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize("forbidden", [[(11,), (3, 4)], [(10, 0, 9)], ["34", "9"]])
+    def test_json_round_trip_alphabet_twelve(self, forbidden):
+        # two-digit symbols cannot travel as digit strings
+        spec = words.ShiftSpec1D.with_forbidden(12, forbidden)
+        assert words.ShiftSpec1D.from_json(spec.to_json()) == spec
+
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     def test_word_string_round_trip(self, w):
         tup = tuple(w)
