@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when every report assertion passes, 1 when a report
-contains a failed assertion, 2 for configuration or usage errors.
+contains a failed assertion, 2 for configuration or usage errors, 3 for
+an internal error (a fault in shiftlab itself, reported on one line).
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def main(argv=None) -> int:
     except (ShiftLabError, OSError, json.JSONDecodeError) as exc:
         print(f"shiftlab: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug, kept apart from exit 1
+        print(f"shiftlab: internal error: {exc!r}", file=sys.stderr)
+        return 3
 
     return 0 if report.passed else 1
 

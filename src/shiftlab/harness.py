@@ -350,9 +350,10 @@ def _run_tree_entropy(params: dict) -> tuple:
     ts = _tree_shift_field(params)
     n = _int_field(params, "n")
     rows = []
+    geo = ts.geometry()
+    counts = treeshifts.count_series(ts, n)
     for m in range(1, n + 1):
-        count = treeshifts.count_patterns(ts, m)
-        geo = ts.geometry()
+        count = counts[m]
         rows.append(
             {
                 "n": m,
@@ -379,10 +380,10 @@ def _run_surface(params: dict) -> tuple:
     n = _int_field(params, "n")
     rows = []
     ok = True
+    counts = treeshifts.count_series(ts, n)
     for m in range(1, n + 1):
         se = treeshifts.surface_entropy_est(ts, m)
-        full = treeshifts.count_patterns(ts, m)
-        if se.count > full:
+        if se.count > counts[m]:
             ok = False
         rows.append({"n": m, "count": se.count, "estimate": se.raw})
     last = treeshifts.surface_entropy_est(ts, n)

@@ -159,7 +159,7 @@ class TreeGeometry:
             return True
         prev = 0
         for ch in vid:
-            if not ch.isdigit():
+            if not "0" <= ch <= "9":
                 return False
             digit = int(ch)
             if digit < 1 or digit > self.matrix.d:

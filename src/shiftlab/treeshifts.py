@@ -21,6 +21,15 @@ one class.
 Independence of a vertex set S: every assignment S -> alphabet extends
 to a full admissible labeling of Delta_n.  The check compares the exact
 number of distinct restrictions to S against r^|S| as big integers.
+
+Each spec owns one memo, a dict the class DP reuses across calls.  It
+maps a tolerated-state mask to its per-symbol preimages and their union,
+(vertex type, height) to the class map of a subtree without pins, and
+(pinned, the children's class maps) to the class map of a node step;
+class maps are frozensets of (mask, multiplicity) pairs.  A step does
+not depend on where its vertex sits, so the 2^15 subsets of Delta_3 on
+the binary tree share about 800 entries.  The memo is cleared whenever
+it reaches MEMO_CAP entries, which bounds it and never changes a result.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .trees import AdjacencyMatrix, TreeGeometry, entering_counts, is_expandable
 from .words import ShiftSpec1D, WordAutomaton
 
 CLASS_CAP = 4096
+MEMO_CAP = CLASS_CAP
 ROOT = 0
 
 
@@ -63,7 +73,16 @@ class TreeShiftSpec:
         return len(self.step_matrix)
 
     def geometry(self) -> TreeGeometry:
+        return self._geometry
+
+    @cached_property
+    def _geometry(self) -> TreeGeometry:
         return TreeGeometry(self.matrix)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The class DP's per-spec memo (see the module docstring)."""
+        return {}
 
     @cached_property
     def automaton(self) -> WordAutomaton:
@@ -111,6 +130,11 @@ def make_tree_shift(geometry, base) -> TreeShiftSpec:
 
 def count_patterns(ts: TreeShiftSpec, n: int) -> int:
     """Exact number of admissible labelings of Delta_n."""
+    return count_series(ts, n)[n]
+
+
+def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
+    """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one memo."""
     if n < 0:
         raise DomainError("depth must be >= 0")
     geo = ts.geometry()
@@ -138,7 +162,11 @@ def count_patterns(ts: TreeShiftSpec, n: int) -> int:
         memo[key] = total
         return total
 
-    return grow(ROOT, auto.initial, n)
+    return [grow(ROOT, auto.initial, m) for m in range(n + 1)]
+
+
+def _log_per_vertex(count: int, size: int) -> float:
+    return (math.log(count) if count else float("-inf")) / size
 
 
 @dataclass(frozen=True)
@@ -152,35 +180,42 @@ def tree_entropy_est(ts: TreeShiftSpec, n: int) -> TreeEntropy:
     if n < 1:
         raise DomainError("entropy estimate needs n >= 1")
     geo = ts.geometry()
-    raws = []
-    for m in range(1, n + 1):
-        c = count_patterns(ts, m)
-        raws.append((math.log(c) if c else float("-inf")) / geo.delta_size(m))
+    counts = count_series(ts, n)
+    raws = [_log_per_vertex(counts[m], geo.delta_size(m)) for m in range(1, n + 1)]
     tail = raws[(n - 1) // 2:]
     return TreeEntropy(raw=raws[-1], running_max_tail=max(tail))
 
 
-def _preimage(auto: WordAutomaton, mask: int, s: int) -> int:
-    """Bitmask of the states whose s-successor lies in ``mask``."""
-    out = 0
-    for q, row in enumerate(auto.table):
-        t = row[s]
-        if t is not None and mask >> t & 1:
-            out |= 1 << q
-    return out
+def _remember(memo: dict, key, value):
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
-def _combine_children(dicts, auto: WordAutomaton, cap: int) -> dict:
+def _preimages(ts: TreeShiftSpec, mask: int) -> tuple[tuple[int, ...], int]:
+    """Per symbol s, the states whose s-successor lies in ``mask``; then their union."""
+    hit = ts._memo.get(mask)
+    if hit is None:
+        table = ts.automaton.table
+        per_symbol = tuple(sum(1 << q for q, row in enumerate(table) if row[s] is not None
+                               and mask >> row[s] & 1) for s in range(ts.automaton.size))
+        hit = _remember(ts._memo, mask, (per_symbol, reduce(or_, per_symbol)))
+    return hit
+
+
+def _combine_children(children, auto: WordAutomaton, cap: int) -> dict:
     """Product over children keyed by the intersection of tolerated states.
 
-    Starts from the one class of all states, so a leaf, which has no
-    children, tolerates everything below it.
+    Each child is an iterable of (mask, multiplicity) pairs.  Starts from
+    the one class of all states, so a leaf, which has no children,
+    tolerates everything below it.
     """
     acc = {(1 << auto.n_states) - 1: 1}
-    for d in dicts:
+    for child in children:
         nxt: dict = {}
         for c1, m1 in acc.items():
-            for c2, m2 in d.items():
+            for c2, m2 in child:
                 inter = c1 & c2
                 if inter:
                     nxt[inter] = nxt.get(inter, 0) + m1 * m2
@@ -190,7 +225,7 @@ def _combine_children(dicts, auto: WordAutomaton, cap: int) -> dict:
     return acc
 
 
-def _lift(classes: dict, auto: WordAutomaton, pinned: bool, cap: int = CLASS_CAP) -> dict:
+def _lift(classes: dict, ts: TreeShiftSpec, pinned: bool, cap: int = CLASS_CAP) -> dict:
     """Label this vertex and map each class to the incoming states it tolerates.
 
     A pinned vertex keeps one class per symbol, since its label is part
@@ -199,10 +234,8 @@ def _lift(classes: dict, auto: WordAutomaton, pinned: bool, cap: int = CLASS_CAP
     """
     out: dict = {}
     for inter, mult in classes.items():
-        pre = [_preimage(auto, inter, s) for s in range(auto.size)]
-        if not pinned:
-            pre = [reduce(or_, pre)]
-        for compat in pre:
+        per_symbol, union = _preimages(ts, inter)
+        for compat in per_symbol if pinned else (union,):
             if compat:
                 out[compat] = out.get(compat, 0) + mult
     if len(out) > cap:
@@ -235,10 +268,10 @@ def surface_entropy_est(ts: TreeShiftSpec, n: int, cap: int = CLASS_CAP) -> Surf
         if hit is not None:
             return hit
         kids = (
-            (classes(c, height - 1) for c in geo.children_digits(vertex_type))
+            (classes(c, height - 1).items() for c in geo.children_digits(vertex_type))
             if height else ()
         )
-        out = _lift(_combine_children(kids, auto, cap), auto, height == 0, cap)
+        out = _lift(_combine_children(kids, auto, cap), ts, height == 0, cap)
         memo[key] = out
         return out
 
@@ -320,15 +353,22 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
     return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail))
 
 
-def _validate_vertices(geo: TreeGeometry, ids, n: int) -> frozenset[str]:
-    out = set()
+def _validate_vertices(geo: TreeGeometry, ids, n: int) -> None:
     for vid in ids:
         if not geo.is_vertex(vid):
             raise DomainError(f"{vid!r} is not a vertex of this tree")
         if len(vid) > n:
             raise DomainError(f"vertex {vid!r} lies below depth {n}")
-        out.add(vid)
-    return frozenset(out)
+
+
+def _node_step(ts: TreeShiftSpec, pinned: bool, kids: tuple) -> frozenset:
+    """Class map of a vertex from its children's, the same wherever the vertex sits."""
+    key = (pinned, kids)
+    hit = ts._memo.get(key)
+    if hit is None:
+        classes = _lift(_combine_children(kids, ts.automaton, CLASS_CAP), ts, pinned)
+        hit = _remember(ts._memo, key, frozenset(classes.items()))
+    return hit
 
 
 def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
@@ -341,31 +381,36 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     if n < 0:
         raise DomainError("depth must be >= 0")
     geo = ts.geometry()
-    auto = ts.automaton
-    pins = _validate_vertices(geo, S.ids if isinstance(S, VertexSet) else S, n)
-    prefixes = set()
-    for vid in pins:
-        for i in range(len(vid) + 1):
-            prefixes.add(vid[:i])
-    free_memo: dict = {}
+    ids = S.ids if isinstance(S, VertexSet) else tuple(S)
+    pins = frozenset(ids)
+    prefixes = {vid[:i] for vid in pins if len(vid) <= n for i in range(len(vid) + 1)}
+    reached = 0
 
-    def node(vid: str, vertex_type: int, height: int) -> dict:
+    def node(vid: str, vertex_type: int, height: int) -> frozenset:
         # a subtree without pins depends only on its type and height, and
         # has at most one class: the states it can follow
+        nonlocal reached
         free = vid not in prefixes
-        if free and (vertex_type, height) in free_memo:
-            return free_memo[vertex_type, height]
-        kids = (
-            (node(vid + str(c), c, height - 1) for c in geo.children_digits(vertex_type))
-            if height else ()
-        )
-        out = _lift(_combine_children(kids, auto, CLASS_CAP), auto, vid in pins)
-        if free:
-            free_memo[vertex_type, height] = out
-        return out
+        if free and (vertex_type, height) in ts._memo:
+            return ts._memo[vertex_type, height]
+        pinned = vid in pins
+        reached += pinned
+        kids = tuple([
+            node(vid + str(c), c, height - 1) for c in geo.children_digits(vertex_type)
+        ]) if height else ()
+        out = _node_step(ts, pinned, kids)
+        return _remember(ts._memo, (vertex_type, height), out) if free else out
 
-    root = node("", ROOT, n)
-    return sum(m for compat, m in root.items() if compat & 1)  # bit of initial state 0
+    # the walk reaches every valid pin, so the ids are checked only when
+    # it misses one or gives up, and they raise as they would up front
+    try:
+        root = node("", ROOT, n)
+    except (CapExceeded, RecursionError):
+        _validate_vertices(geo, ids, n)
+        raise
+    if reached != len(pins):
+        _validate_vertices(geo, ids, n)
+    return sum(m for compat, m in root if compat & 1)  # bit of initial state 0
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
@@ -373,9 +418,9 @@ def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
 
     S = empty is independent exactly when some labeling exists.
     """
-    pins = S.ids if isinstance(S, VertexSet) else frozenset(S)
-    target = ts.alphabet_size ** len(frozenset(pins))
-    return distinct_restrictions(ts, VertexSet.of(pins), n) == target
+    if not isinstance(S, VertexSet):
+        S = VertexSet(frozenset(map(str, S)))
+    return distinct_restrictions(ts, S, n) == ts.alphabet_size ** len(S.ids)
 
 
 @dataclass(frozen=True)
@@ -660,7 +705,7 @@ def entropy_chain(ts: TreeShiftSpec, n: int) -> EntropyChain:
     if ts.base is None:
         raise DomainError("chain check needs a 1D base spec")
     geo = ts.geometry()
-    lhs = tree_entropy_est(ts, n).raw
+    lhs = _log_per_vertex(count_patterns(ts, n), geo.delta_size(n))
     fekete = words_mod.entropy_est_1d(ts.base, n).fekete_upper
     weights = entering_counts(ts.matrix, n - 1)
     sink_weight = sum(ell * a for ell, a in enumerate(weights, start=1))

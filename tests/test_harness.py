@@ -198,6 +198,18 @@ class TestCli:
         cfg.write_text(json.dumps(GOLDEN_CFG))
         assert cli.main(["run", str(cfg)]) == 1
 
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(key, depth=None, seed=0):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "reproduce", broken)
+        assert cli.main(["reproduce", "thm5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "shiftlab: internal error: RuntimeError('boom\\nsecond line')"
+        ]
+
     def test_timing_flag_adds_wall_clock(self, capsys):
         assert cli.main(["reproduce", "thm3", "--depth", "3", "--timing"]) == 0
         assert "wall_clock_ms" in capsys.readouterr().out

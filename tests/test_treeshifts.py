@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from shiftlab import trees, treeshifts, words
 from shiftlab.errors import (
+    CapExceeded,
     DeadSymbol,
     DomainError,
     EmptyBase,
@@ -53,7 +55,7 @@ def _word_ok(ts: treeshifts.TreeShiftSpec, word: tuple[int, ...]) -> bool:
 
 
 def naive_patterns(ts: treeshifts.TreeShiftSpec, n: int) -> list[dict]:
-    geo = ts.geometry()
+    geo = trees.TreeGeometry(ts.matrix)  # not the spec's cached geometry
     verts = geo.vertices(n)
     leaves = geo.level_vertices(n)
     paths = [[leaf[:k] for k in range(n + 1)] for leaf in leaves]
@@ -104,10 +106,16 @@ def small_tree_shifts(draw):
         ts = treeshifts.make_tree_shift(tree, base)
     except EmptyBase:
         assume(False)
-    geo = ts.geometry()
+    n = _oracle_depth(ts)
+    assume(n)
+    return ts, n
+
+
+def _oracle_depth(ts: treeshifts.TreeShiftSpec) -> int | None:
+    """The largest n <= 3 whose Delta_n the oracle can enumerate, if any."""
+    geo = trees.TreeGeometry(ts.matrix)
     depths = [n for n in range(1, 4) if ts.alphabet_size ** geo.delta_size(n) <= 4096]
-    assume(depths)
-    return ts, depths[-1]
+    return depths[-1] if depths else None
 
 
 class TestCounting:
@@ -115,6 +123,7 @@ class TestCounting:
         # c_0 = 2, then squares plus one
         c = [treeshifts.count_patterns(TS_BIN_A, n) for n in range(6)]
         assert c == [2, 5, 26, 677, 458330, 210066388901]
+        assert treeshifts.count_series(TS_BIN_A, 5) == c
         for n in range(1, 6):
             assert c[n] == 1 + c[n - 1] ** 2
 
@@ -260,6 +269,91 @@ class TestIndependence:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(DomainError):
             treeshifts.is_indep_tree(TS_COMB_GOLDEN, ["21"], 3)
+
+
+class TestRestrictionMemo:
+    """Each spec's memo serves every later call on it and no other spec."""
+
+    def _check_warm_calls(self, case, data):
+        ts, n = case
+        base = ts.base if ts.base is not None else [list(row) for row in ts.step_matrix]
+        # the same base on another tree: nothing cached for one spec may leak
+        # into the other's answers
+        twin = treeshifts.make_tree_shift(BINARY if ts.matrix == COMB else COMB, base)
+        specs = [(ts, n), (twin, _oracle_depth(twin))]
+        patterns: dict = {}
+        for i in range(8):
+            spec, top = specs[i % 2]
+            m = data.draw(st.integers(0, top))
+            verts = trees.TreeGeometry(spec.matrix).vertices(m)
+            S = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=6))
+            if (i % 2, m) not in patterns:
+                patterns[i % 2, m] = naive_patterns(spec, m)
+            want = len({tuple(lab[v] for v in S) for lab in patterns[i % 2, m]})
+            assert treeshifts.distinct_restrictions(spec, S, m) == want
+
+    @given(case=small_tree_shifts(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_warm_memo_matches_oracle_across_specs(self, case, data):
+        self._check_warm_calls(case, data)
+
+    @given(case=small_tree_shifts(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_memo_bound_keeps_counts_exact(self, case, data):
+        with mock.patch.object(treeshifts, "MEMO_CAP", 2):
+            self._check_warm_calls(case, data)
+
+    @pytest.mark.parametrize(
+        "pins,message",
+        [
+            (["21"], "'21' is not a vertex of this tree"),
+            (["1a"], "'1a' is not a vertex of this tree"),
+            (["1111"], "vertex '1111' lies below depth 3"),
+            (["1", "21"], "'21' is not a vertex of this tree"),
+            (["1" * 10**5], f"vertex {'1' * 10**5!r} lies below depth 3"),
+            # a non-ASCII digit names no vertex; it used to be ignored as a pin
+            (["\u0661"], "'\u0661' is not a vertex of this tree"),
+        ],
+        ids=["non-vertex", "non-digit", "below-depth", "mixed", "far-below-depth", "non-ascii-digit"],
+    )
+    def test_invalid_pins_raise_on_cold_and_warm_memo(self, pins, message):
+        ts = treeshifts.make_tree_shift(COMB, GOLDEN)
+        for _ in range(2):
+            for check in (treeshifts.distinct_restrictions, treeshifts.is_indep_tree):
+                with pytest.raises(DomainError) as err:
+                    check(ts, pins, 3)
+                assert str(err.value) == message
+            treeshifts.max_indep_est(ts, 3)  # warms the memo for the second round
+        assert treeshifts.distinct_restrictions(ts, ["1", "12"], 3) == 3
+
+    def test_invalid_pin_raises_before_the_walk_gives_up(self, monkeypatch):
+        ts = treeshifts.make_tree_shift(COMB, GOLDEN)
+        with pytest.raises(DomainError, match="'21' is not a vertex"):
+            treeshifts.distinct_restrictions(ts, ["21"], 5000)  # deeper than the recursion limit
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 0)
+        with pytest.raises(CapExceeded):
+            treeshifts.distinct_restrictions(ts, ["1"], 3)
+        with pytest.raises(DomainError, match="'21' is not a vertex"):
+            treeshifts.distinct_restrictions(ts, ["1", "21"], 3)
+
+    def test_memo_stays_within_its_bound_on_a_long_greedy_run(self, monkeypatch):
+        alternating = words.ShiftSpec1D.with_forbidden(2, ["00", "11"])
+        want = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
+        assert want.size == 1  # the leaf level is dependent, so the greedy search ran
+        sizes = []
+        remember = treeshifts._remember
+
+        def spy(memo, key, value):
+            out = remember(memo, key, value)
+            sizes.append(len(memo))
+            return out
+
+        monkeypatch.setattr(treeshifts, "MEMO_CAP", 8)
+        monkeypatch.setattr(treeshifts, "_remember", spy)
+        got = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
+        assert got == want
+        assert max(sizes) == 8
+        assert sizes.count(1) > 1  # the memo filled up and was cleared
 
 
 class TestDensity:
