@@ -221,25 +221,15 @@ def _run_entropy1d(params: dict) -> tuple:
     n = _int_field(params, "n")
     counts = words.block_counts(spec, n)
     rows = []
-    prev_fekete = None
-    monotone = True
+    fekete = float("inf")
     for m in range(1, n + 1):
-        est = words.entropy_est_1d(spec, m)
-        rows.append(
-            {
-                "n": m,
-                "count": counts[m],
-                "estimate": est.raw,
-                "fekete_upper": est.fekete_upper,
-            }
-        )
-        if prev_fekete is not None and est.fekete_upper > prev_fekete + 1e-12:
-            monotone = False
-        prev_fekete = est.fekete_upper
-    summary = {
-        "estimate": rows[-1]["estimate"],
-        "fekete_upper": rows[-1]["fekete_upper"],
-    }
+        # the same floats as entropy_est_1d(spec, m), from the one count list
+        raw = math.log(counts[m]) / m if counts[m] else float("-inf")
+        fekete = min(fekete, raw)
+        rows.append({"n": m, "count": counts[m], "estimate": raw, "fekete_upper": fekete})
+    uppers = [row["fekete_upper"] for row in rows]
+    monotone = all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))
+    summary = {"estimate": raw, "fekete_upper": fekete}
     assertions = [
         Assertion(
             "fekete-nonincreasing",
@@ -379,15 +369,15 @@ def _run_surface(params: dict) -> tuple:
     ts = _tree_shift_field(params)
     n = _int_field(params, "n")
     rows = []
-    ok = True
+    geo = ts.geometry()
     counts = treeshifts.count_series(ts, n)
+    surface = treeshifts.surface_series(ts, n)
     for m in range(1, n + 1):
-        se = treeshifts.surface_entropy_est(ts, m)
-        if se.count > counts[m]:
-            ok = False
-        rows.append({"n": m, "count": se.count, "estimate": se.raw})
-    last = treeshifts.surface_entropy_est(ts, n)
-    summary = {"count": last.count, "estimate": last.raw}
+        # the same floats as surface_entropy_est(ts, m)
+        raw = math.log(surface[m]) / geo.level_size(m) if surface[m] else float("-inf")
+        rows.append({"n": m, "count": surface[m], "estimate": raw})
+    ok = all(surface[m] <= counts[m] for m in range(1, n + 1))
+    summary = {"count": surface[n], "estimate": raw}
     assertions = [
         Assertion(
             "surface-at-most-volume",

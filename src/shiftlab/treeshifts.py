@@ -55,6 +55,7 @@ from .words import ShiftSpec1D, WordAutomaton
 
 CLASS_CAP = 4096
 MEMO_CAP = CLASS_CAP
+HEREDITARY_HORIZON = 6
 ROOT = 0
 
 
@@ -88,7 +89,7 @@ class TreeShiftSpec:
     def automaton(self) -> WordAutomaton:
         """The base compiled once; a matrix base forbids each 2-word st with A[s][t] = 0."""
         if self.base is not None:
-            return WordAutomaton(self.base)
+            return self.base.automaton
         r = len(self.step_matrix)
         return WordAutomaton(ShiftSpec1D.with_forbidden(
             r, [(s, t) for s in range(r) for t in range(r) if not self.step_matrix[s][t]]
@@ -204,14 +205,14 @@ def _preimages(ts: TreeShiftSpec, mask: int) -> tuple[tuple[int, ...], int]:
     return hit
 
 
-def _combine_children(children, auto: WordAutomaton, cap: int) -> dict:
+def _combine_children(children, auto: WordAutomaton) -> dict:
     """Product over children keyed by the intersection of tolerated states.
 
     Each child is an iterable of (mask, multiplicity) pairs.  Starts from
     the one class of all states, so a leaf, which has no children,
     tolerates everything below it.
     """
-    acc = {(1 << auto.n_states) - 1: 1}
+    acc = {auto.all_states: 1}
     for child in children:
         nxt: dict = {}
         for c1, m1 in acc.items():
@@ -220,12 +221,12 @@ def _combine_children(children, auto: WordAutomaton, cap: int) -> dict:
                 if inter:
                     nxt[inter] = nxt.get(inter, 0) + m1 * m2
         acc = nxt
-        if len(acc) > cap:
-            raise CapExceeded(f"class dictionary exceeded {cap} entries")
+        if len(acc) > CLASS_CAP:
+            raise CapExceeded(f"class dictionary exceeded {CLASS_CAP} entries")
     return acc
 
 
-def _lift(classes: dict, ts: TreeShiftSpec, pinned: bool, cap: int = CLASS_CAP) -> dict:
+def _lift(classes: dict, ts: TreeShiftSpec, pinned: bool) -> dict:
     """Label this vertex and map each class to the incoming states it tolerates.
 
     A pinned vertex keeps one class per symbol, since its label is part
@@ -238,9 +239,14 @@ def _lift(classes: dict, ts: TreeShiftSpec, pinned: bool, cap: int = CLASS_CAP) 
         for compat in per_symbol if pinned else (union,):
             if compat:
                 out[compat] = out.get(compat, 0) + mult
-    if len(out) > cap:
-        raise CapExceeded(f"class dictionary exceeded {cap} entries")
+    if len(out) > CLASS_CAP:
+        raise CapExceeded(f"class dictionary exceeded {CLASS_CAP} entries")
     return out
+
+
+def _root_count(classes) -> int:
+    """Restrictions, among (mask, multiplicity) pairs, that tolerate the initial state 0."""
+    return sum(m for compat, m in classes if compat & 1)
 
 
 @dataclass(frozen=True)
@@ -249,17 +255,24 @@ class SurfaceEntropy:
     raw: float
 
 
-def surface_entropy_est(ts: TreeShiftSpec, n: int, cap: int = CLASS_CAP) -> SurfaceEntropy:
-    """Distinct restrictions of Delta_n labelings to the level-n vertices.
+def surface_entropy_est(ts: TreeShiftSpec, n: int) -> SurfaceEntropy:
+    """Distinct restrictions of Delta_n labelings to the level-n vertices."""
+    if n < 1:
+        raise DomainError("surface estimate needs n >= 1")
+    count = surface_series(ts, n)[n]
+    return SurfaceEntropy(count=count, raw=_log_per_vertex(count, ts.geometry().level_size(n)))
+
+
+def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
+    """Surface counts of Delta_0 .. Delta_n, from one local memo (its big counts die with it).
 
     The DP carries, per (vertex type, height), a map from tolerated
     incoming-state sets to the number of distinct leaf labelings below.
-    Raises CapExceeded when a class map outgrows the cap.
+    Raises CapExceeded when a class map outgrows CLASS_CAP.
     """
-    if n < 1:
-        raise DomainError("surface estimate needs n >= 1")
+    if n < 0:
+        raise DomainError("depth must be >= 0")
     geo = ts.geometry()
-    auto = ts.automaton
     memo: dict = {}
 
     def classes(vertex_type: int, height: int) -> dict:
@@ -271,15 +284,11 @@ def surface_entropy_est(ts: TreeShiftSpec, n: int, cap: int = CLASS_CAP) -> Surf
             (classes(c, height - 1).items() for c in geo.children_digits(vertex_type))
             if height else ()
         )
-        out = _lift(_combine_children(kids, auto, cap), ts, height == 0, cap)
+        out = _lift(_combine_children(kids, ts.automaton), ts, height == 0)
         memo[key] = out
         return out
 
-    root = classes(ROOT, n)
-    count = sum(m for compat, m in root.items() if compat & 1)  # bit of initial state 0
-    size = geo.level_size(n)
-    raw = (math.log(count) if count else float("-inf")) / size
-    return SurfaceEntropy(count=count, raw=raw)
+    return [_root_count(classes(ROOT, m).items()) for m in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -366,7 +375,7 @@ def _node_step(ts: TreeShiftSpec, pinned: bool, kids: tuple) -> frozenset:
     key = (pinned, kids)
     hit = ts._memo.get(key)
     if hit is None:
-        classes = _lift(_combine_children(kids, ts.automaton, CLASS_CAP), ts, pinned)
+        classes = _lift(_combine_children(kids, ts.automaton), ts, pinned)
         hit = _remember(ts._memo, key, frozenset(classes.items()))
     return hit
 
@@ -410,7 +419,7 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
         raise
     if reached != len(pins):
         _validate_vertices(geo, ids, n)
-    return sum(m for compat, m in root if compat & 1)  # bit of initial state 0
+    return _root_count(root)
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
@@ -472,7 +481,7 @@ class SinkLiftSet:
         return frozenset(out)
 
 
-def sink_lift(ts: TreeShiftSpec, s1d, hereditary_horizon: int = 6) -> SinkLiftSet:
+def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
     """Copy a 1D position set along every sink ray of the tree.
 
     Requires an unexpandable geometry (sinks exist) and a hereditary
@@ -482,9 +491,9 @@ def sink_lift(ts: TreeShiftSpec, s1d, hereditary_horizon: int = 6) -> SinkLiftSe
     decomp = sink_decomposition(ts.matrix)  # raises NotUnexpandable
     if ts.base is None:
         raise NotHereditary("one-step matrix bases carry no hereditary order")
-    if not words_mod.is_hereditary_upto(ts.base, hereditary_horizon):
+    if not words_mod.is_hereditary_upto(ts.base, HEREDITARY_HORIZON):
         raise NotHereditary(
-            f"base fails the hereditary check up to length {hereditary_horizon}"
+            f"base fails the hereditary check up to length {HEREDITARY_HORIZON}"
         )
     positions = tuple(sorted({int(p) for p in s1d}))
     if positions and positions[0] < 1:
@@ -519,8 +528,8 @@ def _greedy_extend(ts: TreeShiftSpec, base: list[str], candidates, n: int) -> li
     return current
 
 
-def _surface_family(ts: TreeShiftSpec, n: int, cap: int = 4096, step_cap: int = 200000):
-    """Distinct leaf labelings of Delta_n patterns, or None past the caps."""
+def _surface_family(ts: TreeShiftSpec, n: int):
+    """Distinct leaf labelings of Delta_n patterns, or None past 4,096 of them or 200,000 steps."""
     if ts.alphabet_size != 2:
         return None
     geo = ts.geometry()
@@ -541,7 +550,7 @@ def _surface_family(ts: TreeShiftSpec, n: int, cap: int = 4096, step_cap: int = 
     def assign(idx: int) -> bool:
         nonlocal steps
         steps += 1
-        if steps > step_cap or len(seen) > cap:
+        if steps > 200000 or len(seen) > 4096:
             return False
         if idx == len(order):
             seen.add("".join(str(labels[v]) for v in leaves))

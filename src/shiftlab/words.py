@@ -21,6 +21,11 @@ Every spec compiles once into a ``WordAutomaton``: integer states and a
   J_l is the maximum size of such an S.  J is subadditive, so J_l / l
   converges; ``max_indep_J`` reports the running Fekete estimate.
 
+The window [1, l] is Delta_{l-1} of the one-generator ray (position p is
+the vertex at depth p - 1), so window independence and J come from the
+class DP of ``treeshifts`` walked up the ray; no word is materialized.
+A spec caches its automaton and that DP's memo, as a tree-shift spec does.
+
 Positions are 1-based throughout, matching the window notation [1, l].
 """
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
@@ -118,6 +124,15 @@ class ShiftSpec1D:
         """The one-point shift whose only admissible symbol is 0."""
         return cls.with_forbidden(2, ("1",))
 
+    @cached_property
+    def automaton(self) -> "WordAutomaton":
+        return WordAutomaton(self)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The class DP's memo, as on a tree-shift spec (see ``treeshifts``)."""
+        return {}
+
     @property
     def max_forbidden_len(self) -> int:
         return max((len(w) for w in self.forbidden), default=0)
@@ -180,6 +195,7 @@ class WordAutomaton:
             table.append(tuple(row))
         self.table: tuple[tuple[int | None, ...], ...] = tuple(table)
         self.n_states = len(table)
+        self.all_states = (1 << self.n_states) - 1
 
     def step(self, state: int, symbol: int) -> int | None:
         return self.table[state][symbol]
@@ -217,7 +233,7 @@ def block_counts(spec: ShiftSpec1D, n: int) -> list[int]:
     """Exact [|B_0|, ..., |B_n|] via the state DP, no materialization."""
     if n < 0:
         raise DomainError("length must be >= 0")
-    auto = WordAutomaton(spec)
+    auto = spec.automaton
     dist = [0] * auto.n_states
     dist[auto.initial] = 1
     out = [1]
@@ -237,12 +253,12 @@ def count_blocks_1d(spec: ShiftSpec1D, n: int) -> int:
     return block_counts(spec, n)[n]
 
 
-def blocks_1d(spec: ShiftSpec1D, n: int, cap: int | None = None) -> frozenset[Word]:
+def blocks_1d(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
     """The admissible words of length n (n = 0 gives the empty word)."""
     if n < 0:
         raise DomainError("length must be >= 0")
-    limit = enumeration_cap() if cap is None else cap
-    auto = WordAutomaton(spec)
+    limit = enumeration_cap()
+    auto = spec.automaton
     out: list[Word] = []
 
     def extend(prefix: Word, state) -> None:
@@ -279,9 +295,9 @@ def entropy_est_1d(spec: ShiftSpec1D, n: int) -> Entropy1D:
     return Entropy1D(raw=per_len[-1], fekete_upper=min(per_len))
 
 
-def hereditary_closure(spec: ShiftSpec1D, n: int, cap: int | None = None) -> frozenset[Word]:
+def hereditary_closure(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
     """Downward completion of B_n under coordinatewise symbol lowering."""
-    seen = set(blocks_1d(spec, n, cap=cap))
+    seen = set(blocks_1d(spec, n))
     stack = list(seen)
     while stack:
         w = stack.pop()
@@ -304,59 +320,56 @@ def is_hereditary_upto(spec: ShiftSpec1D, n: int) -> bool:
     return True
 
 
-def _check_positions(positions, length: int) -> tuple[int, ...]:
-    pos = tuple(sorted(set(positions)))
-    for p in pos:
-        if not (1 <= p <= length):
-            raise DomainError(f"position {p} outside the window [1, {length}]")
-    return pos
-
-
 def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
     """Every assignment on the positions extends to an admissible word.
 
-    The empty set is independent exactly when the length-``length``
-    language is nonempty.
+    Walks the window from its last position up to its first, one class
+    step per position, pinned when it lies in the set.  The empty set is
+    independent exactly when the length-``length`` language is nonempty.
     """
-    pos = _check_positions(positions, length)
-    blocks = blocks_1d(spec, length)
-    if not blocks:
-        return False
-    if not pos:
-        return True
-    restricted = {tuple(w[p - 1] for p in pos) for w in blocks}
-    return len(restricted) == spec.alphabet.size ** len(pos)
+    from .treeshifts import _node_step, _root_count
+
+    pos = frozenset(positions)
+    for p in sorted(pos):
+        if not (1 <= p <= length):
+            raise DomainError(f"position {p} outside the window [1, {length}]")
+    if length < 0:
+        raise DomainError("length must be >= 0")
+    classes = frozenset({(spec.automaton.all_states, 1)})  # past the window's end
+    for p in range(length, 0, -1):
+        classes = _node_step(spec, p in pos, (classes,))
+    return _root_count(classes) == spec.alphabet.size ** len(pos)
 
 
-def _max_indep_window(blocks: list[Word], r: int, length: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum independent set inside [1, length]; lex-first witness."""
-    if not blocks:
-        return 0, ()
-    best: list[int] = []
+def _max_indep_window(spec: ShiftSpec1D, length: int) -> tuple[int, tuple[int, ...]]:
+    """Maximum independent set inside [1, length]; lex-first witness.
 
-    def independent(pos: list[int]) -> bool:
-        seen = set()
-        target = r ** len(pos)
-        for w in blocks:
-            seen.add(tuple(w[p - 1] for p in pos))
-            if len(seen) == target:
-                return True
-        return False
+    The walk of ``is_indep_1d`` for every pin set at once, keeping per
+    class map the lex-first pin set that reaches it.  A pin set with fewer
+    than r^|pins| restrictions is dropped (no step brings one back), so a
+    class map's pin sets share one size and, having equal futures, one
+    witness.
+    """
+    from .treeshifts import _node_step, _root_count
 
-    def grow(current: list[int], start: int) -> None:
-        nonlocal best
-        for p in range(start, length + 1):
-            # even taking every remaining position cannot beat the incumbent
-            if len(current) + (length - p + 1) <= len(best):
-                break
-            cand = current + [p]
-            if independent(cand):
-                if len(cand) > len(best):
-                    best = list(cand)
-                grow(cand, p + 1)
-
-    grow([], 1)
-    return len(best), tuple(best)
+    r = spec.alphabet.size
+    limit = enumeration_cap()
+    layer = {frozenset({(spec.automaton.all_states, 1)}): ()}
+    for p in range(length, 0, -1):
+        nxt: dict = {}
+        for classes, pins in layer.items():
+            for pinned, grown in ((False, pins), (True, (p,) + pins)):
+                out = _node_step(spec, pinned, (classes,))
+                if sum(m for _, m in out) < r ** len(grown):
+                    continue
+                if out not in nxt or grown < nxt[out]:
+                    nxt[out] = grown
+        if len(nxt) > limit:
+            raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} class maps at position {p}")
+        layer = nxt
+    size, witness = min(((-len(pins), pins) for classes, pins in layer.items()
+                         if _root_count(classes) == r ** len(pins)), default=(0, ()))
+    return -size, witness
 
 
 @dataclass(frozen=True)
@@ -370,14 +383,6 @@ def max_indep_J(spec: ShiftSpec1D, length: int) -> MaxIndep1D:
     """J_length with a lex-first witness and the running min of J_m / m."""
     if length < 1:
         raise DomainError("window length must be >= 1")
-    r = spec.alphabet.size
-    js: list[int] = []
-    witness: tuple[int, ...] = ()
-    for m in range(1, length + 1):
-        blocks = sorted(blocks_1d(spec, m))
-        j, wit = _max_indep_window(blocks, r, m)
-        js.append(j)
-        if m == length:
-            witness = wit
-    fekete = min(Fraction(js[m - 1], m) for m in range(1, length + 1))
-    return MaxIndep1D(J=js[-1], witness=witness, fekete_limit_est=fekete)
+    windows = [_max_indep_window(spec, m) for m in range(1, length + 1)]
+    fekete = min(Fraction(j, m) for m, (j, _) in enumerate(windows, start=1))
+    return MaxIndep1D(J=windows[-1][0], witness=windows[-1][1], fekete_limit_est=fekete)

@@ -199,13 +199,14 @@ class TestSurfaceEntropy:
     )
     def test_matches_leaf_projection_oracle(self, ts, nmax):
         geo = ts.geometry()
+        series = treeshifts.surface_series(ts, nmax)
         for n in range(1, nmax + 1):
             leaves = geo.level_vertices(n)
             got = treeshifts.surface_entropy_est(ts, n)
             want = {
                 tuple(lab[v] for v in leaves) for lab in naive_patterns(ts, n)
             }
-            assert got.count == len(want)
+            assert got.count == len(want) == series[n]
 
     @given(case=small_tree_shifts())
     @settings(max_examples=100, deadline=None)

@@ -37,6 +37,18 @@ FULL2 = words.ShiftSpec1D.full(2)
 ATMOST = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
 
 
+def small_spec3() -> st.SearchStrategy[words.ShiftSpec1D]:
+    forbidden_word = st.text(alphabet="012", min_size=1, max_size=3)
+    return st.one_of(
+        st.just(words.ShiftSpec1D.full(3)),
+        st.builds(words.ShiftSpec1D.at_most_k, st.just(3), st.integers(0, 2), st.integers(0, 2)),
+        st.builds(
+            lambda fs: words.ShiftSpec1D.with_forbidden(3, fs),
+            st.lists(forbidden_word, min_size=1, max_size=4, unique=True),
+        ),
+    )
+
+
 def small_spec() -> st.SearchStrategy[words.ShiftSpec1D]:
     forbidden_word = st.text(alphabet="01", min_size=1, max_size=3)
     return st.one_of(
@@ -250,6 +262,48 @@ class TestMaxIndep:
         for a in range(1, 10):
             for b in range(1, 11 - a):
                 assert js[a + b - 1] <= js[a - 1] + js[b - 1]
+
+    @given(
+        spec=st.one_of(small_spec(), small_spec3()),
+        length=st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_engine_matches_brute_force(self, spec, length):
+        # oracle: project every admissible word onto every position set
+        r = spec.alphabet.size
+        js = []
+        for m in range(1, length + 1):
+            blocks = naive_blocks(spec, m)
+            indep = {
+                S: len({tuple(b[p - 1] for p in S) for b in blocks}) == r ** len(S)
+                for k in range(m + 1)
+                for S in itertools.combinations(range(1, m + 1), k)
+            }
+            best = min(((-len(S), S) for S, ok in indep.items() if ok), default=(0, ()))
+            js.append(-best[0])
+        res = words.max_indep_J(spec, length)
+        assert (res.J, res.witness) == (js[-1], best[1])
+        assert res.fekete_limit_est == min(Fraction(j, m) for m, j in enumerate(js, start=1))
+        for S, ok in indep.items():
+            assert words.is_indep_1d(spec, S, length) == ok
+
+    def test_full_shift_long_window(self):
+        res = words.max_indep_J(FULL2, 30)
+        assert res.J == 30
+        assert res.witness == tuple(range(1, 31))
+
+    def test_witness_is_lex_first_among_maximum_sets(self):
+        spec = words.ShiftSpec1D.with_forbidden(2, ["010", "111"])
+        res = words.max_indep_J(spec, 10)
+        # another maximum set, which the window walk meets first
+        assert words.is_indep_1d(spec, (1, 2, 6, 7, 10), 10)
+        assert (res.J, res.witness) == (5, (1, 2, 5, 9, 10))
+
+    def test_window_search_cap(self, monkeypatch):
+        monkeypatch.setenv("SHIFTLAB_CAP", "2")
+        # on the full shift each pin count is its own class map: [1, 2] already has three
+        with pytest.raises(CapExceeded, match="more than SHIFTLAB_CAP = 2 class maps"):
+            words.max_indep_J(FULL2, 5)
 
     def test_fekete_limit_is_exact_fraction(self):
         res = words.max_indep_J(GOLDEN, 8)
