@@ -1,7 +1,7 @@
 """Enumeration caps.
 
-Materializing operations (explicit block sets, shattered-subset scans)
-refuse to build more objects than the cap and raise CapExceeded instead.
+Materializing operations (block sets, automaton tables, shattered-subset
+scans) refuse to build more objects than the cap and raise CapExceeded.
 The default is 2**24 objects; the SHIFTLAB_CAP environment variable
 overrides it process-wide and is read at call time so tests can adjust it.
 """

@@ -2,9 +2,15 @@
 
 A 2D spec forbids a finite set of rectangular patterns; a block is
 locally admissible when no forbidden pattern occurs at any placement.
-Enumeration fills cells in row-major order and checks each forbidden
-pattern the moment its bottom-right cell is placed, so every placement
-is examined exactly once and dead prefixes are cut early.
+
+A k1 x k2 window is a word of k1 rows over the admissible width-k2
+rows (Calkin and Wilf's row transfer): a spec caches per width a
+``RowShift``, whose automaton reads rows.  A window wider than it is
+tall is read as the columns of the transposed spec instead, so the
+rows always run along the shorter side.  Counts come from
+``words.block_counts``, symbol maxima from a (max, +) pass, and
+independence from the class DP of ``treeshifts`` walked up the rows.
+Only ``blocks_2d`` and the shattering witness enumerate blocks.
 
 The symbol-frequency extreme M(k1, k2) = max occurrences of a symbol
 over admissible blocks is subadditive in each index, so
@@ -23,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import and_
 
-from . import shatter
-from .caps import enumeration_cap
-from .errors import CapExceeded, DomainError, EmptyLanguage, NoWitness
+from . import shatter, treeshifts, words
+from .errors import DomainError, EmptyLanguage, NoWitness
 
 Cell = tuple[int, int]
 Pattern = tuple[tuple[int, ...], ...]
@@ -80,6 +87,17 @@ class ShiftSpec2D:
                     if not (0 <= s < self.alphabet_size):
                         raise DomainError(f"pattern symbol {s} outside the alphabet")
 
+    @cached_property
+    def _row_shifts(self) -> dict:
+        """Row shifts by width, built on first use (see ``_window``)."""
+        return {}
+
+    @cached_property
+    def _transposed(self) -> "ShiftSpec2D":
+        """The spec with every pattern mirrored in its main diagonal."""
+        flipped = tuple(sorted(tuple(zip(*pat)) for pat in self.forbidden))
+        return ShiftSpec2D(self.alphabet_size, flipped)
+
     @classmethod
     def from_patterns(cls, r: int, patterns) -> "ShiftSpec2D":
         return cls(r, tuple(sorted(pattern_from_rows(p) for p in patterns)))
@@ -121,67 +139,65 @@ class ShiftSpec2D:
         return cls.from_patterns(obj["alphabet"], pats)
 
 
-def _anchored_checks(spec: ShiftSpec2D, k1: int, k2: int):
-    """For each cell, the forbidden patterns whose bottom-right lands there.
+class RowShift:
+    """The windows of one width as words of rows, with ``automaton`` and ``_memo``.
 
-    Keyed by 0-based (i, j); values are (flat pattern, cell list) pairs.
+    The symbols are the admissible rows, sorted, so row order is block
+    order.  A history is the last h - 1 rows, h the tallest pattern; a
+    step is refused when a pattern ends on the new row.
     """
-    checks: dict[Cell, list[tuple[tuple[int, ...], tuple[Cell, ...]]]] = {}
-    for pat in spec.forbidden:
-        p1, p2 = len(pat), len(pat[0])
-        if p1 > k1 or p2 > k2:
-            continue
-        flat = tuple(s for row in pat for s in row)
-        offsets = tuple((di, dj) for di in range(p1) for dj in range(p2))
-        for i in range(p1 - 1, k1):
-            for j in range(p2 - 1, k2):
-                base = (i - p1 + 1, j - p2 + 1)
-                cells = tuple((base[0] + di, base[1] + dj) for di, dj in offsets)
-                checks.setdefault((i, j), []).append((flat, cells))
-    return checks
+
+    def __init__(self, spec: ShiftSpec2D, width: int) -> None:
+        flat = words.ShiftSpec1D.with_forbidden(
+            spec.alphabet_size, [pat[0] for pat in spec.forbidden if len(pat) == 1]
+        )
+        self.rows = tuple(sorted(words.blocks_1d(flat, width)))
+        tall = [pat for pat in spec.forbidden if len(pat) > 1 and len(pat[0]) <= width]
+        memory = max((len(pat) for pat in tall), default=1) - 1
+        # marks[t][x][a]: the offsets where line a of tall pattern t lies in row x, as bits
+        marks = [[tuple(sum(1 << j for j in range(width - len(line) + 1)
+                            if row[j:j + len(line)] == line) for line in pat)
+                  for row in self.rows] for pat in tall]
+
+        def next_history(history: tuple, x: int):
+            grown = history + (x,)
+            for hits in marks:
+                p = len(hits[0])
+                if p <= len(grown) and reduce(and_, (hits[y][a] for a, y in enumerate(grown[-p:]))):
+                    return None
+            return grown[-memory:] if memory > 0 else ()
+
+        self.automaton = words.WordAutomaton(len(self.rows), (), next_history)
+        self._memo: dict = {}
 
 
-_BLOCK_CACHE: dict = {}
+def _window(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[RowShift, int, bool]:
+    """A k1 x k2 window as (row shift, word length, transposed), the shift built once per width.
 
-
-def blocks_2d(spec: ShiftSpec2D, k1: int, k2: int, cap: int | None = None) -> tuple[GridBlock, ...]:
-    """All admissible k1 x k2 blocks, ordered by their row-major symbol string."""
+    The rows run along the shorter side: a window wider than it is tall
+    is a word of its k2 columns, the rows of the transposed spec.
+    """
     if k1 < 1 or k2 < 1:
         raise DomainError("block sides must be >= 1")
-    limit = enumeration_cap() if cap is None else cap
-    key = (spec, k1, k2)
-    cached = _BLOCK_CACHE.get(key)
-    if cached is not None and len(cached) <= limit:
-        return cached
-    checks = _anchored_checks(spec, k1, k2)
-    grid = [[0] * k2 for _ in range(k1)]
-    out: list[GridBlock] = []
-    cells = [(i, j) for i in range(k1) for j in range(k2)]
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            out.append(GridBlock(tuple(tuple(row) for row in grid)))
-            if len(out) > limit:
-                raise CapExceeded(f"more than {limit} blocks of shape {k1}x{k2}")
-            return
-        i, j = cells[idx]
-        here = checks.get((i, j), ())
-        for s in range(spec.alphabet_size):
-            grid[i][j] = s
-            if all(
-                any(grid[ci][cj] != flat[t] for t, (ci, cj) in enumerate(cc))
-                for flat, cc in here
-            ):
-                fill(idx + 1)
-
-    fill(0)
-    result = tuple(out)
-    _BLOCK_CACHE[key] = result
-    return result
+    transposed = k2 > k1
+    base, width, length = (spec._transposed, k1, k2) if transposed else (spec, k2, k1)
+    if width not in base._row_shifts:
+        base._row_shifts[width] = RowShift(base, width)
+    return base._row_shifts[width], length, transposed
 
 
-def count_blocks_2d(spec: ShiftSpec2D, k1: int, k2: int, cap: int | None = None) -> int:
-    return len(blocks_2d(spec, k1, k2, cap=cap))
+def blocks_2d(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[GridBlock, ...]:
+    """All admissible k1 x k2 blocks, ordered by their row-major symbol string."""
+    shift, length, transposed = _window(spec, k1, k2)
+    lines = (tuple(shift.rows[x] for x in word) for word in words.blocks_1d(shift, length))
+    return tuple(GridBlock(rows) for rows in sorted(
+        tuple(zip(*rows)) if transposed else rows for rows in lines
+    ))
+
+
+def count_blocks_2d(spec: ShiftSpec2D, k1: int, k2: int) -> int:
+    shift, length, _ = _window(spec, k1, k2)
+    return words.block_counts(shift, length)[length]
 
 
 def count_symbol(block: GridBlock, symbol: int) -> int:
@@ -195,20 +211,33 @@ class MaxSymbolBlock:
 
 
 def max_symbol_block(spec: ShiftSpec2D, k1: int, k2: int, symbol: int = 1) -> MaxSymbolBlock:
-    """Max symbol count over admissible blocks; lex-first witness among ties."""
+    """Max symbol count over admissible blocks; lex-first witness among ties.
+
+    A (max, +) pass up the word keeps per state the top count of the rows
+    (or columns) to come and, among those reaching it, the first block in
+    row-major order.  Putting one row above, or one column left of, two
+    blocks keeps their order, so the first block of each state suffices.
+    """
     if not (0 <= symbol < spec.alphabet_size):
         raise DomainError(f"symbol {symbol} outside the alphabet")
-    best = None
-    best_count = -1
-    # enumeration order is lex on flattened cells, so strict improvement
-    # keeps the lexicographically first maximizer
-    for block in blocks_2d(spec, k1, k2):
-        c = count_symbol(block, symbol)
-        if c > best_count:
-            best, best_count = block, c
-    if best is None:
+    shift, length, transposed = _window(spec, k1, k2)
+    weight = [row.count(symbol) for row in shift.rows]
+
+    def grow(x: int, block: Pattern) -> Pattern:
+        line = shift.rows[x]
+        return tuple((s,) + row for s, row in zip(line, block)) if transposed else (line,) + block
+
+    # per state, (minus the top count, its first block), or None where no word can follow
+    best = [(0, ((),) * k1 if transposed else ())] * shift.automaton.n_states
+    for _ in range(length):
+        below = best
+        best = [min(((below[t][0] - weight[x], grow(x, below[t][1]))
+                     for x, t in enumerate(successors) if t is not None and below[t]), default=None)
+                for successors in shift.automaton.table]
+    if best[0] is None:
         raise EmptyLanguage(f"no admissible {k1}x{k2} blocks")
-    return MaxSymbolBlock(M=best_count, witness=best)
+    count, block = best[0]
+    return MaxSymbolBlock(M=-count, witness=GridBlock(block))
 
 
 def fr_estimate(spec: ShiftSpec2D, symbol: int, kmax: int) -> Fraction:
@@ -372,36 +401,26 @@ def upper_density_grid(positions: GridPositionSet, windows) -> UpperDensity2D:
     return UpperDensity2D(ratios=ratios, upper_est=max(tail))
 
 
-def _restrictions(blocks, cells: tuple[Cell, ...]):
-    for block in blocks:
-        yield tuple(block.at(i, j) for i, j in cells)
-
-
 def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int) -> bool:
     """Every assignment on the positions extends to an admissible block.
 
     Explicit position sets must lie inside the window; generator sets are
-    clipped to it.
+    clipped to it.  A row (or column) meeting the set is pinned by its
+    values there.
     """
     if positions.kind == "explicit":
         for i, j in positions.cells:
             if not (1 <= i <= k1 and 1 <= j <= k2):
                 raise DomainError(f"position {(i, j)} outside the {k1}x{k2} window")
-    cells = tuple(sorted(positions.window(k1, k2)))
-    blocks = blocks_2d(spec, k1, k2)
-    if not blocks:
-        return False
-    if not cells:
-        return True
-    target = spec.alphabet_size ** len(cells)
-    if target > len(blocks):
-        return False
-    seen = set()
-    for rest in _restrictions(blocks, cells):
-        seen.add(rest)
-        if len(seen) == target:
-            return True
-    return False
+    shift, length, transposed = _window(spec, k1, k2)
+    cells = positions.window(k1, k2)
+    if transposed:
+        cells = frozenset((j, i) for i, j in cells)
+    pins = []
+    for i in range(length, 0, -1):
+        cols = [j for j in range(k1 if transposed else k2) if (i, j + 1) in cells]
+        pins.append(tuple(tuple(row[j] for j in cols) for row in shift.rows) if cols else False)
+    return treeshifts._walk(shift, pins) == spec.alphabet_size ** len(cells)
 
 
 @dataclass(frozen=True)
@@ -421,12 +440,15 @@ def indep_witness_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Indep2DWitness:
     """
     if spec.alphabet_size != 2:
         raise DomainError("witness extraction works on binary alphabets")
-    blocks = blocks_2d(spec, k1, k2)
-    if len(blocks) <= 1:
-        raise NoWitness(f"language has {len(blocks)} block(s); no free position")
-    family = shatter.BinaryFamily.from_words(
-        "".join(str(s) for row in b.rows for s in row) for b in blocks
-    )
+    shift, length, transposed = _window(spec, k1, k2)
+    # a row's bits in the block mask: adjacent, or k2 apart for a column
+    step, stride = (1, k2) if transposed else (k2, 1)
+    code = [sum(s << (len(row) - 1 - c) * stride for c, s in enumerate(row)) for row in shift.rows]
+    masks = frozenset(reduce(lambda mask, x: mask << step | code[x], word, 0)
+                      for word in words.blocks_1d(shift, length))
+    if len(masks) <= 1:
+        raise NoWitness(f"language has {len(masks)} block(s); no free position")
+    family = shatter.BinaryFamily(length=k1 * k2, masks=masks)
     k = shatter.forced_shatter_size(family)
     index_set = shatter.extract_shattered(family, k)
     cells = tuple(( (idx - 1) // k2 + 1, (idx - 1) % k2 + 1) for idx in index_set)

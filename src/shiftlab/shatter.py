@@ -130,9 +130,10 @@ def is_shattered(family: BinaryFamily, positions) -> bool:
     target = 1 << len(pos)
     if target > len(family.masks):
         return False
+    select = sum(1 << (family.length - p) for p in pos)
     seen = set()
     for mask in family.masks:
-        seen.add(family.restriction(mask, pos))
+        seen.add(mask & select)
         if len(seen) == target:
             return True
     return False

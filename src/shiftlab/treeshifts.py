@@ -23,9 +23,9 @@ to a full admissible labeling of Delta_n.  The check compares the exact
 number of distinct restrictions to S against r^|S| as big integers.
 
 Each spec owns one memo, a dict the class DP reuses across calls.  It
-maps a tolerated-state mask to its per-symbol preimages and their union,
-(vertex type, height) to the class map of a subtree without pins, and
-(pinned, the children's class maps) to the class map of a node step;
+maps a tolerated-state mask to its per-symbol preimages, (vertex type,
+height) to the class map of a subtree without pins, and (pinned, the
+children's class maps) to the class map of a node step;
 class maps are frozensets of (mask, multiplicity) pairs.  A step does
 not depend on where its vertex sits, so the 2^15 subsets of Delta_3 on
 the binary tree share about 800 entries.  The memo is cleared whenever
@@ -38,8 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from . import words as words_mod
 from .errors import (
@@ -91,9 +90,9 @@ class TreeShiftSpec:
         if self.base is not None:
             return self.base.automaton
         r = len(self.step_matrix)
-        return WordAutomaton(ShiftSpec1D.with_forbidden(
+        return ShiftSpec1D.with_forbidden(
             r, [(s, t) for s in range(r) for t in range(r) if not self.step_matrix[s][t]]
-        ))
+        ).automaton
 
     def to_json(self) -> dict:
         obj: dict = {"tree": self.matrix.to_json()}
@@ -194,14 +193,14 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def _preimages(ts: TreeShiftSpec, mask: int) -> tuple[tuple[int, ...], int]:
-    """Per symbol s, the states whose s-successor lies in ``mask``; then their union."""
+def _preimages(ts: TreeShiftSpec, mask: int) -> tuple[int, ...]:
+    """Per symbol s, the states whose s-successor lies in ``mask``."""
     hit = ts._memo.get(mask)
     if hit is None:
         table = ts.automaton.table
         per_symbol = tuple(sum(1 << q for q, row in enumerate(table) if row[s] is not None
                                and mask >> row[s] & 1) for s in range(ts.automaton.size))
-        hit = _remember(ts._memo, mask, (per_symbol, reduce(or_, per_symbol)))
+        hit = _remember(ts._memo, mask, per_symbol)
     return hit
 
 
@@ -226,17 +225,21 @@ def _combine_children(children, auto: WordAutomaton) -> dict:
     return acc
 
 
-def _lift(classes: dict, ts: TreeShiftSpec, pinned: bool) -> dict:
+def _lift(classes: dict, ts: TreeShiftSpec, pinned) -> dict:
     """Label this vertex and map each class to the incoming states it tolerates.
 
-    A pinned vertex keeps one class per symbol, since its label is part
-    of the restriction; a free vertex only needs some symbol to work, so
-    the restrictions below stay the same.
+    A pinned vertex (True) keeps one class per symbol, since its label is
+    part of the restriction; a free vertex (False) only needs some symbol
+    to work.  A tuple pins part of a symbol: symbols s with one label
+    ``pinned[s]`` share a class.
     """
+    labels = range(ts.automaton.size) if pinned is True else pinned or (0,) * ts.automaton.size
     out: dict = {}
     for inter, mult in classes.items():
-        per_symbol, union = _preimages(ts, inter)
-        for compat in per_symbol if pinned else (union,):
+        merged: dict = {}
+        for label, compat in zip(labels, _preimages(ts, inter)):
+            merged[label] = merged.get(label, 0) | compat
+        for compat in merged.values():
             if compat:
                 out[compat] = out.get(compat, 0) + mult
     if len(out) > CLASS_CAP:
@@ -370,7 +373,7 @@ def _validate_vertices(geo: TreeGeometry, ids, n: int) -> None:
             raise DomainError(f"vertex {vid!r} lies below depth {n}")
 
 
-def _node_step(ts: TreeShiftSpec, pinned: bool, kids: tuple) -> frozenset:
+def _node_step(ts: TreeShiftSpec, pinned, kids: tuple) -> frozenset:
     """Class map of a vertex from its children's, the same wherever the vertex sits."""
     key = (pinned, kids)
     hit = ts._memo.get(key)
@@ -378,6 +381,18 @@ def _node_step(ts: TreeShiftSpec, pinned: bool, kids: tuple) -> frozenset:
         classes = _lift(_combine_children(kids, ts.automaton), ts, pinned)
         hit = _remember(ts._memo, key, frozenset(classes.items()))
     return hit
+
+
+def _walk(ts, pins) -> int:
+    """Restrictions to a path read from its far end, one pin per position.
+
+    A pin is True, False or a label tuple, as in ``_lift``; the path is a
+    window of a line (``words``) or a stack of rows (``grids``).
+    """
+    classes = frozenset({(ts.automaton.all_states, 1)})  # past the far end
+    for pinned in pins:
+        classes = _node_step(ts, pinned, (classes,))
+    return _root_count(classes)
 
 
 def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:

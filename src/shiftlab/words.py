@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
@@ -126,7 +126,8 @@ class ShiftSpec1D:
 
     @cached_property
     def automaton(self) -> "WordAutomaton":
-        return WordAutomaton(self)
+        start = 0 if self.kind == AT_MOST_K else ()
+        return WordAutomaton(self.alphabet.size, start, partial(_next_history, self))
 
     @cached_property
     def _memo(self) -> dict:
@@ -164,35 +165,34 @@ class ShiftSpec1D:
 
 
 class WordAutomaton:
-    """Compiled recognizer for a spec's locally admissible words.
+    """Compiled recognizer of words over the symbols ``0 .. size - 1``.
 
-    States are ``0 .. n_states - 1`` with the initial state 0.  The
-    constructor runs a breadth-first search over the history rule: a
-    history holds the last ``max_forbidden_len - 1`` symbols for a
-    forbidden-word spec, the running (capped) occurrence count for
-    AtMostK, nothing for the full shift.  Each reachable history becomes
-    one integer state, so ``n_states`` is the number of reachable
-    histories.  ``table[q][s]`` is the successor of q under s, or None
-    when the extension would be inadmissible.
+    A breadth-first search from the history ``start``, where
+    ``next_history(history, s)`` appends s or returns None when that is
+    inadmissible, numbers each reachable history as a state (0 initial);
+    ``table[q][s]`` is the successor of q under s, or None.  A table over
+    ``SHIFTLAB_CAP`` entries (states times symbols) raises CapExceeded.
     """
 
     initial = 0
 
-    def __init__(self, spec: ShiftSpec1D) -> None:
-        self.size = spec.alphabet.size
-        start = 0 if spec.kind == AT_MOST_K else ()
+    def __init__(self, size: int, start, next_history) -> None:
+        self.size = size
+        limit = enumeration_cap()
         histories: list = [start]
         index = {start: 0}
         table = []
         for history in histories:  # grows while the search runs
             row = []
-            for s in range(self.size):
-                nxt = _next_history(spec, history, s)
+            for s in range(size):
+                nxt = next_history(history, s)
                 if nxt is not None and nxt not in index:
                     index[nxt] = len(histories)
                     histories.append(nxt)
                 row.append(None if nxt is None else index[nxt])
             table.append(tuple(row))
+            if len(table) * size > limit:
+                raise CapExceeded(f"automaton table over SHIFTLAB_CAP = {limit} entries")
         self.table: tuple[tuple[int | None, ...], ...] = tuple(table)
         self.n_states = len(table)
         self.all_states = (1 << self.n_states) - 1
@@ -215,7 +215,11 @@ class WordAutomaton:
 
 
 def _next_history(spec: ShiftSpec1D, history, symbol: int):
-    """The history after appending ``symbol``, or None if a window breaks."""
+    """The history after appending ``symbol``, or None if a window breaks.
+
+    A history is the last ``max_forbidden_len - 1`` symbols, the running
+    occurrence count for AtMostK, or nothing for the full shift.
+    """
     if spec.kind == FULL:
         return ()
     if spec.kind == AT_MOST_K:
@@ -311,11 +315,13 @@ def hereditary_closure(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
 
 
 def is_hereditary_upto(spec: ShiftSpec1D, n: int) -> bool:
-    """True when lowering any admissible word of length <= n stays admissible."""
+    """True when lowering one symbol of any admissible word of length <= n keeps it admissible."""
     if n < 1:
         raise DomainError("hereditary check needs n >= 1")
     for m in range(1, n + 1):
-        if hereditary_closure(spec, m) != blocks_1d(spec, m):
+        block = blocks_1d(spec, m)
+        if any(w[:i] + (s - 1,) + w[i + 1:] not in block
+               for w in block for i, s in enumerate(w) if s):
             return False
     return True
 
@@ -327,7 +333,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
     step per position, pinned when it lies in the set.  The empty set is
     independent exactly when the length-``length`` language is nonempty.
     """
-    from .treeshifts import _node_step, _root_count
+    from .treeshifts import _walk
 
     pos = frozenset(positions)
     for p in sorted(pos):
@@ -335,10 +341,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
             raise DomainError(f"position {p} outside the window [1, {length}]")
     if length < 0:
         raise DomainError("length must be >= 0")
-    classes = frozenset({(spec.automaton.all_states, 1)})  # past the window's end
-    for p in range(length, 0, -1):
-        classes = _node_step(spec, p in pos, (classes,))
-    return _root_count(classes) == spec.alphabet.size ** len(pos)
+    return _walk(spec, (p in pos for p in range(length, 0, -1))) == spec.alphabet.size ** len(pos)
 
 
 def _max_indep_window(spec: ShiftSpec1D, length: int) -> tuple[int, tuple[int, ...]]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import grids
+from shiftlab import grids, words
 from shiftlab.errors import (
     CapExceeded,
     DomainError,
@@ -55,6 +55,53 @@ def naive_blocks_oracle(spec: grids.ShiftSpec2D, k1: int, k2: int) -> list:
         if not bad:
             out.append(rows)
     return out
+
+
+def naive_max(naive: list, symbol: int) -> tuple[int, tuple]:
+    """The top symbol count and, by row-major order, the first block reaching it."""
+    best = max(sum(row.count(symbol) for row in b) for b in naive)
+    return best, min(b for b in naive if sum(row.count(symbol) for row in b) == best)
+
+
+def naive_is_indep(naive: list, cells, r: int) -> bool:
+    restrictions = {tuple(b[i - 1][j - 1] for i, j in cells) for b in naive}
+    return len(restrictions) == r ** len(cells)
+
+
+def assert_engine_matches_naive(spec: grids.ShiftSpec2D, k1: int, k2: int, subsets) -> None:
+    """Count, maximum with its lex-first witness, and independence against the naive scan."""
+    naive = naive_blocks_oracle(spec, k1, k2)
+    assert grids.count_blocks_2d(spec, k1, k2) == len(naive)
+    for symbol in range(spec.alphabet_size):
+        if not naive:
+            with pytest.raises(EmptyLanguage):
+                grids.max_symbol_block(spec, k1, k2, symbol)
+            continue
+        res = grids.max_symbol_block(spec, k1, k2, symbol)
+        assert (res.M, res.witness.rows) == naive_max(naive, symbol)
+    for cells in subsets:
+        ps = grids.GridPositionSet.of(cells)
+        assert grids.is_indep_2d(spec, ps, k1, k2) == naive_is_indep(
+            naive, cells, spec.alphabet_size
+        )
+
+
+@st.composite
+def small_windows(draw):
+    """A spec over 2 or 3 symbols with up to three patterns up to 3 rows tall,
+    a window the naive scan can afford, and position sets inside it."""
+    r = draw(st.sampled_from([2, 3]))
+    shapes = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 2), (2, 3)])
+    pats = []
+    for p1, p2 in draw(st.lists(shapes, max_size=3)):
+        cells = draw(st.lists(st.integers(0, r - 1), min_size=p1 * p2, max_size=p1 * p2))
+        pats.append([cells[i * p2:(i + 1) * p2] for i in range(p1)])
+    spec = grids.ShiftSpec2D.from_patterns(r, pats)
+    windows = [(a, b) for a in range(1, 5) for b in range(1, 5) if r ** (a * b) <= 4096]
+    k1, k2 = draw(st.sampled_from(windows))
+    window = [(i, j) for i in range(1, k1 + 1) for j in range(1, k2 + 1)]
+    subsets = draw(st.lists(st.lists(st.sampled_from(window), unique=True, max_size=4), max_size=4))
+    return spec, k1, k2, subsets
 
 
 def random_spec() -> st.SearchStrategy[grids.ShiftSpec2D]:
@@ -111,6 +158,78 @@ class TestCounting:
         c = grids.count_blocks_2d(spec, 2 * k1 + 1, k2)
         assert c <= a * b
 
+    def test_hard_square_eight_by_eight(self):
+        assert grids.count_blocks_2d(HARD_SQUARE, 8, 8) == hard_square_count_oracle(8, 8)
+        assert grids.count_blocks_2d(HARD_SQUARE, 8, 8) == 660_647_962_955
+
+    def test_wide_windows_read_by_columns(self):
+        # one row of width 18 has 6765 admissible words; a row automaton
+        # over them would need 6766 x 6765 table entries
+        assert grids.count_blocks_2d(HARD_SQUARE, 1, 18) == 6765
+        for k1, k2 in ((2, 16), (3, 12), (12, 3)):
+            assert grids.count_blocks_2d(HARD_SQUARE, k1, k2) == hard_square_count_oracle(k1, k2)
+        res = grids.max_symbol_block(HARD_SQUARE, 2, 17, 1)
+        assert (res.M, res.witness.to_strings()) == (17, ["01" * 8 + "0", "10" * 8 + "1"])
+        assert grids.is_indep_2d(HARD_SQUARE, grids.GridPositionSet.checkerboard(), 2, 17)
+        spec = grids.ShiftSpec2D.from_patterns(3, [["0", "1"], ["22"]])
+        assert grids.count_blocks_2d(spec, 1, 10) == len(words.blocks_1d(
+            words.ShiftSpec1D.with_forbidden(3, [(2, 2)]), 10))
+
+    def test_transposed_window_matches_naive_scan(self):
+        # wider than tall, a 3x1 pattern turns into a row pattern and a
+        # 1x2 pattern into a column one; the witness is still row-major first
+        spec = grids.ShiftSpec2D.from_patterns(2, [["1", "0", "1"], ["11"], ["0", "0"]])
+        window = [(i, j) for i in range(1, 3) for j in range(1, 7)]
+        subsets = [(), ((1, 1), (2, 6)), ((1, 2), (1, 3)), ((2, 1), (1, 4), (2, 5)), window]
+        assert_engine_matches_naive(spec, 2, 6, subsets)
+        assert_engine_matches_naive(spec, 3, 4, [((1, 1), (3, 4)), ((2, 2), (2, 3), (3, 1))])
+        # tied columns sharing a top cell: the first column in sorted order
+        # does not lead to the row-major first block
+        ties = grids.ShiftSpec2D.from_patterns(2, [["11", "11"], ["01", "11"], ["01", "00"]])
+        assert grids.max_symbol_block(ties, 2, 4, 1).witness.to_strings() == ["1011", "1101"]
+        assert_engine_matches_naive(ties, 2, 4, [((1, 2), (2, 3))])
+
+    @given(case=small_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_engine_matches_naive_scan(self, case):
+        assert_engine_matches_naive(*case)
+
+    def test_three_row_pattern_over_three_symbols(self):
+        # a 3x1 pattern needs a history of two rows; 3^6 blocks per window
+        spec = grids.ShiftSpec2D.from_patterns(
+            3, [["0", "1", "2"], ["12"], ["2", "2"]]
+        )
+        window = [(i, j) for i in range(1, 4) for j in range(1, 3)]
+        subsets = [(), ((1, 1), (3, 1)), ((1, 2), (2, 1), (3, 2)), window]
+        assert_engine_matches_naive(spec, 3, 2, subsets)
+        assert grids.count_blocks_2d(spec, 3, 2) < grids.count_blocks_2d(
+            grids.ShiftSpec2D.from_patterns(3, [["12"], ["2", "2"]]), 3, 2
+        )
+
+    def test_empty_row_alphabet(self):
+        # every binary 1x2 row is forbidden: no row of width 2 or more
+        spec = grids.ShiftSpec2D.from_patterns(2, [["00"], ["01"], ["10"], ["11"]])
+        assert grids.count_blocks_2d(spec, 2, 2) == 0
+        assert grids.count_blocks_2d(spec, 2, 1) == 4
+        assert grids.entropy_est_2d(spec, 2, 2).fekete_upper == float("-inf")
+        assert not grids.is_indep_2d(spec, grids.GridPositionSet.of([]), 2, 2)
+        assert not grids.is_indep_2d(spec, grids.GridPositionSet.of([(1, 1)]), 2, 2)
+        with pytest.raises(EmptyLanguage):
+            grids.max_symbol_block(spec, 2, 2, 1)
+        with pytest.raises(EmptyLanguage):
+            grids.prefix_regular_block(spec, 2, 2, 1, Fraction(0))
+        with pytest.raises(NoWitness):
+            grids.indep_witness_2d(spec, 2, 2)
+
+    def test_automaton_cap_names_itself(self, monkeypatch):
+        monkeypatch.setenv("SHIFTLAB_CAP", "100")
+        fresh = grids.ShiftSpec2D.hard_square()
+        # 21 rows of width 6 fit; 22 states of 21 entries do not
+        with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 100"):
+            grids.count_blocks_2d(fresh, 6, 6)
+        # a 2 x 6 window is read as 6 columns of height 2
+        assert grids.count_blocks_2d(fresh, 2, 6) == hard_square_count_oracle(2, 6)
+
     def test_cap_respected(self, monkeypatch):
         monkeypatch.setenv("SHIFTLAB_CAP", "10")
         fresh = grids.ShiftSpec2D.from_patterns(
@@ -139,9 +258,7 @@ class TestSymbolCounts:
     def test_max_matches_enumeration(self):
         for k1, k2 in ((1, 1), (2, 3), (3, 3)):
             res = grids.max_symbol_block(HARD_SQUARE, k1, k2, 1)
-            want = max(
-                grids.count_symbol(b, 1) for b in grids.blocks_2d(HARD_SQUARE, k1, k2)
-            )
+            want, _ = naive_max(naive_blocks_oracle(HARD_SQUARE, k1, k2), 1)
             assert res.M == want
 
     def test_empty_language_raises(self):

@@ -112,6 +112,13 @@ class TestIsShattered:
         assert shatter.is_shattered(fam, (2, 3))
         assert not shatter.is_shattered(fam, (1, 2))
 
+    def test_positions_apart(self):
+        fam = family_of("0000", "1010", "0010", "1000")
+        assert shatter.is_shattered(fam, (1, 3))
+        assert shatter.is_shattered(fam, (3, 1))
+        assert not shatter.is_shattered(fam, (1, 4))
+        assert not shatter.is_shattered(fam, (2, 4))
+
     def test_empty_set_always_shattered(self):
         assert shatter.is_shattered(family_of("01"), ())
 

@@ -134,6 +134,13 @@ class TestCounting:
                 2 ** geo.delta_size(n)
             )
 
+    def test_full_step_matrix_has_one_state(self):
+        # nothing forbidden: one shared history, as for the full word base
+        full = treeshifts.make_tree_shift(BINARY, [[1, 1, 1]] * 3)
+        assert full.automaton.n_states == 1
+        assert TS_BIN_A.automaton.n_states == 3
+        assert treeshifts.count_patterns(full, 2) == 3 ** 7
+
     def test_zeros_base_single_pattern(self):
         for n in range(5):
             assert treeshifts.count_patterns(TS_BIN_ZEROS, n) == 1

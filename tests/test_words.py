@@ -182,6 +182,16 @@ class TestHereditary:
         # forbidding the low word 10 breaks lowering of 11
         spec = words.ShiftSpec1D.with_forbidden(2, ["10"])
         assert not words.is_hereditary_upto(spec, 4)
+        # at length 2 only the last symbol of 11 lowers into 10
+        assert not words.is_hereditary_upto(spec, 2)
+
+    @given(spec=small_spec(), n=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=50, deadline=None)
+    def test_check_matches_closure(self, spec, n):
+        want = all(
+            words.hereditary_closure(spec, m) == words.blocks_1d(spec, m) for m in range(1, n + 1)
+        )
+        assert words.is_hereditary_upto(spec, n) == want
 
 
 class TestIndependence:
