@@ -10,7 +10,6 @@ data is attached only when explicitly requested.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -674,19 +673,7 @@ def _reproduce_thm4(depth: int) -> tuple:
     raw = treeshifts.tree_entropy_est(ts, ent_n).raw
     target = 0.5 * math.log(2.0)
 
-    verts = geo.vertices(3)
-    law_ok = True
-    for bits in range(1 << len(verts)):
-        S = [verts[i] for i in range(len(verts)) if bits >> i & 1]
-        antichain = True
-        for u, v in itertools.combinations(S, 2):
-            if u.startswith(v) or v.startswith(u):
-                antichain = False
-                break
-        indep = treeshifts.is_indep_tree(ts, S, 3)
-        if indep != antichain:
-            law_ok = False
-            break
+    law_ok = set(treeshifts.subset_census(ts, 3)) <= {(True, True), (False, False)}
 
     summary = {"estimate": raw, "entropy_floor": 0.34}
     assertions = [

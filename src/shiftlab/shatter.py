@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import CapExceeded, DomainError, PreconditionViolated
 
@@ -139,13 +138,27 @@ def is_shattered(family: BinaryFamily, positions) -> bool:
     return False
 
 
+def _shattered_sets(family: BinaryFamily):
+    """Every index set the family shatters, the empty set first, in lex order.
+
+    Shattered sets are downward closed, so the depth-first walk extends
+    only sets already shattered.
+    """
+
+    def extend(base: tuple[int, ...]):
+        yield base
+        for p in range(base[-1] + 1 if base else 1, family.length + 1):
+            if is_shattered(family, base + (p,)):
+                yield from extend(base + (p,))
+
+    return extend(())
+
+
 def count_shattered(family: BinaryFamily) -> int:
     """How many index sets (the empty set included) the family shatters.
 
-    Shattered sets are downward closed, so the scan walks level by level
-    and only extends sets already shattered.  Lengths above
-    ``APRIORI_LIMIT`` are rejected; the level frontier can reach C(N, N/2)
-    otherwise.
+    Lengths above ``APRIORI_LIMIT`` are rejected; the shattered sets can
+    number C(N, N/2) otherwise.
     """
     if family.length > APRIORI_LIMIT:
         raise CapExceeded(
@@ -153,24 +166,7 @@ def count_shattered(family: BinaryFamily) -> int:
         )
     if not family.masks:
         return 0
-    total = 1
-    frontier = [()]
-    size = 1
-    while frontier:
-        nxt = []
-        for base in frontier:
-            start = base[-1] + 1 if base else 1
-            for p in range(start, family.length + 1):
-                cand = base + (p,)
-                if is_shattered(family, cand):
-                    nxt.append(cand)
-        total += len(nxt)
-        frontier = nxt
-        size += 1
-        # no shattered set can outgrow log2 |F|
-        if size > len(family.masks).bit_length():
-            break
-    return total
+    return sum(1 for _ in _shattered_sets(family))
 
 
 def forced_shatter_size(family: BinaryFamily) -> int:
@@ -187,7 +183,7 @@ def extract_shattered(family: BinaryFamily, k: int) -> tuple[int, ...]:
 
     Requires the counting hypothesis |F| > sum_{j<k} C(N, j); under it a
     shattered size-k set must exist (the count of shattered sets is at
-    least |F|), so exhausting the scan is an internal invariant failure,
+    least |F|), so exhausting the walk is an internal invariant failure,
     not a caller error.
     """
     if k < 0:
@@ -198,10 +194,10 @@ def extract_shattered(family: BinaryFamily, k: int) -> tuple[int, ...]:
             f"family size {len(family.masks)} does not exceed "
             f"sum_(j<{k}) C({family.length},j) = {threshold}"
         )
-    if k == 0:
-        return ()
-    for cand in combinations(range(1, family.length + 1), k):
-        if is_shattered(family, cand):
+    # the walk is in lex order, so its first k-set is the lex-first one; a
+    # longer set cannot come before it, since its k-prefix would
+    for cand in _shattered_sets(family):
+        if len(cand) == k:
             return cand
     raise AssertionError(
         f"counting hypothesis held but no shattered set of size {k} was found"

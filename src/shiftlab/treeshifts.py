@@ -21,15 +21,18 @@ one class.
 Independence of a vertex set S: every assignment S -> alphabet extends
 to a full admissible labeling of Delta_n.  The check compares the exact
 number of distinct restrictions to S against r^|S| as big integers.
+``subset_census`` runs the same DP for every S of Delta_n at once and
+counts the sets per (independent, antichain); on the binary tree it
+checks all 2^15 subsets of Delta_3 with tables of at most 566 entries.
 
 Each spec owns one memo, a dict the class DP reuses across calls.  It
 maps a tolerated-state mask to its per-symbol preimages, (vertex type,
 height) to the class map of a subtree without pins, and (pinned, the
 children's class maps) to the class map of a node step;
 class maps are frozensets of (mask, multiplicity) pairs.  A step does
-not depend on where its vertex sits, so the 2^15 subsets of Delta_3 on
-the binary tree share about 800 entries.  The memo is cleared whenever
-it reaches MEMO_CAP entries, which bounds it and never changes a result.
+not depend on where its vertex sits, so calls on one spec share their
+steps.  The memo is cleared whenever it reaches MEMO_CAP entries, which
+bounds it and never changes a result.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import words as words_mod
 from .errors import (
@@ -204,6 +207,12 @@ def _preimages(ts: TreeShiftSpec, mask: int) -> tuple[int, ...]:
     return hit
 
 
+def _capped(classes: dict) -> dict:
+    if len(classes) > CLASS_CAP:
+        raise CapExceeded(f"class dictionary exceeded CLASS_CAP = {CLASS_CAP} entries")
+    return classes
+
+
 def _combine_children(children, auto: WordAutomaton) -> dict:
     """Product over children keyed by the intersection of tolerated states.
 
@@ -219,9 +228,7 @@ def _combine_children(children, auto: WordAutomaton) -> dict:
                 inter = c1 & c2
                 if inter:
                     nxt[inter] = nxt.get(inter, 0) + m1 * m2
-        acc = nxt
-        if len(acc) > CLASS_CAP:
-            raise CapExceeded(f"class dictionary exceeded {CLASS_CAP} entries")
+        acc = _capped(nxt)
     return acc
 
 
@@ -242,9 +249,7 @@ def _lift(classes: dict, ts: TreeShiftSpec, pinned) -> dict:
         for compat in merged.values():
             if compat:
                 out[compat] = out.get(compat, 0) + mult
-    if len(out) > CLASS_CAP:
-        raise CapExceeded(f"class dictionary exceeded {CLASS_CAP} entries")
-    return out
+    return _capped(out)
 
 
 def _root_count(classes) -> int:
@@ -445,6 +450,47 @@ def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
     if not isinstance(S, VertexSet):
         S = VertexSet(frozenset(map(str, S)))
     return distinct_restrictions(ts, S, n) == ts.alphabet_size ** len(S.ids)
+
+
+def subset_census(ts: TreeShiftSpec, n: int) -> dict:
+    """Vertex sets S of Delta_n counted by (S is independent, S is an antichain).
+
+    One bottom-up walk takes every S at once.  Per (vertex type, height)
+    it keeps a table from (class map, |S|, S has a pin, S is an
+    antichain) to the number of pin sets S of that subtree with the key:
+    the product of the children's tables, merged on equal keys, then
+    stepped through ``_node_step`` with the vertex pinned and free.  S is
+    independent when the root class map counts r^|S| restrictions, as in
+    ``is_indep_tree``.  A table past CLASS_CAP entries raises CapExceeded.
+    """
+    if n < 0:
+        raise DomainError("depth must be >= 0")
+    geo = ts.geometry()
+
+    @cache
+    def table(vertex_type: int, height: int) -> dict:
+        acc = {((), 0, False, True): 1}
+        for c in geo.children_digits(vertex_type) if height else ():
+            nxt: dict = {}
+            for (kids, size, below, anti), m1 in acc.items():
+                for (classes, size2, below2, anti2), m2 in table(c, height - 1).items():
+                    k = (kids + (classes,), size + size2, below or below2, anti and anti2)
+                    nxt[k] = nxt.get(k, 0) + m1 * m2
+            acc = _capped(nxt)
+        out: dict = {}
+        for (kids, size, below, anti), m in acc.items():
+            for pinned in (False, True):
+                k = (_node_step(ts, pinned, kids), size + pinned, below or pinned,
+                     anti and not (pinned and below))
+                out[k] = out.get(k, 0) + m
+        return _capped(out)
+
+    r = ts.alphabet_size
+    census: dict = {}
+    for (classes, size, _, anti), m in table(ROOT, n).items():
+        k = (_root_count(classes) == r ** size, anti)
+        census[k] = census.get(k, 0) + m
+    return census
 
 
 @dataclass(frozen=True)

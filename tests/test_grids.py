@@ -386,6 +386,12 @@ class TestIndependence2D:
         assert wit.k == 2
         assert wit.J.cells == frozenset({(1, 1), (2, 2)})
 
+    def test_witness_five_by_five(self):
+        # the lex-first shattered 5-set of the 55,447 blocks is (1, 3, 5, 7, 9)
+        wit = grids.indep_witness_2d(HARD_SQUARE, 5, 5)
+        assert wit.k == 5
+        assert wit.J.cells == frozenset({(1, 1), (1, 3), (1, 5), (2, 2), (2, 4)})
+
     def test_witness_full_shift_everything(self):
         wit = grids.indep_witness_2d(FULL2, 2, 2)
         assert wit.k == 4

@@ -218,6 +218,19 @@ class TestExtractShattered:
         assert len(got) == k
         assert shatter.is_shattered(fam, got)
 
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_matches_combinations_scan(self, seed):
+        rng = random.Random(seed)
+        fam = random_family(rng, n_max=10)
+        members = fam.words()
+        for k in range(shatter.forced_shatter_size(fam) + 1):
+            want = next(
+                S for S in itertools.combinations(range(1, fam.length + 1), k)
+                if len({tuple(w[p - 1] for p in S) for w in members}) == 2 ** k
+            )
+            assert shatter.extract_shattered(fam, k) == want, (members, k)
+
     def test_forced_shatter_size_pinned(self):
         # |F| must exceed sum_{j<k} C(N, j): 1, then 1 + N, then 1 + N + C(N, 2)
         assert shatter.forced_shatter_size(family_of("0101")) == 0

@@ -279,6 +279,48 @@ class TestIndependence:
             treeshifts.is_indep_tree(TS_COMB_GOLDEN, ["21"], 3)
 
 
+class TestSubsetCensus:
+    def test_antichain_law_on_delta_three(self):
+        census = treeshifts.subset_census(TS_BIN_A, 3)
+        assert census == {(True, True): 677, (False, False): 32091}
+
+    @given(
+        tree=st.sampled_from([BINARY, COMB]),
+        base=st.integers(2, 3).flatmap(_bases),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_subset_loop(self, tree, base):
+        try:
+            ts = treeshifts.make_tree_shift(tree, base)
+        except EmptyBase:
+            assume(False)
+        verts = ts.geometry().vertices(2)
+        want: dict = {}
+        for k in range(len(verts) + 1):
+            for S in itertools.combinations(verts, k):
+                antichain = not any(v.startswith(u) for u, v in itertools.permutations(S, 2))
+                key = (treeshifts.is_indep_tree(ts, S, 2), antichain)
+                want[key] = want.get(key, 0) + 1
+        census = treeshifts.subset_census(ts, 2)
+        assert census == want
+        assert sum(census.values()) == 2 ** len(verts)
+
+    def test_widest_table_is_capped(self, monkeypatch):
+        ts = treeshifts.make_tree_shift(BINARY, MATRIX_A)
+        treeshifts.subset_census(ts, 3)  # the node steps are now in the memo
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 566)
+        assert treeshifts.subset_census(ts, 3)[True, True] == 677
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 565)
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 565 entries"):
+            treeshifts.subset_census(ts, 3)
+
+    def test_class_maps_name_their_cap(self, monkeypatch):
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 1)
+        ts = treeshifts.make_tree_shift(BINARY, GOLDEN)
+        with pytest.raises(CapExceeded, match="class dictionary exceeded CLASS_CAP = 1 entries"):
+            treeshifts.surface_entropy_est(ts, 2)
+
+
 class TestRestrictionMemo:
     """Each spec's memo serves every later call on it and no other spec."""
 
