@@ -306,13 +306,12 @@ class TestSubsetCensus:
         assert sum(census.values()) == 2 ** len(verts)
 
     def test_widest_table_is_capped(self, monkeypatch):
-        ts = treeshifts.make_tree_shift(BINARY, MATRIX_A)
-        treeshifts.subset_census(ts, 3)  # the node steps are now in the memo
+        # the widest census table of Delta_3 has 566 entries; class maps stay small
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 566)
-        assert treeshifts.subset_census(ts, 3)[True, True] == 677
+        assert treeshifts.subset_census(TS_BIN_A, 3)[True, True] == 677
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 565)
         with pytest.raises(CapExceeded, match="CLASS_CAP = 565 entries"):
-            treeshifts.subset_census(ts, 3)
+            treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
 
     def test_class_maps_name_their_cap(self, monkeypatch):
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 1)
