@@ -538,14 +538,12 @@ def _reproduce_thm1(depth: int) -> tuple:
 
     base = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
     ts_k = treeshifts.make_tree_shift(comb, base)
-    ratios = []
-    for m in range(1, min(10, depth) + 1):
-        est = treeshifts.max_indep_est(ts_k, m)
-        ratios.append((est.ratio, est.certified))
+    series = treeshifts.max_indep_series(ts_k, max(12, min(depth, 40)))
+    ratios = [(est.ratio, est.certified) for est in series[1:min(10, depth) + 1]]
     decreasing = all(
         ratios[i + 1][0] < ratios[i][0] for i in range(len(ratios) - 1)
     ) and all(c for _, c in ratios)
-    far = treeshifts.max_indep_est(ts_k, max(12, min(depth, 40)))
+    far = series[-1]
     vanishing = decreasing and far.certified and far.ratio < 0.15
     j_small = all(
         words.max_indep_J(base, l).J == 1 for l in range(1, 13)

@@ -24,6 +24,10 @@ number of distinct restrictions to S against r^|S| as big integers.
 ``subset_census`` runs the same DP for every S of Delta_n at once and
 counts the sets per (independent, antichain); on the binary tree it
 checks all 2^15 subsets of Delta_3 with tables of at most 566 entries.
+One more walk over every S keeps, per class map, the lex-first largest
+independent S instead of a count; it gives the exact maxima of
+``max_indep_series`` (every depth at once), of ``words.max_indep_J`` on
+the one-generator ray, and of ``bip_search`` on small boundaries.
 
 Each spec owns one memo, a dict the class DP reuses across calls.  It
 maps a tolerated-state mask to its per-symbol preimages, (vertex type,
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -362,10 +366,9 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
     depths = list(n_range)
     if not depths:
         raise DomainError("depth range must be nonempty")
-    ratios = tuple(
-        Fraction(vertex_set.count_in(geometry, n), geometry.delta_size(n))
-        for n in depths
-    )
+    # deepest first, so a set that caches its level counts builds them once
+    counts = {n: vertex_set.count_in(geometry, n) for n in sorted(depths, reverse=True)}
+    ratios = tuple(Fraction(counts[n], geometry.delta_size(n)) for n in depths)
     tail = ratios[len(ratios) // 2:]
     return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail))
 
@@ -493,6 +496,59 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     return census
 
 
+def _pin_table(ts, children, pinnable: bool) -> dict:
+    """One vertex's table from its children's (digit, table) pairs; see ``_max_pin_sets``."""
+    acc = {(): ()}
+    for c, table in children:
+        acc = _capped({
+            classes + (child,): pins + tuple(str(c) + v for v in more)
+            for classes, pins in acc.items() for child, more in table.items()
+        })
+    r = ts.automaton.size
+    out: dict = {}
+    for classes, pins in acc.items():
+        for pinned in (False, True)[:1 + pinnable]:
+            grown = ("",) + pins if pinned else pins
+            step = _node_step(ts, pinned, classes)
+            if sum(m for _, m in step) < r ** len(grown):
+                continue
+            if step not in out or grown < out[step]:
+                out[step] = grown
+    return _capped(out)
+
+
+def _max_pin_sets(ts, geo: TreeGeometry, n: int, pin_levels: int) -> list[tuple[str, ...]]:
+    """Lex-first largest independent pin sets of Delta_0 .. Delta_n, from one walk.
+
+    Pins may sit at heights below ``pin_levels``.  Height by height, each
+    vertex type keeps a table from class map to the lex-first largest pin
+    set of its subtree (ids relative to the subtree root, sorted): the
+    product of the children's tables, stepped through ``_node_step`` free
+    and, where allowed, pinned.  A pin set with fewer than r^|pins|
+    restrictions is dropped, since no step brings one back; so a class
+    map's pin sets share one size and, having equal futures, one witness.
+    The root table at height m gives the set for Delta_m: its largest
+    entry with r^|pins| restrictions from the initial state.  A table
+    past CLASS_CAP entries raises CapExceeded.
+    """
+    geo.level_vertices(0)  # ids are digit strings; raises past MAX_DIGIT_GENERATORS
+    r = ts.automaton.size
+    by_digit: dict = {}
+    best = []
+    for height in range(n + 1):
+        shared: dict = {}  # vertex types with the same children share one table
+        for digit in range(geo.matrix.d + 1):
+            kids = geo.children_digits(digit) if height else ()
+            if kids not in shared:
+                shared[kids] = _pin_table(ts, [(c, by_digit[c]) for c in kids], height < pin_levels)
+        by_digit = {digit: shared[geo.children_digits(digit) if height else ()]
+                    for digit in range(geo.matrix.d + 1)}
+        independent = [pins for classes, pins in by_digit[ROOT].items()
+                       if _root_count(classes) == r ** len(pins)]
+        best.append(min(independent, key=lambda pins: (-len(pins), pins), default=()))
+    return best
+
+
 @dataclass(frozen=True)
 class SinkLiftSet:
     """1D positions copied onto every sink ray of an unexpandable tree.
@@ -507,9 +563,13 @@ class SinkLiftSet:
     positions: tuple[int, ...]
     sink_gens: frozenset[int]
     succ: tuple[int, ...]  # succ[g-1] = unique in-class successor of sink generator g
+    # sink_level_counts S(0) .. S(m), built once and rebuilt longer for a deeper n
+    _counts: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def count_in(self, geo: TreeGeometry, n: int) -> int:
-        counts = sink_level_counts(self.matrix, max(n - 1, 0))
+        if len(self._counts) < n:
+            self._counts[:] = sink_level_counts(self.matrix, n - 1)
+        counts = self._counts
         total = 0
         for k in range(1, n + 1):
             entries = counts[k - 1] - (counts[k - 2] if k >= 2 else 0)
@@ -640,11 +700,12 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     """Look for a large independence set confined to the top levels.
 
     Searches S inside levels n-boundary_levels+1 .. n of Delta_n.  With
-    at most 20 boundary vertices the search is exhaustive branch and
-    bound and the outcome (including None) is certified; otherwise it is
-    a heuristic: try the whole level n, fall back to shattering the
-    realized leaf labelings, then grow greedily.  Returns None when no
-    nonempty candidate passes.
+    at most 20 boundary vertices the pin-set walk of ``max_indep_est``,
+    pinning only those levels, gives the lex-first largest set and the
+    outcome (including None) is certified; otherwise it is a heuristic:
+    try the whole level n, fall back to shattering the realized leaf
+    labelings, then grow greedily.  Returns None when no nonempty
+    candidate passes.
     """
     if boundary_levels < 1:
         raise DomainError("boundary depth must be >= 1")
@@ -660,20 +721,7 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     delta = geo.delta_size(n)
 
     if len(boundary) <= 20:
-        best: list[str] = []
-
-        def grow(current: list[str], start: int) -> None:
-            nonlocal best
-            for i in range(start, len(boundary)):
-                if len(current) + (len(boundary) - i) <= len(best):
-                    break
-                cand = current + [boundary[i]]
-                if is_indep_tree(ts, cand, n):
-                    if len(cand) > len(best):
-                        best = list(cand)
-                    grow(cand, i + 1)
-
-        grow([], 0)
+        best = _max_pin_sets(ts, geo, n, boundary_levels)[n]
         if not best:
             return None
         return BipResult(
@@ -715,40 +763,29 @@ class MaxIndepEstimate:
     witness: VertexSet
     ratio: Fraction
     certified: bool
-    upper_bound: int
+
+
+def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
+    """Largest independence sets of Delta_0 .. Delta_n, exact, from one walk.
+
+    Each witness is the lex-first maximum set over sorted vertex ids, so
+    every answer is certified.
+    """
+    if n < 0:
+        raise DomainError("depth must be >= 0")
+    geo = ts.geometry()
+    return [
+        MaxIndepEstimate(size=len(pins), witness=VertexSet.of(pins),
+                         ratio=Fraction(len(pins), geo.delta_size(m)), certified=True)
+        for m, pins in enumerate(_max_pin_sets(ts, geo, n, n + 1))
+    ]
 
 
 def max_indep_est(ts: TreeShiftSpec, n: int) -> MaxIndepEstimate:
-    """Largest independence set in Delta_n, certified via a ray cover.
-
-    Delta_n is covered by its |T_n| root-to-leaf rays, and a restriction
-    of an independent tree set to one ray is independent for the base in
-    the window [1, n+1]; so max size <= |T_n| * J_{n+1}(base).  When the
-    base has J_{n+1} = 1 and the full leaf level checks out, the leaf
-    level is exactly optimal.  Otherwise the reported set (leaf level or
-    greedy fallback) is a lower bound and certified is False.
-    """
+    """Largest independence set in Delta_n (see ``max_indep_series``)."""
     if n < 1:
         raise DomainError("scan needs n >= 1")
-    if ts.base is None:
-        raise DomainError("the ray-cover bound needs a 1D base spec")
-    geo = ts.geometry()
-    leaf_count = geo.level_size(n)
-    j_record = words_mod.max_indep_J(ts.base, n + 1)
-    upper = leaf_count * j_record.J
-    leaves = geo.level_vertices(n)
-    if is_indep_tree(ts, leaves, n):
-        witness = leaves
-    else:
-        witness = _greedy_extend(ts, [], geo.vertices(n), n)
-    size = len(witness)
-    return MaxIndepEstimate(
-        size=size,
-        witness=VertexSet.of(witness),
-        ratio=Fraction(size, geo.delta_size(n)),
-        certified=size == upper,
-        upper_bound=upper,
-    )
+    return max_indep_series(ts, n)[n]
 
 
 @dataclass(frozen=True)

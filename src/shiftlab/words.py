@@ -15,7 +15,7 @@ Every spec compiles once into a ``WordAutomaton``: integer states and a
   beyond the cap;
 * entropy estimates in nats, with the subadditivity (Fekete) upper bound
   ``min_{m <= n} log |B_m| / m``;
-* hereditary closures (coordinatewise lowering) and a hereditary check;
+* a hereditary check (coordinatewise lowering keeps words admissible);
 * window-scale independence: S inside [1, l] is independent when every
   assignment S -> alphabet extends to an admissible length-l word, and
   J_l is the maximum size of such an S.  J is subadditive, so J_l / l
@@ -23,7 +23,8 @@ Every spec compiles once into a ``WordAutomaton``: integer states and a
 
 The window [1, l] is Delta_{l-1} of the one-generator ray (position p is
 the vertex at depth p - 1), so window independence and J come from the
-class DP of ``treeshifts`` walked up the ray; no word is materialized.
+class DP of ``treeshifts`` walked up the ray, J_1 .. J_l in one walk; no
+word is materialized.
 A spec caches its automaton and that DP's memo, as a tree-shift spec does.
 
 Positions are 1-based throughout, matching the window notation [1, l].
@@ -38,6 +39,7 @@ from functools import cached_property, partial
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
+from .trees import AdjacencyMatrix, TreeGeometry
 
 FULL = "full"
 FORBIDDEN = "forbidden"
@@ -299,21 +301,6 @@ def entropy_est_1d(spec: ShiftSpec1D, n: int) -> Entropy1D:
     return Entropy1D(raw=per_len[-1], fekete_upper=min(per_len))
 
 
-def hereditary_closure(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
-    """Downward completion of B_n under coordinatewise symbol lowering."""
-    seen = set(blocks_1d(spec, n))
-    stack = list(seen)
-    while stack:
-        w = stack.pop()
-        for i, s in enumerate(w):
-            if s > 0:
-                lowered = w[:i] + (s - 1,) + w[i + 1:]
-                if lowered not in seen:
-                    seen.add(lowered)
-                    stack.append(lowered)
-    return frozenset(seen)
-
-
 def is_hereditary_upto(spec: ShiftSpec1D, n: int) -> bool:
     """True when lowering one symbol of any admissible word of length <= n keeps it admissible."""
     if n < 1:
@@ -344,37 +331,6 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
     return _walk(spec, (p in pos for p in range(length, 0, -1))) == spec.alphabet.size ** len(pos)
 
 
-def _max_indep_window(spec: ShiftSpec1D, length: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum independent set inside [1, length]; lex-first witness.
-
-    The walk of ``is_indep_1d`` for every pin set at once, keeping per
-    class map the lex-first pin set that reaches it.  A pin set with fewer
-    than r^|pins| restrictions is dropped (no step brings one back), so a
-    class map's pin sets share one size and, having equal futures, one
-    witness.
-    """
-    from .treeshifts import _node_step, _root_count
-
-    r = spec.alphabet.size
-    limit = enumeration_cap()
-    layer = {frozenset({(spec.automaton.all_states, 1)}): ()}
-    for p in range(length, 0, -1):
-        nxt: dict = {}
-        for classes, pins in layer.items():
-            for pinned, grown in ((False, pins), (True, (p,) + pins)):
-                out = _node_step(spec, pinned, (classes,))
-                if sum(m for _, m in out) < r ** len(grown):
-                    continue
-                if out not in nxt or grown < nxt[out]:
-                    nxt[out] = grown
-        if len(nxt) > limit:
-            raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} class maps at position {p}")
-        layer = nxt
-    size, witness = min(((-len(pins), pins) for classes, pins in layer.items()
-                         if _root_count(classes) == r ** len(pins)), default=(0, ()))
-    return -size, witness
-
-
 @dataclass(frozen=True)
 class MaxIndep1D:
     J: int
@@ -383,9 +339,17 @@ class MaxIndep1D:
 
 
 def max_indep_J(spec: ShiftSpec1D, length: int) -> MaxIndep1D:
-    """J_length with a lex-first witness and the running min of J_m / m."""
+    """J_length with a lex-first witness and the running min of J_m / m.
+
+    One pin-set walk up the one-generator ray gives J_1 .. J_length; its
+    vertex at depth k is position k + 1, so the lex-first set over sorted
+    ids is the lex-first set of positions.
+    """
+    from .treeshifts import _max_pin_sets
+
     if length < 1:
         raise DomainError("window length must be >= 1")
-    windows = [_max_indep_window(spec, m) for m in range(1, length + 1)]
-    fekete = min(Fraction(j, m) for m, (j, _) in enumerate(windows, start=1))
-    return MaxIndep1D(J=windows[-1][0], witness=windows[-1][1], fekete_limit_est=fekete)
+    windows = _max_pin_sets(spec, TreeGeometry(AdjacencyMatrix(((1,),))), length - 1, length)
+    fekete = min(Fraction(len(pins), m) for m, pins in enumerate(windows, start=1))
+    witness = tuple(len(v) + 1 for v in windows[-1])
+    return MaxIndep1D(J=len(witness), witness=witness, fekete_limit_est=fekete)

@@ -1,0 +1,49 @@
+"""The benchmark's correctness check as a test: reports still match ``bench/reference.json``.
+
+The benchmark compares each op's report with the fields recorded in its
+reference through ``bench/check.py``.  Here the same comparison runs in
+process on the six default reproduce reports and on the ray-sweep
+boundary searches, so a changed count or decision fails the suite before
+a benchmark run would.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+import pytest
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.dont_write_bytecode = True  # leave no cache files beside the benchmark
+sys.path.insert(0, BENCH)
+
+import check  # noqa: E402
+import workloads  # noqa: E402
+
+from shiftlab import harness  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def reference() -> dict:
+    with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as fh:
+        return json.load(fh)["ops"]
+
+
+def _mismatches(entry: dict, report: harness.Report) -> list:
+    assert entry["outcome"] == "ok"
+    return check.mismatches(entry["fields"], check.fields(harness.emit_report(report)))
+
+
+@pytest.mark.parametrize("key", workloads.REPRODUCE_KEYS)
+def test_reproduce_matches_reference(key, reference):
+    assert _mismatches(reference[f"reproduce {key}"], harness.reproduce(key)) == []
+
+
+def test_ray_sweep_boundary_searches_match_reference(reference):
+    ops = [op for op in workloads.pool("ray-sweep") if op["config"]["target"] == "bip"]
+    assert len(ops) == 61
+    for op in ops:
+        report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
+        assert _mismatches(reference[workloads.op_id(op)], report) == [], op["config"]

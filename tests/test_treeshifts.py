@@ -24,6 +24,7 @@ from shiftlab.errors import (
 
 COMB = trees.AdjacencyMatrix.comb()
 BINARY = trees.AdjacencyMatrix.binary_tree()
+GOLDEN_TREE = trees.AdjacencyMatrix.from_rows(("11", "10"))
 GOLDEN = words.ShiftSpec1D.golden_mean()
 ATMOST = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
 MATRIX_A = [[1, 1], [0, 1]]
@@ -388,7 +389,7 @@ class TestRestrictionMemo:
     def test_memo_stays_within_its_bound_on_a_long_greedy_run(self, monkeypatch):
         alternating = words.ShiftSpec1D.with_forbidden(2, ["00", "11"])
         want = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
-        assert want.size == 1  # the leaf level is dependent, so the greedy search ran
+        assert want.size == 1  # the root's label fixes every other one
         sizes = []
         remember = treeshifts._remember
 
@@ -436,6 +437,31 @@ class TestSinkLift:
         lift = treeshifts.sink_lift(TS_COMB_GOLDEN, [1, 3])
         geo = TS_COMB_GOLDEN.geometry()
         assert lift.members_in(geo, 3) == frozenset({"2", "12", "112", "222"})
+
+    @pytest.mark.parametrize(
+        "rows", [("11", "01"), ("111", "010", "001"), ("110", "011", "001")],
+        ids=["comb", "fan", "chain"],
+    )
+    def test_cached_count_matches_members(self, rows):
+        ts = treeshifts.make_tree_shift(trees.AdjacencyMatrix.from_rows(rows), GOLDEN)
+        lift = treeshifts.sink_lift(ts, [1, 2, 4, 7])
+        geo = ts.geometry()
+        # deeper depths grow the cached level counts, shallower ones reuse them
+        for n in [0, 1, 2, 5, 9, 3, 1, 8]:
+            assert lift.count_in(geo, n) == len(lift.members_in(geo, n))
+
+    def test_level_counts_built_once_per_density(self, monkeypatch):
+        built = []
+        build = treeshifts.sink_level_counts
+        monkeypatch.setattr(
+            treeshifts, "sink_level_counts", lambda matrix, n: built.append(n) or build(matrix, n)
+        )
+        lift = treeshifts.sink_lift(TS_COMB_GOLDEN, range(1, 62, 2))
+        geo = TS_COMB_GOLDEN.geometry()
+        dens = treeshifts.tree_density(lift, geo, range(30, 61, 2))
+        assert built == [59]
+        assert dens.ratios[0] == Fraction(lift.count_in(geo, 30), geo.delta_size(30))
+        assert built == [59]
 
     def test_count_matches_members(self):
         lift = treeshifts.sink_lift(TS_COMB_GOLDEN, range(1, 20, 2))
@@ -553,12 +579,18 @@ class TestMaxIndepEstimate:
             Fraction(1, 3),
             Fraction(2, 7),
         ]
+        # deeper down the maximum is still the leaf level, n + 1 vertices
+        sizes = [treeshifts.max_indep_est(TS_COMB_ATMOST, n).size for n in (12, 24, 40)]
+        assert sizes == [13, 25, 41]
 
     def test_certified_flag_and_bound(self):
+        # oracle: Delta_n is covered by its |T_n| root-to-leaf rays, and an
+        # independent set meets each in a set independent on the window [1, n + 1]
+        geo = TS_COMB_ATMOST.geometry()
         for n in range(1, 8):
             est = treeshifts.max_indep_est(TS_COMB_ATMOST, n)
-            assert est.size <= est.upper_bound
-            assert est.certified == (est.size == est.upper_bound)
+            assert est.certified
+            assert est.size <= geo.level_size(n) * words.max_indep_J(ATMOST, n + 1).J
 
     def test_certified_is_brute_force_max(self):
         n = 3
@@ -581,6 +613,58 @@ class TestMaxIndepEstimate:
     def test_witness_verifies(self):
         est = treeshifts.max_indep_est(TS_COMB_ATMOST, 4)
         assert treeshifts.is_indep_tree(TS_COMB_ATMOST, est.witness.ids, 4)
+
+    def test_comb_golden_maxima(self):
+        # the leaf level alone gives 7 and 11
+        series = treeshifts.max_indep_series(TS_COMB_GOLDEN, 10)
+        assert [series[n].size for n in (6, 10)] == [16, 36]
+        assert series[10] == treeshifts.max_indep_est(TS_COMB_GOLDEN, 10)
+        assert treeshifts.is_indep_tree(TS_COMB_GOLDEN, series[10].witness.ids, 10)
+
+
+def _lex_first_max(ts, patterns, candidates) -> tuple[str, ...]:
+    """Oracle: the largest candidate subset whose projections reach all r^k
+    assignments, the lex-first one among those over sorted ids."""
+    for k in range(len(candidates), -1, -1):
+        for S in itertools.combinations(sorted(candidates), k):
+            if len({tuple(lab[v] for v in S) for lab in patterns}) == ts.alphabet_size ** k:
+                return S
+    return ()
+
+
+class TestPinSetWalk:
+    @given(
+        tree=st.sampled_from([BINARY, COMB, GOLDEN_TREE]),
+        base=st.integers(2, 3).flatmap(_bases),
+        n=st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_combinations_oracle(self, tree, base, n):
+        try:
+            ts = treeshifts.make_tree_shift(tree, base)
+        except EmptyBase:
+            assume(False)
+        verts = trees.TreeGeometry(tree).vertices(n)
+        patterns = naive_patterns(ts, n)
+        want = _lex_first_max(ts, patterns, verts)
+        est = treeshifts.max_indep_est(ts, n)
+        assert est.certified
+        assert (est.size, tuple(sorted(est.witness.ids))) == (len(want), want)
+        if tree == COMB:
+            return  # the boundary search needs an expanding tree
+        for l in (1, 2):
+            want = _lex_first_max(ts, patterns, [v for v in verts if len(v) > n - l])
+            res = treeshifts.bip_search(ts, l, n)
+            if not want:
+                assert res is None
+                continue
+            assert res.certified
+            assert tuple(sorted(res.S_n.ids)) == want
+
+    def test_tree_walk_names_the_class_cap(self, monkeypatch):
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 2)
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 2 entries"):
+            treeshifts.max_indep_est(TS_BIN_FULL, 2)
 
 
 class TestEntropyChain:

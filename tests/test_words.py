@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import words
+from shiftlab import treeshifts, words
 from shiftlab.errors import CapExceeded, DomainError
 
 
@@ -30,6 +30,21 @@ def naive_blocks(spec: words.ShiftSpec1D, n: int) -> list[tuple[int, ...]]:
                 continue
         out.append(w)
     return out
+
+
+def closure(spec: words.ShiftSpec1D, n: int) -> set[tuple[int, ...]]:
+    """Oracle: the length-n words completed downward under coordinatewise lowering."""
+    seen = set(naive_blocks(spec, n))
+    stack = list(seen)
+    while stack:
+        w = stack.pop()
+        for i, s in enumerate(w):
+            if s > 0:
+                lowered = w[:i] + (s - 1,) + w[i + 1:]
+                if lowered not in seen:
+                    seen.add(lowered)
+                    stack.append(lowered)
+    return seen
 
 
 GOLDEN = words.ShiftSpec1D.golden_mean()
@@ -149,24 +164,24 @@ class TestEntropy:
 class TestHereditary:
     def test_closure_contains_language(self):
         spec = words.ShiftSpec1D.with_forbidden(2, ["10"])
-        closed = words.hereditary_closure(spec, 3)
+        closed = closure(spec, 3)
         assert words.blocks_1d(spec, 3) <= closed
 
     def test_closure_fixes_hereditary_specs(self):
         for n in range(1, 7):
-            assert words.hereditary_closure(GOLDEN, n) == words.blocks_1d(GOLDEN, n)
+            assert closure(GOLDEN, n) == words.blocks_1d(GOLDEN, n)
 
     def test_closure_completes_raised_spec(self):
         # 11 is admissible but its lowering 10 is forbidden; the closure adds it back
         spec = words.ShiftSpec1D.with_forbidden(2, ["10"])
-        closed = words.hereditary_closure(spec, 2)
+        closed = closure(spec, 2)
         assert (1, 0) in closed
         assert (1, 0) not in words.blocks_1d(spec, 2)
 
     @given(spec=small_spec(), n=st.integers(min_value=1, max_value=6))
     @settings(max_examples=50, deadline=None)
     def test_closure_closed_under_lowering(self, spec, n):
-        closed = words.hereditary_closure(spec, n)
+        closed = closure(spec, n)
         for w in closed:
             for i, s in enumerate(w):
                 for lower in range(s):
@@ -189,7 +204,7 @@ class TestHereditary:
     @settings(max_examples=50, deadline=None)
     def test_check_matches_closure(self, spec, n):
         want = all(
-            words.hereditary_closure(spec, m) == words.blocks_1d(spec, m) for m in range(1, n + 1)
+            closure(spec, m) == words.blocks_1d(spec, m) for m in range(1, n + 1)
         )
         assert words.is_hereditary_upto(spec, n) == want
 
@@ -310,9 +325,9 @@ class TestMaxIndep:
         assert (res.J, res.witness) == (5, (1, 2, 5, 9, 10))
 
     def test_window_search_cap(self, monkeypatch):
-        monkeypatch.setenv("SHIFTLAB_CAP", "2")
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 2)
         # on the full shift each pin count is its own class map: [1, 2] already has three
-        with pytest.raises(CapExceeded, match="more than SHIFTLAB_CAP = 2 class maps"):
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 2 entries"):
             words.max_indep_J(FULL2, 5)
 
     def test_fekete_limit_is_exact_fraction(self):
