@@ -182,33 +182,20 @@ def _int_field(params: dict, name: str, lo: int = 1) -> int:
     return v
 
 
-def _spec1d_field(params: dict, name: str = "spec") -> words.ShiftSpec1D:
+def _spec_field(params: dict, kind: type) -> Any:
+    """The config's spec of class ``kind``; a spec that does not parse raises ConfigError.
+
+    A line or grid spec is the "spec" field; a tree shift spreads over
+    the "tree", "base" and "matrix" fields.
+    """
+    if kind is treeshifts.TreeShiftSpec:
+        label, obj = "tree shift", {k: params[k] for k in ("tree", "base", "matrix") if k in params}
+    else:
+        label, obj = "spec", _require(params, "spec")
     try:
-        return words.ShiftSpec1D.from_json(_require(params, name))
-    except ConfigError:
-        raise
+        return kind.from_json(obj)
     except Exception as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _spec2d_field(params: dict, name: str = "spec") -> grids.ShiftSpec2D:
-    try:
-        return grids.ShiftSpec2D.from_json(_require(params, name))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _tree_shift_field(params: dict) -> treeshifts.TreeShiftSpec:
-    try:
-        return treeshifts.TreeShiftSpec.from_json(
-            {k: params[k] for k in ("tree", "base", "matrix") if k in params}
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"tree shift: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +203,7 @@ def _tree_shift_field(params: dict) -> treeshifts.TreeShiftSpec:
 
 
 def _run_entropy1d(params: dict) -> tuple:
-    spec = _spec1d_field(params)
+    spec = _spec_field(params, words.ShiftSpec1D)
     n = _int_field(params, "n")
     counts = words.block_counts(spec, n)
     rows = []
@@ -240,7 +227,7 @@ def _run_entropy1d(params: dict) -> tuple:
 
 
 def _run_entropy2d(params: dict) -> tuple:
-    spec = _spec2d_field(params)
+    spec = _spec_field(params, grids.ShiftSpec2D)
     k1 = _int_field(params, "k1")
     k2 = _int_field(params, "k2")
     rows = []
@@ -275,7 +262,7 @@ def _run_entropy2d(params: dict) -> tuple:
 
 
 def _run_fr(params: dict) -> tuple:
-    spec = _spec2d_field(params)
+    spec = _spec_field(params, grids.ShiftSpec2D)
     symbol = _int_field(params, "symbol", lo=0)
     kmax = _int_field(params, "kmax")
     rows = []
@@ -311,7 +298,7 @@ def _run_fr(params: dict) -> tuple:
 
 
 def _run_indep2d(params: dict) -> tuple:
-    spec = _spec2d_field(params)
+    spec = _spec_field(params, grids.ShiftSpec2D)
     k1 = _int_field(params, "k1")
     k2 = _int_field(params, "k2")
     wit = grids.indep_witness_2d(spec, k1, k2)
@@ -336,7 +323,7 @@ def _run_indep2d(params: dict) -> tuple:
 
 
 def _run_tree_entropy(params: dict) -> tuple:
-    ts = _tree_shift_field(params)
+    ts = _spec_field(params, treeshifts.TreeShiftSpec)
     n = _int_field(params, "n")
     rows = []
     geo = ts.geometry()
@@ -365,7 +352,7 @@ def _run_tree_entropy(params: dict) -> tuple:
 
 
 def _run_surface(params: dict) -> tuple:
-    ts = _tree_shift_field(params)
+    ts = _spec_field(params, treeshifts.TreeShiftSpec)
     n = _int_field(params, "n")
     rows = []
     geo = ts.geometry()
@@ -410,7 +397,7 @@ def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> Any:
 
 
 def _run_density(params: dict) -> tuple:
-    ts = _tree_shift_field(params)
+    ts = _spec_field(params, treeshifts.TreeShiftSpec)
     geo = ts.geometry()
     vset = _vertex_set_field(params, ts)
     rng = _require(params, "n_range")
@@ -441,7 +428,7 @@ def _run_density(params: dict) -> tuple:
 
 
 def _run_bip(params: dict) -> tuple:
-    ts = _tree_shift_field(params)
+    ts = _spec_field(params, treeshifts.TreeShiftSpec)
     l = _int_field(params, "l")
     n = _int_field(params, "n")
     res = treeshifts.bip_search(ts, l, n)

@@ -2,11 +2,14 @@
 
 The tree on d generators keeps every length-1 word (the level-1 seed is
 all d generators) and lets generator i be followed by generator j when
-M[i][j] = 1.  Level sizes come from iterating the all-ones row vector
-against M; vertex ids are digit strings ("" is the root, "12" is the
-child 2 of generator 1), which keeps lexicographic order aligned with
-depth-first traversal.  Digit ids need d <= 9; the matrix operations
-themselves have no such bound.
+M[i][j] = 1.  Each matrix owns one ``TreeGeometry``, the shape of
+Delta_n: its level vectors (the all-ones row vector iterated against
+M) with |Delta_n| kept beside them, and ``walk_up``, the bottom-up walk
+over (vertex type, height) that every tree DP of ``treeshifts`` takes.
+Vertex ids are digit strings ("" is the root, "12" is the child 2 of
+generator 1), which keeps lexicographic order aligned with depth-first
+traversal.  Digit ids need d <= 9; the matrix operations themselves
+have no such bound.
 
 Beyond level counting this module classifies the matrix:
 
@@ -27,7 +30,9 @@ Beyond level counting this module classifies the matrix:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DeadEnd, DomainError, NotUnexpandable
 
@@ -55,6 +60,11 @@ class AdjacencyMatrix:
     @property
     def d(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def geometry(self) -> "TreeGeometry":
+        """The one geometry of this matrix; its level series grow as callers ask."""
+        return TreeGeometry(self)
 
     @classmethod
     def from_rows(cls, rows) -> "AdjacencyMatrix":
@@ -89,42 +99,74 @@ class AdjacencyMatrix:
 
 
 class TreeGeometry:
-    """Vertex bookkeeping for the tree of one adjacency matrix.
+    """The shape of Delta_n for one adjacency matrix: level series and walks.
 
     Level vectors are cached: v_1 is all-ones (every generator appears at
-    level 1) and v_{k+1} = v_k M, so |T_k| = sum(v_k) and
-    |Delta_n| = 1 + sum_{k<=n} |T_k|.
+    level 1) and v_{k+1} = v_k M, so |T_k| = sum(v_k); a running
+    |Delta_k| = 1 + sum_{j<=k} |T_j| is kept beside them.  ``walk_up``
+    is the one bottom-up walk every tree DP takes.
     """
 
     def __init__(self, matrix: AdjacencyMatrix) -> None:
         self.matrix = matrix
         self._vectors: list[tuple[int, ...]] = [(1,) * matrix.d]
+        self._deltas: list[int] = [1, 1 + matrix.d]
         self._children: tuple[tuple[int, ...], ...] = tuple(
             tuple(j + 1 for j in range(matrix.d) if row[j])
             for row in matrix.rows
         )
+        self._parents: tuple[tuple[int, ...], ...] = tuple(
+            tuple(i for i in range(matrix.d) if matrix.rows[i][j])
+            for j in range(matrix.d)
+        )
 
-    def _vector(self, level: int) -> tuple[int, ...]:
-        while len(self._vectors) < level:
-            prev = self._vectors[-1]
-            rows = self.matrix.rows
-            self._vectors.append(
-                tuple(
-                    sum(prev[i] for i in range(self.matrix.d) if rows[i][j])
-                    for j in range(self.matrix.d)
-                )
-            )
-        return self._vectors[level - 1]
+    def _extend(self) -> None:
+        """Append the next level vector v_{k+1} = v_k M and |Delta_{k+1}|."""
+        prev = self._vectors[-1]
+        nxt = tuple(sum(prev[i] for i in parents) for parents in self._parents)
+        self._vectors.append(nxt)
+        self._deltas.append(self._deltas[-1] + sum(nxt))
+
+    def type_counts(self, types, n: int) -> list[int]:
+        """Per level 1..n, the vertices whose last generator lies in ``types``."""
+        if n < 0:
+            raise DomainError("depth must be >= 0")
+        while len(self._vectors) < n:
+            self._extend()
+        return [sum(v[g - 1] for g in types) for v in self._vectors[:n]]
+
+    def delta_size(self, n: int) -> int:
+        if n < 0:
+            raise DomainError("depth must be >= 0")
+        while len(self._deltas) <= n:
+            self._extend()
+        return self._deltas[n]
 
     def level_size(self, level: int) -> int:
         if level < 0:
             raise DomainError("level must be >= 0")
-        if level == 0:
-            return 1
-        return sum(self._vector(level))
+        return self.delta_size(level) - (self.delta_size(level - 1) if level else 0)
 
-    def delta_size(self, n: int) -> int:
-        return sum(self.level_size(k) for k in range(n + 1))
+    def walk_up(self, n: int, node) -> Iterator:
+        """The root's tables for Delta_0 .. Delta_n, built from the leaves up.
+
+        ``node(kids, height)`` gives the table of a vertex at ``height``
+        above the leaves from its children's (digit, table) pairs.  A
+        subtree's shape depends only on its root's type (its last
+        generator, digit 0 for the root) and height, and vertex types
+        with the same children share one table, so each height calls
+        ``node`` once per distinct children tuple.
+        """
+        by_digit: list = []
+        for height in range(n + 1):
+            kids_of = [self.children_digits(digit) if height else ()
+                       for digit in range(self.matrix.d + 1)]
+            shared: dict = {}
+            for kids in kids_of:
+                if kids not in shared:
+                    shared[kids] = node(tuple((c, by_digit[c]) for c in kids), height)
+            by_digit = [shared[kids] for kids in kids_of]
+            yield by_digit[0]
 
     def children_digits(self, digit: int) -> tuple[int, ...]:
         """Digits allowed after `digit`; digit 0 stands for the root."""
@@ -174,8 +216,7 @@ def level_sizes(matrix: AdjacencyMatrix, n: int) -> list[int]:
     """Exact [|T_0|, ..., |T_n|] as big integers."""
     if n < 0:
         raise DomainError("depth must be >= 0")
-    geo = TreeGeometry(matrix)
-    return [geo.level_size(k) for k in range(n + 1)]
+    return [matrix.geometry.level_size(k) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -242,7 +283,7 @@ def expanding_number(matrix: AdjacencyMatrix, n: int) -> ExpandingNumber:
     """Growth ratio |T_{n+1}|/|T_n| alongside the spectral radius."""
     if n < 2:
         raise DomainError("expanding-number estimate needs n >= 2")
-    geo = TreeGeometry(matrix)
+    geo = matrix.geometry
     ratio = geo.level_size(n + 1) / geo.level_size(n)
     expandable = is_expandable(matrix)
     spectral = _power_iteration(matrix) if expandable else 1.0
@@ -367,20 +408,12 @@ def sink_decomposition(matrix: AdjacencyMatrix) -> SinkDecomposition:
 def sink_level_counts(matrix: AdjacencyMatrix, n: int) -> list[int]:
     """[S(0), ..., S(n)]: sink-resident vertex counts per level offset.
 
-    S(m) sums the all-ones seed row against M^m over the sink columns, so
-    S(m) counts the sink vertices at tree level m+1.
+    S(m) sums the level vector v_{m+1} over the sink columns, so S(m)
+    counts the sink vertices at tree level m+1.
     """
-    decomp = sink_decomposition(matrix)
-    sink_gens = decomp.sink_generators()
-    d = matrix.d
-    vec = [1] * d
-    out = [sum(vec[g - 1] for g in sink_gens)]
-    for _ in range(n):
-        vec = [
-            sum(vec[i] for i in range(d) if matrix.rows[i][j]) for j in range(d)
-        ]
-        out.append(sum(vec[g - 1] for g in sink_gens))
-    return out
+    if n < 0:
+        raise DomainError("depth must be >= 0")
+    return matrix.geometry.type_counts(sink_decomposition(matrix).sink_generators(), n + 1)
 
 
 def entering_counts(matrix: AdjacencyMatrix, n: int) -> list[int]:

@@ -8,15 +8,16 @@ Patterns live on the truncated tree Delta_n.
 Both kinds of base compile once per spec into one ``WordAutomaton``
 (a matrix base is the 1D shift forbidding each 2-word st with
 A[s][t] = 0), with integer states and the initial state 0.  Counting is
-bottom-up dynamic programming keyed by (vertex type, automaton state,
-remaining depth); subtree shapes depend only on the last generator, so
-the DP is polynomial in depth even when the pattern counts have
-thousands of digits.  Surface counting and independence checking refine
-the same idea: instead of a single count per state they carry a map
-from "set of incoming states this partial labeling tolerates", an int
-bitmask over the states, to the number of distinct restrictions
-achieving it.  That stays exact while collapsing unpinned subtrees to
-one class.
+bottom-up dynamic programming along the geometry's ``walk_up``: a
+subtree's shape depends only on its vertex type (the last generator)
+and height, so each height keeps one table per vertex type, here a
+count per automaton state, and the DP is polynomial in depth even when
+the pattern counts have thousands of digits.  Surface counting and
+independence checking refine the same idea: instead of a single count
+per state they carry a map from "set of incoming states this partial
+labeling tolerates", an int bitmask over the states, to the number of
+distinct restrictions achieving it.  That stays exact while collapsing
+unpinned subtrees to one class.
 
 Independence of a vertex set S: every assignment S -> alphabet extends
 to a full admissible labeling of Delta_n.  The check compares the exact
@@ -43,9 +44,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import words as words_mod
 from .errors import (
@@ -56,7 +57,7 @@ from .errors import (
     NotHereditary,
     PreconditionViolated,
 )
-from .trees import AdjacencyMatrix, TreeGeometry, entering_counts, is_expandable, sink_decomposition, sink_level_counts
+from .trees import AdjacencyMatrix, TreeGeometry, entering_counts, is_expandable, sink_decomposition
 from .words import ShiftSpec1D, WordAutomaton
 
 CLASS_CAP = 4096
@@ -80,11 +81,7 @@ class TreeShiftSpec:
         return len(self.step_matrix)
 
     def geometry(self) -> TreeGeometry:
-        return self._geometry
-
-    @cached_property
-    def _geometry(self) -> TreeGeometry:
-        return TreeGeometry(self.matrix)
+        return self.matrix.geometry
 
     @cached_property
     def _memo(self) -> dict:
@@ -141,35 +138,20 @@ def count_patterns(ts: TreeShiftSpec, n: int) -> int:
 
 
 def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
-    """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one memo."""
+    """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one walk.
+
+    A vertex's table is a vector over automaton states: entry q counts
+    the labelings of its subtree below a parent in state q.
+    """
     if n < 0:
         raise DomainError("depth must be >= 0")
-    geo = ts.geometry()
     auto = ts.automaton
-    memo: dict = {}
 
-    def grow(vertex_type: int, state: int, depth: int) -> int:
-        key = (vertex_type, state, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for nxt in auto.table[state]:
-            if nxt is None:
-                continue
-            if depth == 0:
-                total += 1
-                continue
-            prod = 1
-            for child in geo.children_digits(vertex_type):
-                prod *= grow(child, nxt, depth - 1)
-                if prod == 0:
-                    break
-            total += prod
-        memo[key] = total
-        return total
+    def step(kids, height) -> tuple[int, ...]:
+        below = [math.prod(table[q] for _, table in kids) for q in range(auto.n_states)]
+        return tuple(sum(below[q] for q in row if q is not None) for row in auto.table)
 
-    return [grow(ROOT, auto.initial, m) for m in range(n + 1)]
+    return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
 
 
 def _log_per_vertex(count: int, size: int) -> float:
@@ -276,31 +258,20 @@ def surface_entropy_est(ts: TreeShiftSpec, n: int) -> SurfaceEntropy:
 
 
 def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
-    """Surface counts of Delta_0 .. Delta_n, from one local memo (its big counts die with it).
+    """Surface counts of Delta_0 .. Delta_n, from one walk (its big counts die with it).
 
-    The DP carries, per (vertex type, height), a map from tolerated
-    incoming-state sets to the number of distinct leaf labelings below.
-    Raises CapExceeded when a class map outgrows CLASS_CAP.
+    A vertex's table maps tolerated incoming-state sets to the number of
+    distinct leaf labelings below.  Raises CapExceeded when a class map
+    outgrows CLASS_CAP.
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
-    geo = ts.geometry()
-    memo: dict = {}
 
-    def classes(vertex_type: int, height: int) -> dict:
-        key = (vertex_type, height)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        kids = (
-            (classes(c, height - 1).items() for c in geo.children_digits(vertex_type))
-            if height else ()
-        )
-        out = _lift(_combine_children(kids, ts.automaton), ts, height == 0)
-        memo[key] = out
-        return out
+    def step(kids, height) -> dict:
+        children = (table.items() for _, table in kids)
+        return _lift(_combine_children(children, ts.automaton), ts, height == 0)
 
-    return [_root_count(classes(ROOT, m).items()) for m in range(n + 1)]
+    return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]
 
 
 @dataclass(frozen=True)
@@ -317,9 +288,11 @@ class VertexSet:
         return len(self.ids)
 
     def count_in(self, geo: TreeGeometry, n: int) -> int:
-        return sum(1 for v in self.ids if len(v) <= n)
+        return len(self.members_in(geo, n))
 
     def members_in(self, geo: TreeGeometry, n: int) -> frozenset[str]:
+        """The ids within Delta_n; an id that is no vertex of the tree raises DomainError."""
+        _validate_vertices(geo, sorted(self.ids), math.inf)  # ids below Delta_n are left out
         return frozenset(v for v in self.ids if len(v) <= n)
 
     def to_json(self) -> list[str]:
@@ -366,14 +339,14 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
     depths = list(n_range)
     if not depths:
         raise DomainError("depth range must be nonempty")
-    # deepest first, so a set that caches its level counts builds them once
-    counts = {n: vertex_set.count_in(geometry, n) for n in sorted(depths, reverse=True)}
-    ratios = tuple(Fraction(counts[n], geometry.delta_size(n)) for n in depths)
+    ratios = tuple(
+        Fraction(vertex_set.count_in(geometry, n), geometry.delta_size(n)) for n in depths
+    )
     tail = ratios[len(ratios) // 2:]
     return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail))
 
 
-def _validate_vertices(geo: TreeGeometry, ids, n: int) -> None:
+def _validate_vertices(geo: TreeGeometry, ids, n: float) -> None:
     for vid in ids:
         if not geo.is_vertex(vid):
             raise DomainError(f"{vid!r} is not a vertex of this tree")
@@ -458,25 +431,23 @@ def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
 def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     """Vertex sets S of Delta_n counted by (S is independent, S is an antichain).
 
-    One bottom-up walk takes every S at once.  Per (vertex type, height)
-    it keeps a table from (class map, |S|, S has a pin, S is an
-    antichain) to the number of pin sets S of that subtree with the key:
-    the product of the children's tables, merged on equal keys, then
-    stepped through ``_node_step`` with the vertex pinned and free.  S is
-    independent when the root class map counts r^|S| restrictions, as in
+    One bottom-up walk takes every S at once.  Each vertex keeps a table
+    from (class map, |S|, S has a pin, S is an antichain) to the number
+    of pin sets S of its subtree with the key: the product of the
+    children's tables, merged on equal keys, then stepped through
+    ``_node_step`` with the vertex pinned and free.  S is independent
+    when the root class map counts r^|S| restrictions, as in
     ``is_indep_tree``.  A table past CLASS_CAP entries raises CapExceeded.
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
-    geo = ts.geometry()
 
-    @cache
-    def table(vertex_type: int, height: int) -> dict:
+    def step(children, height) -> dict:
         acc = {((), 0, False, True): 1}
-        for c in geo.children_digits(vertex_type) if height else ():
+        for _, table in children:
             nxt: dict = {}
             for (kids, size, below, anti), m1 in acc.items():
-                for (classes, size2, below2, anti2), m2 in table(c, height - 1).items():
+                for (classes, size2, below2, anti2), m2 in table.items():
                     k = (kids + (classes,), size + size2, below or below2, anti and anti2)
                     nxt[k] = nxt.get(k, 0) + m1 * m2
             acc = _capped(nxt)
@@ -488,9 +459,10 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
                 out[k] = out.get(k, 0) + m
         return _capped(out)
 
+    *_, root = ts.geometry().walk_up(n, step)
     r = ts.alphabet_size
     census: dict = {}
-    for (classes, size, _, anti), m in table(ROOT, n).items():
+    for (classes, size, _, anti), m in root.items():
         k = (_root_count(classes) == r ** size, anti)
         census[k] = census.get(k, 0) + m
     return census
@@ -520,11 +492,11 @@ def _pin_table(ts, children, pinnable: bool) -> dict:
 def _max_pin_sets(ts, geo: TreeGeometry, n: int, pin_levels: int) -> list[tuple[str, ...]]:
     """Lex-first largest independent pin sets of Delta_0 .. Delta_n, from one walk.
 
-    Pins may sit at heights below ``pin_levels``.  Height by height, each
-    vertex type keeps a table from class map to the lex-first largest pin
-    set of its subtree (ids relative to the subtree root, sorted): the
-    product of the children's tables, stepped through ``_node_step`` free
-    and, where allowed, pinned.  A pin set with fewer than r^|pins|
+    Pins may sit at heights below ``pin_levels``.  Each vertex keeps a
+    table from class map to the lex-first largest pin set of its subtree
+    (ids relative to the subtree root, sorted): the product of the
+    children's tables, stepped through ``_node_step`` free and, where
+    allowed, pinned.  A pin set with fewer than r^|pins|
     restrictions is dropped, since no step brings one back; so a class
     map's pin sets share one size and, having equal futures, one witness.
     The root table at height m gives the set for Delta_m: its largest
@@ -533,17 +505,9 @@ def _max_pin_sets(ts, geo: TreeGeometry, n: int, pin_levels: int) -> list[tuple[
     """
     geo.level_vertices(0)  # ids are digit strings; raises past MAX_DIGIT_GENERATORS
     r = ts.automaton.size
-    by_digit: dict = {}
     best = []
-    for height in range(n + 1):
-        shared: dict = {}  # vertex types with the same children share one table
-        for digit in range(geo.matrix.d + 1):
-            kids = geo.children_digits(digit) if height else ()
-            if kids not in shared:
-                shared[kids] = _pin_table(ts, [(c, by_digit[c]) for c in kids], height < pin_levels)
-        by_digit = {digit: shared[geo.children_digits(digit) if height else ()]
-                    for digit in range(geo.matrix.d + 1)}
-        independent = [pins for classes, pins in by_digit[ROOT].items()
+    for root in geo.walk_up(n, lambda kids, height: _pin_table(ts, kids, height < pin_levels)):
+        independent = [pins for classes, pins in root.items()
                        if _root_count(classes) == r ** len(pins)]
         best.append(min(independent, key=lambda pins: (-len(pins), pins), default=()))
     return best
@@ -559,23 +523,14 @@ class SinkLiftSet:
     below the entry vertex.
     """
 
-    matrix: AdjacencyMatrix
     positions: tuple[int, ...]
     sink_gens: frozenset[int]
     succ: tuple[int, ...]  # succ[g-1] = unique in-class successor of sink generator g
-    # sink_level_counts S(0) .. S(m), built once and rebuilt longer for a deeper n
-    _counts: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def count_in(self, geo: TreeGeometry, n: int) -> int:
-        if len(self._counts) < n:
-            self._counts[:] = sink_level_counts(self.matrix, n - 1)
-        counts = self._counts
-        total = 0
-        for k in range(1, n + 1):
-            entries = counts[k - 1] - (counts[k - 2] if k >= 2 else 0)
-            if entries:
-                total += entries * bisect_right(self.positions, n - k + 1)
-        return total
+        # s[k] - s[k - 1] rays enter a sink at level k; each holds the positions <= n - k + 1
+        s = [0] + geo.type_counts(self.sink_gens, n)
+        return sum((s[k] - s[k - 1]) * bisect_right(self.positions, n - k + 1) for k in range(1, n + 1))
 
     def members_in(self, geo: TreeGeometry, n: int) -> frozenset[str]:
         pset = frozenset(self.positions)
@@ -625,7 +580,6 @@ def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
         inside = [j + 1 for j in range(ts.matrix.d) if ts.matrix.rows[g - 1][j]]
         succ[g - 1] = inside[0]
     return SinkLiftSet(
-        matrix=ts.matrix,
         positions=positions,
         sink_gens=sink_gens,
         succ=tuple(succ),

@@ -3,8 +3,8 @@
 The benchmark compares each op's report with the fields recorded in its
 reference through ``bench/check.py``.  Here the same comparison runs in
 process on the six default reproduce reports and on the ray-sweep
-boundary searches, so a changed count or decision fails the suite before
-a benchmark run would.
+boundary searches, tree entropies, surface counts and densities, so a
+changed count or decision fails the suite before a benchmark run would.
 """
 
 from __future__ import annotations
@@ -47,3 +47,27 @@ def test_ray_sweep_boundary_searches_match_reference(reference):
     for op in ops:
         report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
         assert _mismatches(reference[workloads.op_id(op)], report) == [], op["config"]
+
+
+def test_ray_sweep_tree_walks_match_reference(reference):
+    ops = [
+        op for op in workloads.pool("ray-sweep")
+        if op["config"]["target"] in ("tree-entropy", "surface", "density")
+        and reference[workloads.op_id(op)]["outcome"] == "ok"
+    ]
+    assert len(ops) == 245
+    for op in ops:
+        report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
+        assert _mismatches(reference[workloads.op_id(op)], report) == [], op["config"]
+
+
+def test_ray_sweep_counts_past_the_digit_limit_end_in_a_report(reference):
+    # recorded when a count past 4,300 decimal digits could not be written out
+    ops = [
+        op for op in workloads.pool("ray-sweep")
+        if "4300 digits" in reference[workloads.op_id(op)]["outcome"]
+    ]
+    assert len(ops) == 9
+    for op in ops:
+        report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
+        assert json.loads(harness.emit_report(report))["pass"], op["config"]

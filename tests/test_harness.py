@@ -184,6 +184,14 @@ class TestCli:
         cfg.write_text(json.dumps({"target": "bogus"}))
         assert cli.main(["run", str(cfg)]) == 2
 
+    def test_density_of_non_vertex_ids_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**DENSITY_CFG, "set": ["21", "3", "x"], "n_range": [1, 3, 1]}))
+        assert cli.main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'21' is not a vertex of this tree" in captured.err
+
     def test_reproduce_exits_zero(self, capsys):
         assert cli.main(["reproduce", "thm3", "--depth", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True

@@ -25,6 +25,8 @@ from shiftlab.errors import (
 COMB = trees.AdjacencyMatrix.comb()
 BINARY = trees.AdjacencyMatrix.binary_tree()
 GOLDEN_TREE = trees.AdjacencyMatrix.from_rows(("11", "10"))
+# the root's children (1, 2, 3) are those of no vertex type, so its table is not shared
+CHAIN = trees.AdjacencyMatrix.from_rows(("110", "011", "001"))
 GOLDEN = words.ShiftSpec1D.golden_mean()
 ATMOST = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
 MATRIX_A = [[1, 1], [0, 1]]
@@ -286,7 +288,7 @@ class TestSubsetCensus:
         assert census == {(True, True): 677, (False, False): 32091}
 
     @given(
-        tree=st.sampled_from([BINARY, COMB]),
+        tree=st.sampled_from([BINARY, COMB, CHAIN]),
         base=st.integers(2, 3).flatmap(_bases),
     )
     @settings(max_examples=60, deadline=None)
@@ -431,6 +433,17 @@ class TestDensity:
         vs = treeshifts.ray_vertices(2, 3)
         assert vs.ids == frozenset({"2", "22", "222"})
 
+    @pytest.mark.parametrize(
+        "ids,name", [(["21", "3", "x"], "21"), (["1", "x"], "x"), (["12", "1a"], "1a")]
+    )
+    def test_non_vertex_ids_rejected(self, ids, name):
+        vs = treeshifts.VertexSet.of(ids)
+        geo = TS_COMB_GOLDEN.geometry()
+        for query in (vs.count_in, vs.members_in):
+            with pytest.raises(DomainError) as err:
+                query(geo, 3)
+            assert str(err.value) == f"{name!r} is not a vertex of this tree"
+
 
 class TestSinkLift:
     def test_pinned_members_at_depth_three(self):
@@ -450,18 +463,23 @@ class TestSinkLift:
         for n in [0, 1, 2, 5, 9, 3, 1, 8]:
             assert lift.count_in(geo, n) == len(lift.members_in(geo, n))
 
-    def test_level_counts_built_once_per_density(self, monkeypatch):
+    def test_level_vectors_built_once_per_matrix(self, monkeypatch):
+        # a fresh matrix, so its geometry starts at level 1
+        comb = trees.AdjacencyMatrix.comb()
+        ts = treeshifts.make_tree_shift(comb, GOLDEN)
         built = []
-        build = treeshifts.sink_level_counts
+        extend = trees.TreeGeometry._extend
         monkeypatch.setattr(
-            treeshifts, "sink_level_counts", lambda matrix, n: built.append(n) or build(matrix, n)
+            trees.TreeGeometry, "_extend", lambda geo: built.append(len(geo._vectors) + 1) or extend(geo)
         )
-        lift = treeshifts.sink_lift(TS_COMB_GOLDEN, range(1, 62, 2))
-        geo = TS_COMB_GOLDEN.geometry()
+        lift = treeshifts.sink_lift(ts, range(1, 62, 2))
+        geo = ts.geometry()
         dens = treeshifts.tree_density(lift, geo, range(30, 61, 2))
-        assert built == [59]
+        for m in range(1, 25):
+            trees.entering_counts(comb, m)
+        assert built == list(range(2, 61))
         assert dens.ratios[0] == Fraction(lift.count_in(geo, 30), geo.delta_size(30))
-        assert built == [59]
+        assert built == list(range(2, 61))
 
     def test_count_matches_members(self):
         lift = treeshifts.sink_lift(TS_COMB_GOLDEN, range(1, 20, 2))
@@ -634,7 +652,7 @@ def _lex_first_max(ts, patterns, candidates) -> tuple[str, ...]:
 
 class TestPinSetWalk:
     @given(
-        tree=st.sampled_from([BINARY, COMB, GOLDEN_TREE]),
+        tree=st.sampled_from([BINARY, COMB, GOLDEN_TREE, CHAIN]),
         base=st.integers(2, 3).flatmap(_bases),
         n=st.integers(1, 2),
     )
@@ -650,7 +668,7 @@ class TestPinSetWalk:
         est = treeshifts.max_indep_est(ts, n)
         assert est.certified
         assert (est.size, tuple(sorted(est.witness.ids))) == (len(want), want)
-        if tree == COMB:
+        if not trees.is_expandable(tree):
             return  # the boundary search needs an expanding tree
         for l in (1, 2):
             want = _lex_first_max(ts, patterns, [v for v in verts if len(v) > n - l])
