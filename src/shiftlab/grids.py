@@ -140,7 +140,7 @@ class ShiftSpec2D:
 
 
 class RowShift:
-    """The windows of one width as words of rows, with ``automaton`` and ``_memo``.
+    """The windows of one width as words of rows, read by ``automaton``.
 
     The symbols are the admissible rows, sorted, so row order is block
     order.  A history is the last h - 1 rows, h the tallest pattern; a
@@ -168,7 +168,6 @@ class RowShift:
             return grown[-memory:] if memory > 0 else ()
 
         self.automaton = words.WordAutomaton(len(self.rows), (), next_history)
-        self._memo: dict = {}
 
 
 def _window(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[RowShift, int, bool]:
@@ -420,7 +419,7 @@ def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int)
     for i in range(length, 0, -1):
         cols = [j for j in range(k1 if transposed else k2) if (i, j + 1) in cells]
         pins.append(tuple(tuple(row[j] for j in cols) for row in shift.rows) if cols else False)
-    return treeshifts._walk(shift, pins) == spec.alphabet_size ** len(cells)
+    return treeshifts._walk(shift.automaton, pins) == spec.alphabet_size ** len(cells)
 
 
 @dataclass(frozen=True)

@@ -496,13 +496,9 @@ def _reproduce_thm1(depth: int) -> tuple:
 
     step = max(1, depth // 6)
     ns = sorted(set(list(range(max(2, step), depth + 1, step)) + [depth]))
-    rows = []
-    raws = []
-    for m in ns:
-        count = treeshifts.count_patterns(ts, m)
-        raw = math.log(count) / geo.delta_size(m)
-        raws.append(raw)
-        rows.append({"n": m, "count": count, "estimate": raw})
+    counts = treeshifts.count_series(ts, depth)
+    raws = [math.log(counts[m]) / geo.delta_size(m) for m in ns]
+    rows = [{"n": m, "count": counts[m], "estimate": raw} for m, raw in zip(ns, raws)]
 
     monotone = all(raws[i + 1] <= raws[i] + 1e-12 for i in range(len(raws) - 1))
     chain_ok = all(treeshifts.entropy_chain(ts, m).holds for m in ns)
@@ -637,19 +633,12 @@ def _reproduce_thm4(depth: int) -> tuple:
     ts = treeshifts.make_tree_shift(bt, [[1, 1], [0, 1]])
     geo = ts.geometry()
 
-    rows = []
-    counts = []
     nmax = min(depth, 8)
-    for m in range(0, nmax + 1):
-        c = treeshifts.count_patterns(ts, m)
-        counts.append(c)
-        rows.append(
-            {
-                "n": m,
-                "count": c,
-                "estimate": math.log(c) / geo.delta_size(m) if c > 1 else 0.0,
-            }
-        )
+    counts = treeshifts.count_series(ts, nmax)
+    rows = [
+        {"n": m, "count": c, "estimate": math.log(c) / geo.delta_size(m) if c > 1 else 0.0}
+        for m, c in enumerate(counts)
+    ]
     recurrence = all(
         counts[m] == 1 + counts[m - 1] ** 2 for m in range(1, nmax + 1)
     )

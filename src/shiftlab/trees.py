@@ -30,6 +30,7 @@ Beyond level counting this module classifies the matrix:
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,6 +120,11 @@ class TreeGeometry:
             tuple(i for i in range(matrix.d) if matrix.rows[i][j])
             for j in range(matrix.d)
         )
+        # the id characters that may follow each digit character, "0" for the root
+        self._follows: dict[str, frozenset[str]] = {
+            str(digit): frozenset(map(str, self.children_digits(digit)))
+            for digit in range(matrix.d + 1)
+        }
 
     def _extend(self) -> None:
         """Append the next level vector v_{k+1} = v_k M and |Delta_{k+1}|."""
@@ -174,41 +180,36 @@ class TreeGeometry:
             return tuple(range(1, self.matrix.d + 1))
         return self._children[digit - 1]
 
-    def level_vertices(self, level: int) -> list[str]:
-        """Vertex ids at one level, in lexicographic (= generator) order."""
+    def _levels(self, n: int) -> Iterator[list[str]]:
+        """The vertex ids of levels 0 .. n, each level grown from the one above."""
         if self.matrix.d > MAX_DIGIT_GENERATORS:
             raise DomainError(
                 f"digit vertex ids support at most {MAX_DIGIT_GENERATORS} generators"
             )
         current = [""]
-        for _ in range(level):
-            current = [
-                v + str(c)
-                for v in current
-                for c in self.children_digits(int(v[-1]) if v else 0)
-            ]
-        return current
+        for level in range(n + 1):
+            if level:
+                current = [
+                    v + str(c)
+                    for v in current
+                    for c in self.children_digits(int(v[-1]) if v else 0)
+                ]
+            yield current
+
+    def level_vertices(self, level: int) -> list[str]:
+        """Vertex ids at one level, in lexicographic (= generator) order."""
+        return deque(self._levels(max(level, 0)), maxlen=1)[0]
 
     def vertices(self, n: int) -> list[str]:
         """All ids of Delta_n, level by level."""
-        out: list[str] = []
-        for level in range(n + 1):
-            out.extend(self.level_vertices(level))
-        return out
+        return [vid for level in self._levels(n) for vid in level]
 
     def is_vertex(self, vid: str) -> bool:
-        if vid == "":
-            return True
-        prev = 0
+        prev = "0"
         for ch in vid:
-            if not "0" <= ch <= "9":
+            if ch not in self._follows[prev]:
                 return False
-            digit = int(ch)
-            if digit < 1 or digit > self.matrix.d:
-                return False
-            if prev and not self.matrix.rows[prev - 1][digit - 1]:
-                return False
-            prev = digit
+            prev = ch
         return True
 
 

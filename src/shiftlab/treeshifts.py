@@ -30,14 +30,14 @@ independent S instead of a count; it gives the exact maxima of
 ``max_indep_series`` (every depth at once), of ``words.max_indep_J`` on
 the one-generator ray, and of ``bip_search`` on small boundaries.
 
-Each spec owns one memo, a dict the class DP reuses across calls.  It
-maps a tolerated-state mask to its per-symbol preimages, (vertex type,
-height) to the class map of a subtree without pins, and (pinned, the
-children's class maps) to the class map of a node step;
-class maps are frozensets of (mask, multiplicity) pairs.  A step does
-not depend on where its vertex sits, so calls on one spec share their
-steps.  The memo is cleared whenever it reaches MEMO_CAP entries, which
-bounds it and never changes a result.
+The class DP's memo is a dict on the ``WordAutomaton``.  It has two
+kinds of keys: a tolerated-state mask maps to its per-symbol preimages,
+and (pinned, the children's class maps) to the class map of a node
+step; class maps are frozensets of (mask, multiplicity) pairs.  Neither
+depends on the tree or on where a vertex sits, so every spec compiled to
+one automaton (lines, grid rows, and trees of any shape over one base)
+shares the memo and its steps.  The memo is cleared whenever it reaches
+MEMO_CAP entries, which bounds it and never changes a result.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class TreeShiftSpec:
 
     def geometry(self) -> TreeGeometry:
         return self.matrix.geometry
-
-    @cached_property
-    def _memo(self) -> dict:
-        """The class DP's per-spec memo (see the module docstring)."""
-        return {}
 
     @cached_property
     def automaton(self) -> WordAutomaton:
@@ -182,14 +177,13 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def _preimages(ts: TreeShiftSpec, mask: int) -> tuple[int, ...]:
+def _preimages(auto: WordAutomaton, mask: int) -> tuple[int, ...]:
     """Per symbol s, the states whose s-successor lies in ``mask``."""
-    hit = ts._memo.get(mask)
+    hit = auto.memo.get(mask)
     if hit is None:
-        table = ts.automaton.table
-        per_symbol = tuple(sum(1 << q for q, row in enumerate(table) if row[s] is not None
-                               and mask >> row[s] & 1) for s in range(ts.automaton.size))
-        hit = _remember(ts._memo, mask, per_symbol)
+        per_symbol = tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
+                               and mask >> row[s] & 1) for s in range(auto.size))
+        hit = _remember(auto.memo, mask, per_symbol)
     return hit
 
 
@@ -218,7 +212,7 @@ def _combine_children(children, auto: WordAutomaton) -> dict:
     return acc
 
 
-def _lift(classes: dict, ts: TreeShiftSpec, pinned) -> dict:
+def _lift(classes: dict, auto: WordAutomaton, pinned) -> dict:
     """Label this vertex and map each class to the incoming states it tolerates.
 
     A pinned vertex (True) keeps one class per symbol, since its label is
@@ -226,11 +220,11 @@ def _lift(classes: dict, ts: TreeShiftSpec, pinned) -> dict:
     to work.  A tuple pins part of a symbol: symbols s with one label
     ``pinned[s]`` share a class.
     """
-    labels = range(ts.automaton.size) if pinned is True else pinned or (0,) * ts.automaton.size
+    labels = range(auto.size) if pinned is True else pinned or (0,) * auto.size
     out: dict = {}
     for inter, mult in classes.items():
         merged: dict = {}
-        for label, compat in zip(labels, _preimages(ts, inter)):
+        for label, compat in zip(labels, _preimages(auto, inter)):
             merged[label] = merged.get(label, 0) | compat
         for compat in merged.values():
             if compat:
@@ -267,9 +261,11 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     if n < 0:
         raise DomainError("depth must be >= 0")
 
+    auto = ts.automaton
+
     def step(kids, height) -> dict:
         children = (table.items() for _, table in kids)
-        return _lift(_combine_children(children, ts.automaton), ts, height == 0)
+        return _lift(_combine_children(children, auto), auto, height == 0)
 
     return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]
 
@@ -354,25 +350,25 @@ def _validate_vertices(geo: TreeGeometry, ids, n: float) -> None:
             raise DomainError(f"vertex {vid!r} lies below depth {n}")
 
 
-def _node_step(ts: TreeShiftSpec, pinned, kids: tuple) -> frozenset:
+def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
     """Class map of a vertex from its children's, the same wherever the vertex sits."""
     key = (pinned, kids)
-    hit = ts._memo.get(key)
+    hit = auto.memo.get(key)
     if hit is None:
-        classes = _lift(_combine_children(kids, ts.automaton), ts, pinned)
-        hit = _remember(ts._memo, key, frozenset(classes.items()))
+        classes = _lift(_combine_children(kids, auto), auto, pinned)
+        hit = _remember(auto.memo, key, frozenset(classes.items()))
     return hit
 
 
-def _walk(ts, pins) -> int:
+def _walk(auto: WordAutomaton, pins) -> int:
     """Restrictions to a path read from its far end, one pin per position.
 
     A pin is True, False or a label tuple, as in ``_lift``; the path is a
     window of a line (``words``) or a stack of rows (``grids``).
     """
-    classes = frozenset({(ts.automaton.all_states, 1)})  # past the far end
+    classes = frozenset({(auto.all_states, 1)})  # past the far end
     for pinned in pins:
-        classes = _node_step(ts, pinned, (classes,))
+        classes = _node_step(auto, pinned, (classes,))
     return _root_count(classes)
 
 
@@ -386,36 +382,26 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     if n < 0:
         raise DomainError("depth must be >= 0")
     geo = ts.geometry()
+    auto = ts.automaton
     ids = S.ids if isinstance(S, VertexSet) else tuple(S)
+    _validate_vertices(geo, ids, n)
     pins = frozenset(ids)
-    prefixes = {vid[:i] for vid in pins if len(vid) <= n for i in range(len(vid) + 1)}
-    reached = 0
-
-    def node(vid: str, vertex_type: int, height: int) -> frozenset:
-        # a subtree without pins depends only on its type and height, and
-        # has at most one class: the states it can follow
-        nonlocal reached
-        free = vid not in prefixes
-        if free and (vertex_type, height) in ts._memo:
-            return ts._memo[vertex_type, height]
-        pinned = vid in pins
-        reached += pinned
-        kids = tuple([
-            node(vid + str(c), c, height - 1) for c in geo.children_digits(vertex_type)
-        ]) if height else ()
-        out = _node_step(ts, pinned, kids)
-        return _remember(ts._memo, (vertex_type, height), out) if free else out
-
-    # the walk reaches every valid pin, so the ids are checked only when
-    # it misses one or gives up, and they raise as they would up front
-    try:
-        root = node("", ROOT, n)
-    except (CapExceeded, RecursionError):
-        _validate_vertices(geo, ids, n)
-        raise
-    if reached != len(pins):
-        _validate_vertices(geo, ids, n)
-    return _root_count(root)
+    # free[h] is the class map of a subtree of height h without pins.  It
+    # does not depend on the subtree's vertex type: every vertex has a
+    # child, and a class map of at most one entry (multiplicity 1), as a
+    # free subtree's is, combined with itself is itself.
+    free = [_node_step(auto, False, ())]
+    for _ in range(n):
+        free.append(_node_step(auto, False, (free[-1],)))
+    # step the pins' prefixes deepest first, so each one's children are done
+    done: dict = {}
+    for vid in sorted({""} | {vid[:i] for vid in pins for i in range(len(vid) + 1)},
+                      key=len, reverse=True):
+        height = n - len(vid)
+        kids = tuple([done.pop(vid + str(c), free[height - 1])
+                      for c in geo.children_digits(int(vid[-1]) if vid else ROOT)]) if height else ()
+        done[vid] = _node_step(auto, vid in pins, kids)
+    return _root_count(done[""])
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
@@ -441,6 +427,7 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
+    auto = ts.automaton
 
     def step(children, height) -> dict:
         acc = {((), 0, False, True): 1}
@@ -454,7 +441,7 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
         out: dict = {}
         for (kids, size, below, anti), m in acc.items():
             for pinned in (False, True):
-                k = (_node_step(ts, pinned, kids), size + pinned, below or pinned,
+                k = (_node_step(auto, pinned, kids), size + pinned, below or pinned,
                      anti and not (pinned and below))
                 out[k] = out.get(k, 0) + m
         return _capped(out)
@@ -468,7 +455,7 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     return census
 
 
-def _pin_table(ts, children, pinnable: bool) -> dict:
+def _pin_table(auto: WordAutomaton, children, pinnable: bool) -> dict:
     """One vertex's table from its children's (digit, table) pairs; see ``_max_pin_sets``."""
     acc = {(): ()}
     for c, table in children:
@@ -476,12 +463,12 @@ def _pin_table(ts, children, pinnable: bool) -> dict:
             classes + (child,): pins + tuple(str(c) + v for v in more)
             for classes, pins in acc.items() for child, more in table.items()
         })
-    r = ts.automaton.size
+    r = auto.size
     out: dict = {}
     for classes, pins in acc.items():
         for pinned in (False, True)[:1 + pinnable]:
             grown = ("",) + pins if pinned else pins
-            step = _node_step(ts, pinned, classes)
+            step = _node_step(auto, pinned, classes)
             if sum(m for _, m in step) < r ** len(grown):
                 continue
             if step not in out or grown < out[step]:
@@ -489,7 +476,8 @@ def _pin_table(ts, children, pinnable: bool) -> dict:
     return _capped(out)
 
 
-def _max_pin_sets(ts, geo: TreeGeometry, n: int, pin_levels: int) -> list[tuple[str, ...]]:
+def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int,
+                  pin_levels: int) -> list[tuple[str, ...]]:
     """Lex-first largest independent pin sets of Delta_0 .. Delta_n, from one walk.
 
     Pins may sit at heights below ``pin_levels``.  Each vertex keeps a
@@ -504,9 +492,9 @@ def _max_pin_sets(ts, geo: TreeGeometry, n: int, pin_levels: int) -> list[tuple[
     past CLASS_CAP entries raises CapExceeded.
     """
     geo.level_vertices(0)  # ids are digit strings; raises past MAX_DIGIT_GENERATORS
-    r = ts.automaton.size
+    r = auto.size
     best = []
-    for root in geo.walk_up(n, lambda kids, height: _pin_table(ts, kids, height < pin_levels)):
+    for root in geo.walk_up(n, lambda kids, height: _pin_table(auto, kids, height < pin_levels)):
         independent = [pins for classes, pins in root.items()
                        if _root_count(classes) == r ** len(pins)]
         best.append(min(independent, key=lambda pins: (-len(pins), pins), default=()))
@@ -525,7 +513,6 @@ class SinkLiftSet:
 
     positions: tuple[int, ...]
     sink_gens: frozenset[int]
-    succ: tuple[int, ...]  # succ[g-1] = unique in-class successor of sink generator g
 
     def count_in(self, geo: TreeGeometry, n: int) -> int:
         # s[k] - s[k - 1] rays enter a sink at level k; each holds the positions <= n - k + 1
@@ -534,27 +521,14 @@ class SinkLiftSet:
 
     def members_in(self, geo: TreeGeometry, n: int) -> frozenset[str]:
         pset = frozenset(self.positions)
-        out: set[str] = set()
-        level = [""]
-        for _ in range(n):
-            nxt = []
-            for vid in level:
-                parent_digit = int(vid[-1]) if vid else 0
-                parent_in_sink = parent_digit in self.sink_gens
-                for c in geo.children_digits(parent_digit):
-                    cid = vid + str(c)
-                    nxt.append(cid)
-                    if c in self.sink_gens and not parent_in_sink:
-                        # entering vertex: walk its ray within Delta_n
-                        ray = cid
-                        pos = 1
-                        while len(ray) <= n:
-                            if pos in pset:
-                                out.add(ray)
-                            ray += str(self.succ[int(ray[-1]) - 1])
-                            pos += 1
-            level = nxt
-        return frozenset(out)
+
+        def position(vid: str) -> int:
+            # the offset below the entry vertex (the first sink digit) plus 1;
+            # 0 off the sink rays
+            entry = next((i for i, ch in enumerate(vid) if int(ch) in self.sink_gens), len(vid))
+            return len(vid) - entry
+
+        return frozenset(vid for vid in geo.vertices(n) if position(vid) in pset)
 
 
 def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
@@ -574,16 +548,7 @@ def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
     positions = tuple(sorted({int(p) for p in s1d}))
     if positions and positions[0] < 1:
         raise DomainError("ray positions are 1-based")
-    sink_gens = decomp.sink_generators()
-    succ = [0] * ts.matrix.d
-    for g in sink_gens:
-        inside = [j + 1 for j in range(ts.matrix.d) if ts.matrix.rows[g - 1][j]]
-        succ[g - 1] = inside[0]
-    return SinkLiftSet(
-        positions=positions,
-        sink_gens=sink_gens,
-        succ=tuple(succ),
-    )
+    return SinkLiftSet(positions=positions, sink_gens=decomp.sink_generators())
 
 
 @dataclass(frozen=True)
@@ -610,43 +575,29 @@ def _surface_family(ts: TreeShiftSpec, n: int):
     geo = ts.geometry()
     auto = ts.automaton
     leaves = geo.level_vertices(n)
+    order = geo.vertices(n)
     seen: set[str] = set()
     steps = 0
-
-    order = geo.vertices(n)
-    child_map = {
-        v: [v + str(c) for c in geo.children_digits(int(v[-1]) if v else 0)]
-        for v in order
-        if len(v) < n
-    }
     labels: dict[str, int] = {}
     states: dict[str, int] = {}
-
-    def assign(idx: int) -> bool:
-        nonlocal steps
+    # depth-first over labelings in vertex order; an entry (idx, s, state)
+    # labels order[idx - 1] with s, reaching state, then visits idx
+    stack = [(0, None, None)]
+    while stack:
+        idx, s, state = stack.pop()
+        if idx:
+            labels[order[idx - 1]] = s
+            states[order[idx - 1]] = state
         steps += 1
         if steps > 200000 or len(seen) > 4096:
-            return False
+            return None
         if idx == len(order):
             seen.add("".join(str(labels[v]) for v in leaves))
-            return True
+            continue
         vid = order[idx]
         parent_state = auto.initial if vid == "" else states[vid[:-1]]
-        ok = True
-        for s in range(ts.alphabet_size):
-            nxt = auto.step(parent_state, s)
-            if nxt is None:
-                continue
-            labels[vid] = s
-            states[vid] = nxt
-            if not assign(idx + 1):
-                ok = False
-                break
-        return ok
-
-    complete = assign(0)
-    if not complete:
-        return None
+        successors = [(idx + 1, s, auto.step(parent_state, s)) for s in range(ts.alphabet_size)]
+        stack.extend(entry for entry in reversed(successors) if entry[2] is not None)
     return leaves, sorted(seen)
 
 
@@ -668,23 +619,22 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
             "boundary search expects an expanding tree (growth ratio > 1)"
         )
     geo = ts.geometry()
-    lo = max(n - boundary_levels + 1, 0)
-    boundary: list[str] = []
-    for level in range(n, lo - 1, -1):
-        boundary.extend(geo.level_vertices(level))
     delta = geo.delta_size(n)
+    leaves = geo.level_vertices(n)
+    upper = [vid for level in range(n - 1, max(n - boundary_levels, -1), -1)
+             for vid in geo.level_vertices(level)]
+    boundary = leaves + upper
 
     if len(boundary) <= 20:
-        best = _max_pin_sets(ts, geo, n, boundary_levels)[n]
+        best = _max_pin_sets(ts.automaton, geo, n, boundary_levels)[n]
         if not best:
             return None
         return BipResult(
             S_n=VertexSet.of(best), ratio=Fraction(len(best), delta), certified=True
         )
 
-    leaves = geo.level_vertices(n)
     if is_indep_tree(ts, leaves, n):
-        chosen = _greedy_extend(ts, leaves, [v for v in boundary if v not in set(leaves)], n)
+        chosen = _greedy_extend(ts, leaves, upper, n)
         return BipResult(
             S_n=VertexSet.of(chosen), ratio=Fraction(len(chosen), delta), certified=False
         )
@@ -731,7 +681,7 @@ def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
     return [
         MaxIndepEstimate(size=len(pins), witness=VertexSet.of(pins),
                          ratio=Fraction(len(pins), geo.delta_size(m)), certified=True)
-        for m, pins in enumerate(_max_pin_sets(ts, geo, n, n + 1))
+        for m, pins in enumerate(_max_pin_sets(ts.automaton, geo, n, n + 1))
     ]
 
 

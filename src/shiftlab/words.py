@@ -25,7 +25,7 @@ The window [1, l] is Delta_{l-1} of the one-generator ray (position p is
 the vertex at depth p - 1), so window independence and J come from the
 class DP of ``treeshifts`` walked up the ray, J_1 .. J_l in one walk; no
 word is materialized.
-A spec caches its automaton and that DP's memo, as a tree-shift spec does.
+A spec caches its automaton, and the automaton carries that DP's memo.
 
 Positions are 1-based throughout, matching the window notation [1, l].
 """
@@ -131,11 +131,6 @@ class ShiftSpec1D:
         start = 0 if self.kind == AT_MOST_K else ()
         return WordAutomaton(self.alphabet.size, start, partial(_next_history, self))
 
-    @cached_property
-    def _memo(self) -> dict:
-        """The class DP's memo, as on a tree-shift spec (see ``treeshifts``)."""
-        return {}
-
     @property
     def max_forbidden_len(self) -> int:
         return max((len(w) for w in self.forbidden), default=0)
@@ -174,6 +169,8 @@ class WordAutomaton:
     inadmissible, numbers each reachable history as a state (0 initial);
     ``table[q][s]`` is the successor of q under s, or None.  A table over
     ``SHIFTLAB_CAP`` entries (states times symbols) raises CapExceeded.
+    ``memo`` is the class DP's memo (see ``treeshifts``), shared by every
+    spec compiled to this automaton.
     """
 
     initial = 0
@@ -198,6 +195,7 @@ class WordAutomaton:
         self.table: tuple[tuple[int | None, ...], ...] = tuple(table)
         self.n_states = len(table)
         self.all_states = (1 << self.n_states) - 1
+        self.memo: dict = {}
 
     def step(self, state: int, symbol: int) -> int | None:
         return self.table[state][symbol]
@@ -328,7 +326,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
             raise DomainError(f"position {p} outside the window [1, {length}]")
     if length < 0:
         raise DomainError("length must be >= 0")
-    return _walk(spec, (p in pos for p in range(length, 0, -1))) == spec.alphabet.size ** len(pos)
+    return _walk(spec.automaton, (p in pos for p in range(length, 0, -1))) == spec.alphabet.size ** len(pos)
 
 
 @dataclass(frozen=True)
@@ -349,7 +347,7 @@ def max_indep_J(spec: ShiftSpec1D, length: int) -> MaxIndep1D:
 
     if length < 1:
         raise DomainError("window length must be >= 1")
-    windows = _max_pin_sets(spec, TreeGeometry(AdjacencyMatrix(((1,),))), length - 1, length)
+    windows = _max_pin_sets(spec.automaton, TreeGeometry(AdjacencyMatrix(((1,),))), length - 1, length)
     fekete = min(Fraction(len(pins), m) for m, pins in enumerate(windows, start=1))
     witness = tuple(len(v) + 1 for v in windows[-1])
     return MaxIndep1D(J=len(witness), witness=witness, fekete_limit_est=fekete)

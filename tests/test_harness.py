@@ -192,6 +192,18 @@ class TestCli:
         assert captured.out == ""
         assert "'21' is not a vertex of this tree" in captured.err
 
+    def test_bip_on_a_deep_tree_with_dependent_leaves_exits_zero(self, tmp_path, capsys):
+        # the heuristic walks all 1,023 vertices of Delta_9 for the leaf labelings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "target": "bip", "tree": {"d": 2, "rows": ["11", "11"]},
+            "base": {"alphabet": 2, "kind": "forbidden", "forbidden": ["1"]}, "l": 1, "n": 9,
+        }))
+        assert cli.main(["run", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"] == {"found": False}
+        assert [(a["name"], a["pass"]) for a in report["assertions"]] == [("no-witness-no-blocks", True)]
+
     def test_reproduce_exits_zero(self, capsys):
         assert cli.main(["reproduce", "thm3", "--depth", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True

@@ -324,7 +324,7 @@ class TestSubsetCensus:
 
 
 class TestRestrictionMemo:
-    """Each spec's memo serves every later call on it and no other spec."""
+    """The memo on a base's automaton serves every later call, on any tree over that base."""
 
     def _check_warm_calls(self, case, data):
         ts, n = case
@@ -379,7 +379,8 @@ class TestRestrictionMemo:
         assert treeshifts.distinct_restrictions(ts, ["1", "12"], 3) == 3
 
     def test_invalid_pin_raises_before_the_walk_gives_up(self, monkeypatch):
-        ts = treeshifts.make_tree_shift(COMB, GOLDEN)
+        # a fresh base, so its automaton's memo starts cold and the capped walk runs
+        ts = treeshifts.make_tree_shift(COMB, words.ShiftSpec1D.golden_mean())
         with pytest.raises(DomainError, match="'21' is not a vertex"):
             treeshifts.distinct_restrictions(ts, ["21"], 5000)  # deeper than the recursion limit
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 0)
@@ -388,10 +389,12 @@ class TestRestrictionMemo:
         with pytest.raises(DomainError, match="'21' is not a vertex"):
             treeshifts.distinct_restrictions(ts, ["1", "21"], 3)
 
-    def test_memo_stays_within_its_bound_on_a_long_greedy_run(self, monkeypatch):
+    def test_memo_stays_within_its_bound_on_a_long_run(self, monkeypatch):
         alternating = words.ShiftSpec1D.with_forbidden(2, ["00", "11"])
         want = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
         assert want.size == 1  # the root's label fixes every other one
+        # a fresh base, so the bounded memo fills from empty
+        alternating = words.ShiftSpec1D.with_forbidden(2, ["00", "11"])
         sizes = []
         remember = treeshifts._remember
 
@@ -406,6 +409,32 @@ class TestRestrictionMemo:
         assert got == want
         assert max(sizes) == 8
         assert sizes.count(1) > 1  # the memo filled up and was cleared
+
+    def test_valid_pins_far_below_the_recursion_limit(self):
+        assert treeshifts.distinct_restrictions(TS_COMB_GOLDEN, ["1", "12"], 5000) == 3
+
+    def test_memo_keys_do_not_depend_on_the_tree(self):
+        # two trees over one base share its automaton's memo, so a key that
+        # named a vertex type or height would answer for the wrong tree
+        base = words.ShiftSpec1D.golden_mean()
+        comb, binary = (treeshifts.make_tree_shift(m, base) for m in (COMB, BINARY))
+        for ts in (comb, binary, comb):
+            treeshifts.count_patterns(ts, 4)
+            treeshifts.surface_entropy_est(ts, 4)
+            treeshifts.subset_census(ts, 2)
+            treeshifts.distinct_restrictions(ts, ["1", "12", "2"], 6)
+            treeshifts.max_indep_est(ts, 4)
+        memo = base.automaton.memo
+        assert comb.automaton is binary.automaton and memo
+        for key in memo:
+            assert type(key) is int or (
+                isinstance(key, tuple) and len(key) == 2
+                and isinstance(key[0], (bool, tuple))
+                and isinstance(key[1], tuple)
+                and all(isinstance(kid, frozenset) for kid in key[1])
+            ), key
+        assert any(type(key) is int for key in memo)
+        assert any(isinstance(key, tuple) for key in memo)
 
 
 class TestDensity:
@@ -450,6 +479,15 @@ class TestSinkLift:
         lift = treeshifts.sink_lift(TS_COMB_GOLDEN, [1, 3])
         geo = TS_COMB_GOLDEN.geometry()
         assert lift.members_in(geo, 3) == frozenset({"2", "12", "112", "222"})
+
+    def test_members_on_a_two_cycle_sink(self):
+        # the sink {2, 3} is a 2-cycle, and rays enter it at every level
+        ts = treeshifts.make_tree_shift(trees.AdjacencyMatrix.from_rows(("110", "001", "010")), GOLDEN)
+        lift = treeshifts.sink_lift(ts, [1, 2])
+        assert lift.members_in(ts.geometry(), 3) == frozenset(
+            {"2", "23", "3", "32", "12", "123", "112"}
+        )
+        assert lift.count_in(ts.geometry(), 3) == 7
 
     @pytest.mark.parametrize(
         "rows", [("11", "01"), ("111", "010", "001"), ("110", "011", "001")],
