@@ -8,6 +8,7 @@ an internal error (a fault in shiftlab itself, reported on one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,7 +23,9 @@ from .harness import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first ``main`` call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Block counting, entropy estimation, and independence "

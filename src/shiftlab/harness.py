@@ -501,7 +501,8 @@ def _reproduce_thm1(depth: int) -> tuple:
     rows = [{"n": m, "count": counts[m], "estimate": raw} for m, raw in zip(ns, raws)]
 
     monotone = all(raws[i + 1] <= raws[i] + 1e-12 for i in range(len(raws) - 1))
-    chain_ok = all(treeshifts.entropy_chain(ts, m).holds for m in ns)
+    chains = treeshifts.entropy_chain_series(ts, depth)
+    chain_ok = all(chains[m].holds for m in ns)
 
     sink_identity = True
     for m in range(1, depth + 1):
@@ -514,9 +515,11 @@ def _reproduce_thm1(depth: int) -> tuple:
     dens = treeshifts.tree_density(lift, geo, list(range(big // 2, big + 1, 2)))
     density_ok = abs(dens.upper - 0.5) <= 0.02 and abs(dens.lower - 0.5) <= 0.02
 
+    top = min(10, depth)
+    lifted = lift.members_in(geo, top)
     indep_ok = all(
-        treeshifts.is_indep_tree(ts, lift.members_in(geo, m), m)
-        for m in range(1, min(10, depth) + 1)
+        treeshifts.is_indep_tree(ts, [v for v in lifted if len(v) <= m], m)
+        for m in range(1, top + 1)
     )
 
     base = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
@@ -528,9 +531,7 @@ def _reproduce_thm1(depth: int) -> tuple:
     ) and all(c for _, c in ratios)
     far = series[-1]
     vanishing = decreasing and far.certified and far.ratio < 0.15
-    j_small = all(
-        words.max_indep_J(base, l).J == 1 for l in range(1, 13)
-    )
+    j_small = all(res.J == 1 for res in words.max_indep_J_series(base, 12))
 
     z = treeshifts.make_tree_shift(comb, words.ShiftSpec1D.zeros_only())
     zd = min(depth, 12)

@@ -67,6 +67,14 @@ class AdjacencyMatrix:
         """The one geometry of this matrix; its level series grow as callers ask."""
         return TreeGeometry(self)
 
+    @cached_property
+    def _sinks(self) -> "SinkDecomposition | str":
+        """The one sink decomposition of this matrix, or why none exists."""
+        try:
+            return _decompose(self)
+        except NotUnexpandable as exc:
+            return str(exc)
+
     @classmethod
     def from_rows(cls, rows) -> "AdjacencyMatrix":
         return cls(tuple(tuple(int(ch) for ch in row) for row in rows))
@@ -112,6 +120,7 @@ class TreeGeometry:
         self.matrix = matrix
         self._vectors: list[tuple[int, ...]] = [(1,) * matrix.d]
         self._deltas: list[int] = [1, 1 + matrix.d]
+        self._type_sums: dict[frozenset[int], list[int]] = {}
         self._children: tuple[tuple[int, ...], ...] = tuple(
             tuple(j + 1 for j in range(matrix.d) if row[j])
             for row in matrix.rows
@@ -134,12 +143,19 @@ class TreeGeometry:
         self._deltas.append(self._deltas[-1] + sum(nxt))
 
     def type_counts(self, types, n: int) -> list[int]:
-        """Per level 1..n, the vertices whose last generator lies in ``types``."""
+        """Per level 1..n, the vertices whose last generator lies in ``types``.
+
+        Each set of types keeps its per-level sums, grown as deeper levels
+        are asked for, the way the level vectors are.
+        """
         if n < 0:
             raise DomainError("depth must be >= 0")
         while len(self._vectors) < n:
             self._extend()
-        return [sum(v[g - 1] for g in types) for v in self._vectors[:n]]
+        types = frozenset(types)
+        sums = self._type_sums.setdefault(types, [])
+        sums.extend(sum(v[g - 1] for g in types) for v in self._vectors[len(sums):n])
+        return sums[:n]
 
     def delta_size(self, n: int) -> int:
         if n < 0:
@@ -267,11 +283,7 @@ def is_expandable(matrix: AdjacencyMatrix) -> bool:
     simple cycle or a loopless singleton, which is what
     ``sink_decomposition`` verifies.
     """
-    try:
-        sink_decomposition(matrix)
-    except NotUnexpandable:
-        return True
-    return False
+    return isinstance(matrix._sinks, str)
 
 
 def spectral_radius(matrix: AdjacencyMatrix) -> float:
@@ -335,6 +347,14 @@ def _strongly_connected_classes(matrix: AdjacencyMatrix) -> list[frozenset[int]]
 
 
 def sink_decomposition(matrix: AdjacencyMatrix) -> SinkDecomposition:
+    """The matrix's sink decomposition, computed once per matrix (see ``_decompose``)."""
+    found = matrix._sinks
+    if isinstance(found, str):
+        raise NotUnexpandable(found)
+    return found
+
+
+def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
     """Irreducible classes in topological order, cycle-verified.
 
     A multi-vertex class (or a looped singleton) must be a simple cycle:
@@ -426,9 +446,5 @@ def entering_counts(matrix: AdjacencyMatrix, n: int) -> list[int]:
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
-    s = sink_level_counts(matrix, n)
-
-    def s_at(m: int) -> int:
-        return 0 if m < 0 else s[m]
-
-    return [s_at(n - ell + 1) - s_at(n - ell) for ell in range(1, n + 2)]
+    s = [0] + sink_level_counts(matrix, n)  # s[m + 1] = S(m)
+    return [s[n - ell + 2] - s[n - ell + 1] for ell in range(1, n + 2)]

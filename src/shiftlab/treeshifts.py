@@ -47,6 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from . import words as words_mod
 from .errors import (
@@ -57,7 +58,8 @@ from .errors import (
     NotHereditary,
     PreconditionViolated,
 )
-from .trees import AdjacencyMatrix, TreeGeometry, entering_counts, is_expandable, sink_decomposition
+from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, sink_decomposition, sink_level_counts
+from .trees import entering_counts  # noqa: F401  the a_l of the chain's W, re-exported
 from .words import ShiftSpec1D, WordAutomaton
 
 CLASS_CAP = 4096
@@ -700,8 +702,8 @@ class EntropyChain:
     holds: bool
 
 
-def entropy_chain(ts: TreeShiftSpec, n: int) -> EntropyChain:
-    """Lower bound on tree entropy from sink rays carrying base words.
+def entropy_chain_series(ts: TreeShiftSpec, n: int) -> list[EntropyChain]:
+    """The chains of Delta_0 .. Delta_n, from one walk of each series.
 
     Each ray entering a sink at level k carries any admissible base word
     of length n - k + 1 (the rest of the pattern filled low), giving
@@ -709,16 +711,32 @@ def entropy_chain(ts: TreeShiftSpec, n: int) -> EntropyChain:
         log count(n) / |Delta_n| >= min_{m <= n} (log|B_m|/m) * W / |Delta_n|
 
     where W = sum over l of l * a_l at horizon n - 1 = the number of
-    sink-resident vertices of Delta_n.
+    sink-resident vertices of Delta_n, the sink level counts S(0) ..
+    S(n - 1) summed.  Delta_0 holds no sink vertex, so its bound is 0.
+    One ``count_series``, one ``block_counts`` and one
+    ``sink_level_counts`` serve every depth.
     """
-    if n < 1:
-        raise DomainError("chain check needs n >= 1")
+    if n < 0:
+        raise DomainError("depth must be >= 0")
     if ts.base is None:
         raise DomainError("chain check needs a 1D base spec")
     geo = ts.geometry()
-    lhs = _log_per_vertex(count_patterns(ts, n), geo.delta_size(n))
-    fekete = words_mod.entropy_est_1d(ts.base, n).fekete_upper
-    weights = entering_counts(ts.matrix, n - 1)
-    sink_weight = sum(ell * a for ell, a in enumerate(weights, start=1))
-    rhs = fekete * sink_weight / geo.delta_size(n)
-    return EntropyChain(lhs=lhs, rhs=rhs, sink_weight=sink_weight, holds=lhs >= rhs - 1e-12)
+    blocks = words_mod.block_counts(ts.base, n)
+    # at depth m: the Fekete bound over lengths 1 .. m and W = S(0) + ... + S(m - 1)
+    fekete = accumulate((_log_per_vertex(blocks[m], m) for m in range(1, n + 1)), min,
+                        initial=math.inf)
+    weights = accumulate(sink_level_counts(ts.matrix, n)[:n], initial=0)
+    chains = []
+    for m, (count, bound, weight) in enumerate(zip(count_series(ts, n), fekete, weights)):
+        size = geo.delta_size(m)
+        lhs = _log_per_vertex(count, size)
+        rhs = bound * weight / size if m else 0.0
+        chains.append(EntropyChain(lhs=lhs, rhs=rhs, sink_weight=weight, holds=lhs >= rhs - 1e-12))
+    return chains
+
+
+def entropy_chain(ts: TreeShiftSpec, n: int) -> EntropyChain:
+    """Lower bound on tree entropy from sink rays carrying base words (see the series)."""
+    if n < 1:
+        raise DomainError("chain check needs n >= 1")
+    return entropy_chain_series(ts, n)[n]

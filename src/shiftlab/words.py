@@ -19,7 +19,8 @@ Every spec compiles once into a ``WordAutomaton``: integer states and a
 * window-scale independence: S inside [1, l] is independent when every
   assignment S -> alphabet extends to an admissible length-l word, and
   J_l is the maximum size of such an S.  J is subadditive, so J_l / l
-  converges; ``max_indep_J`` reports the running Fekete estimate.
+  converges; ``max_indep_J_series`` reports J_1 .. J_l with the running
+  Fekete estimate, and ``max_indep_J`` its last entry.
 
 The window [1, l] is Delta_{l-1} of the one-generator ray (position p is
 the vertex at depth p - 1), so window independence and J come from the
@@ -36,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import accumulate
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
@@ -336,18 +338,26 @@ class MaxIndep1D:
     fekete_limit_est: Fraction
 
 
-def max_indep_J(spec: ShiftSpec1D, length: int) -> MaxIndep1D:
-    """J_length with a lex-first witness and the running min of J_m / m.
+def max_indep_J_series(spec: ShiftSpec1D, length: int) -> list[MaxIndep1D]:
+    """J_m with a lex-first witness and the running min of J_m / m, for m = 1 .. length.
 
-    One pin-set walk up the one-generator ray gives J_1 .. J_length; its
-    vertex at depth k is position k + 1, so the lex-first set over sorted
-    ids is the lex-first set of positions.
+    Entry m - 1 is the window [1, m].  One pin-set walk up the
+    one-generator ray gives every window; its vertex at depth k is
+    position k + 1, so the lex-first set over sorted ids is the
+    lex-first set of positions.
     """
     from .treeshifts import _max_pin_sets
 
     if length < 1:
         raise DomainError("window length must be >= 1")
     windows = _max_pin_sets(spec.automaton, TreeGeometry(AdjacencyMatrix(((1,),))), length - 1, length)
-    fekete = min(Fraction(len(pins), m) for m, pins in enumerate(windows, start=1))
-    witness = tuple(len(v) + 1 for v in windows[-1])
-    return MaxIndep1D(J=len(witness), witness=witness, fekete_limit_est=fekete)
+    fekete = accumulate((Fraction(len(pins), m) for m, pins in enumerate(windows, start=1)), min)
+    return [
+        MaxIndep1D(J=len(pins), witness=tuple(len(v) + 1 for v in pins), fekete_limit_est=est)
+        for pins, est in zip(windows, fekete)
+    ]
+
+
+def max_indep_J(spec: ShiftSpec1D, length: int) -> MaxIndep1D:
+    """J_length with a lex-first witness (the last entry of ``max_indep_J_series``)."""
+    return max_indep_J_series(spec, length)[-1]

@@ -2,9 +2,10 @@
 
 The benchmark compares each op's report with the fields recorded in its
 reference through ``bench/check.py``.  Here the same comparison runs in
-process on the six default reproduce reports and on the ray-sweep
-boundary searches, tree entropies, surface counts and densities, so a
-changed count or decision fails the suite before a benchmark run would.
+process on the six default reproduce reports, on the ray-sweep boundary
+searches, tree entropies, surface counts and densities, and on every
+grid-sweep op, so a changed count or decision fails the suite before a
+benchmark run would.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ sys.path.insert(0, BENCH)
 import check  # noqa: E402
 import workloads  # noqa: E402
 
-from shiftlab import harness  # noqa: E402
+from shiftlab import cli, harness  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +72,17 @@ def test_ray_sweep_counts_past_the_digit_limit_end_in_a_report(reference):
     for op in ops:
         report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
         assert json.loads(harness.emit_report(report))["pass"], op["config"]
+
+
+def test_grid_sweep_pool_matches_reference_through_one_cli(reference, tmp_path, capsys):
+    # one process runs every op through the command line, as a benchmark worker does
+    ops = workloads.pool("grid-sweep")
+    assert len(ops) == 154
+    for i, op in enumerate(ops):
+        entry = reference[workloads.op_id(op)]
+        assert entry["outcome"] == "ok"
+        path = tmp_path / f"op{i}.json"
+        path.write_text(json.dumps(op["config"]), encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 0, op["config"]
+        got = check.fields(capsys.readouterr().out)
+        assert check.mismatches(entry["fields"], got) == [], op["config"]

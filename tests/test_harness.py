@@ -239,6 +239,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "k,count,estimate"
 
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch, request):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(GOLDEN_CFG))
+        commands = [["run", str(cfg), "--format", "csv"], ["reproduce", "cor1", "--seed", "4"]]
+        want = []
+        for argv in commands:  # each with a parser of its own
+            cli._build_parser.cache_clear()
+            assert cli.main(argv) == 0
+            want.append(capsys.readouterr().out)
+
+        built = []  # a build adds the output flags to each subcommand's parser
+        flags = cli._output_flags
+        monkeypatch.setattr(cli, "_output_flags", lambda p: built.append(p.prog) or flags(p))
+        cli._build_parser.cache_clear()
+        request.addfinalizer(cli._build_parser.cache_clear)
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["reproduce", "thm9"])
+        assert usage.value.code == 2
+        capsys.readouterr()
+        got = []
+        for argv in commands:
+            assert cli.main(argv) == 0
+            got.append(capsys.readouterr().out)
+        assert got == want
+        assert built == ["shiftlab run", "shiftlab reproduce"]
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"
         assert cli.main(["reproduce", "thm3", "--depth", "3", "--out", str(out)]) == 0

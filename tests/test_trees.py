@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import trees
+from shiftlab import trees, treeshifts, words
 from shiftlab.errors import DeadEnd, DomainError, NotUnexpandable
 
 COMB = trees.AdjacencyMatrix.comb()
@@ -76,6 +76,22 @@ class TestGeometry:
     def test_delta_size_sums_levels(self):
         geo = trees.TreeGeometry(COMB)
         assert geo.delta_size(3) == 1 + 2 + 3 + 4
+
+    @given(
+        m=small_matrices(),
+        asks=st.lists(st.tuples(st.sets(st.integers(1, 3)), st.integers(0, 6)),
+                      min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_type_counts_asked_out_of_order_match_walk(self, m, asks):
+        geo = trees.TreeGeometry(m)
+        levels = walk_levels(m, 6)
+        for types, n in asks:
+            types = {g for g in types if g <= m.d}
+            want = [sum(1 for v in levels[k] if int(v[-1]) in types) for k in range(1, n + 1)]
+            got = geo.type_counts(types, n)
+            assert got == want
+            got.append(-1)  # the caller's list, not the kept sums
 
     def test_vertex_membership(self):
         geo = trees.TreeGeometry(COMB)
@@ -201,6 +217,28 @@ class TestSinkStructure:
         for pos, g in enumerate(block):
             succ = block[(pos + 1) % len(block)]
             assert SWAP.rows[g - 1][succ - 1]
+
+
+    def test_one_decomposition_per_matrix(self, monkeypatch):
+        seen = []
+        scc = trees._strongly_connected_classes
+        monkeypatch.setattr(trees, "_strongly_connected_classes",
+                            lambda m: seen.append(m.rows) or scc(m))
+        # new objects: the decomposition is kept on the matrix
+        comb = trees.AdjacencyMatrix.from_rows(["11", "01"])
+        binary = trees.AdjacencyMatrix.from_rows(["11", "11"])
+        ts = treeshifts.make_tree_shift(comb, words.ShiftSpec1D.golden_mean())
+        for _ in range(3):
+            assert not trees.is_expandable(comb)
+            assert trees.sink_decomposition(comb).sink_generators() == {2}
+            assert trees.sink_level_counts(comb, 4) == [1, 2, 3, 4, 5]
+            assert trees.entering_counts(comb, 4) == [1, 1, 1, 1, 1]
+            assert treeshifts.sink_lift(ts, [1]).sink_gens == {2}
+            assert trees.is_expandable(binary)
+            with pytest.raises(NotUnexpandable, match="not a simple cycle"):
+                trees.sink_decomposition(binary)
+            assert trees.expanding_number(binary, 3).expandable
+        assert seen == [comb.rows, binary.rows]
 
 
 class TestEnteringCounts:

@@ -27,6 +27,7 @@ BINARY = trees.AdjacencyMatrix.binary_tree()
 GOLDEN_TREE = trees.AdjacencyMatrix.from_rows(("11", "10"))
 # the root's children (1, 2, 3) are those of no vertex type, so its table is not shared
 CHAIN = trees.AdjacencyMatrix.from_rows(("110", "011", "001"))
+FAN = trees.AdjacencyMatrix.from_rows(("111", "010", "001"))
 GOLDEN = words.ShiftSpec1D.golden_mean()
 ATMOST = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
 MATRIX_A = [[1, 1], [0, 1]]
@@ -735,3 +736,34 @@ class TestEntropyChain:
         for n in (2, 5, 9):
             chain = treeshifts.entropy_chain(TS_COMB_GOLDEN, n)
             assert chain.sink_weight == geo.delta_size(n - 1)
+
+    @pytest.mark.parametrize("tree", [COMB, FAN, CHAIN], ids=["comb", "fan", "chain"])
+    @pytest.mark.parametrize("base", [GOLDEN, ATMOST, words.ShiftSpec1D.at_most_k(3, 0, 2)],
+                             ids=["golden", "at-most-1", "at-most-2-of-3"])
+    def test_series_matches_per_depth_oracle(self, tree, base):
+        # the per-depth computation: one count, one Fekete bound and one
+        # entering-count vector for each depth
+        ts = treeshifts.make_tree_shift(tree, base)
+        geo = ts.geometry()
+        series = treeshifts.entropy_chain_series(ts, 30)
+        assert len(series) == 31
+        for m in range(1, 31):
+            lhs = math.log(treeshifts.count_patterns(ts, m)) / geo.delta_size(m)
+            fekete = words.entropy_est_1d(base, m).fekete_upper
+            weight = sum(l * a for l, a in enumerate(trees.entering_counts(tree, m - 1), start=1))
+            rhs = fekete * weight / geo.delta_size(m)
+            want = treeshifts.EntropyChain(lhs=lhs, rhs=rhs, sink_weight=weight,
+                                           holds=lhs >= rhs - 1e-12)
+            assert series[m] == want, m
+        assert series[0] == treeshifts.EntropyChain(
+            lhs=math.log(treeshifts.count_patterns(ts, 0)), rhs=0.0, sink_weight=0, holds=True)
+        for m in (1, 7, 30):
+            assert treeshifts.entropy_chain(ts, m) == series[m]
+
+    def test_series_rejects_what_the_chain_rejects(self):
+        with pytest.raises(DomainError):
+            treeshifts.entropy_chain_series(TS_COMB_GOLDEN, -1)
+        with pytest.raises(DomainError, match="1D base"):
+            treeshifts.entropy_chain_series(treeshifts.make_tree_shift(COMB, MATRIX_A), 3)
+        with pytest.raises(NotUnexpandable):
+            treeshifts.entropy_chain_series(TS_BIN_GOLDEN, 3)

@@ -312,6 +312,17 @@ class TestMaxIndep:
         for S, ok in indep.items():
             assert words.is_indep_1d(spec, S, length) == ok
 
+    @pytest.mark.parametrize("spec", [
+        GOLDEN, ATMOST, FULL2, words.ShiftSpec1D.with_forbidden(2, ["010", "111"]),
+    ])
+    def test_series_matches_each_window(self, spec):
+        series = words.max_indep_J_series(spec, 12)
+        assert series == [words.max_indep_J(spec, m) for m in range(1, 13)]
+
+    def test_series_needs_a_window(self):
+        with pytest.raises(DomainError):
+            words.max_indep_J_series(GOLDEN, 0)
+
     def test_full_shift_long_window(self):
         res = words.max_indep_J(FULL2, 30)
         assert res.J == 30
