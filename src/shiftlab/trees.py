@@ -21,7 +21,7 @@ Beyond level counting this module classifies the matrix:
   from settling);
 * sink decomposition: permutation to block upper-triangular form with
   every multi-vertex diagonal class verified to be a simple cycle, and
-  the classes without exits marked as sinks;
+  the classes without exits marked as sinks, made once per matrix;
 * entering counts a_1..a_{n+1}: how many depth-(n+1) rays enter a sink
   exactly l steps before the horizon, via the telescoped sink-resident
   level counts S(m) with the boundary convention S(-1) = 0.
@@ -347,14 +347,6 @@ def _strongly_connected_classes(matrix: AdjacencyMatrix) -> list[frozenset[int]]
 
 
 def sink_decomposition(matrix: AdjacencyMatrix) -> SinkDecomposition:
-    """The matrix's sink decomposition, computed once per matrix (see ``_decompose``)."""
-    found = matrix._sinks
-    if isinstance(found, str):
-        raise NotUnexpandable(found)
-    return found
-
-
-def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
     """Irreducible classes in topological order, cycle-verified.
 
     A multi-vertex class (or a looped singleton) must be a simple cycle:
@@ -362,8 +354,16 @@ def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
     class.  Anything denser forces exponential growth and raises
     NotUnexpandable.  Loopless singleton classes are transient stopovers
     and are allowed; they can never be sinks because their one edge
-    leaves the class.
+    leaves the class.  Made once per matrix and kept on it.
     """
+    found = matrix._sinks
+    if isinstance(found, str):
+        raise NotUnexpandable(found)
+    return found
+
+
+def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
+    """The decomposition ``sink_decomposition`` describes; raises NotUnexpandable."""
     rows = matrix.rows
     classes = _strongly_connected_classes(matrix)
     ordered_members = []

@@ -29,6 +29,9 @@ One more walk over every S keeps, per class map, the lex-first largest
 independent S instead of a count; it gives the exact maxima of
 ``max_indep_series`` (every depth at once), of ``words.max_indep_J`` on
 the one-generator ray, and of ``bip_search`` on small boundaries.
+``entropy_chain_series`` reads the sink-ray entropy bound of every depth
+from one pattern-count series, one block-count series and one series of
+sink level counts.
 
 The class DP's memo is a dict on the ``WordAutomaton``.  It has two
 kinds of keys: a tolerated-state mask maps to its per-symbol preimages,
@@ -736,7 +739,7 @@ def entropy_chain_series(ts: TreeShiftSpec, n: int) -> list[EntropyChain]:
 
 
 def entropy_chain(ts: TreeShiftSpec, n: int) -> EntropyChain:
-    """Lower bound on tree entropy from sink rays carrying base words (see the series)."""
+    """Lower bound on tree entropy from sink rays: the last entry of ``entropy_chain_series``."""
     if n < 1:
         raise DomainError("chain check needs n >= 1")
     return entropy_chain_series(ts, n)[n]

@@ -218,7 +218,6 @@ class TestSinkStructure:
             succ = block[(pos + 1) % len(block)]
             assert SWAP.rows[g - 1][succ - 1]
 
-
     def test_one_decomposition_per_matrix(self, monkeypatch):
         seen = []
         scc = trees._strongly_connected_classes
