@@ -26,7 +26,6 @@ size forces, pull a shattered set, check it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -260,16 +259,9 @@ def entropy_est_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Entropy2D:
     """raw = log M(k1,k2)/(k1 k2); upper = min over 1 <= m_i <= k_i (nats)."""
     if k1 < 1 or k2 < 1:
         raise DomainError("entropy estimate needs sides >= 1")
-    logs = []
-    raw = None
-    for m1 in range(1, k1 + 1):
-        for m2 in range(1, k2 + 1):
-            c = count_blocks_2d(spec, m1, m2)
-            val = (math.log(c) if c else float("-inf")) / (m1 * m2)
-            logs.append(val)
-            if (m1, m2) == (k1, k2):
-                raw = val
-    return Entropy2D(raw=raw, fekete_upper=min(logs))
+    logs = [words.log_per_size(count_blocks_2d(spec, m1, m2), m1 * m2)
+            for m1 in range(1, k1 + 1) for m2 in range(1, k2 + 1)]
+    return Entropy2D(raw=logs[-1], fekete_upper=min(logs))
 
 
 def prefix_regular_block(

@@ -22,30 +22,6 @@ from . import grids
 from . import trees
 from . import treeshifts
 
-TARGETS = (
-    "entropy1d",
-    "entropy2d",
-    "fr",
-    "indep2d",
-    "tree-entropy",
-    "surface",
-    "density",
-    "bip",
-    "reproduce",
-)
-
-REPRODUCE_KEYS = ("thm1", "thm3", "thm4", "thm5", "thm6", "cor1")
-
-_DEFAULT_DEPTH = {
-    "thm1": 24,
-    "thm3": 4,
-    "thm4": 6,
-    "thm5": 6,
-    "thm6": 6,
-    "cor1": 6,
-}
-
-
 def _fmt_float(x: float) -> float:
     """Round to 12 significant digits so reports are reproducible bytes."""
     return float(f"{x:.12g}")
@@ -210,7 +186,7 @@ def _run_entropy1d(params: dict) -> tuple:
     fekete = float("inf")
     for m in range(1, n + 1):
         # the same floats as entropy_est_1d(spec, m), from the one count list
-        raw = math.log(counts[m]) / m if counts[m] else float("-inf")
+        raw = words.log_per_size(counts[m], m)
         fekete = min(fekete, raw)
         rows.append({"n": m, "count": counts[m], "estimate": raw, "fekete_upper": fekete})
     uppers = [row["fekete_upper"] for row in rows]
@@ -234,15 +210,10 @@ def _run_entropy2d(params: dict) -> tuple:
     for a in range(1, k1 + 1):
         for b in range(1, k2 + 1):
             count = grids.count_blocks_2d(spec, a, b)
-            rows.append(
-                {
-                    "k1": a,
-                    "k2": b,
-                    "count": count,
-                    "estimate": math.log(count) / (a * b) if count else float("-inf"),
-                }
-            )
-    est = grids.entropy_est_2d(spec, k1, k2)
+            rows.append({"k1": a, "k2": b, "count": count,
+                         "estimate": words.log_per_size(count, a * b)})
+    # the same floats as entropy_est_2d(spec, k1, k2), read off the rows
+    estimates = [row["estimate"] for row in rows]
     subadd = True
     cnt = {(r["k1"], r["k2"]): r["count"] for r in rows}
     for a in range(1, k1 + 1):
@@ -250,7 +221,7 @@ def _run_entropy2d(params: dict) -> tuple:
             for a2 in range(1, k1 - a + 1):
                 if cnt[(a + a2, b)] > cnt[(a, b)] * cnt[(a2, b)]:
                     subadd = False
-    summary = {"estimate": est.raw, "fekete_upper": est.fekete_upper}
+    summary = {"estimate": estimates[-1], "fekete_upper": min(estimates)}
     assertions = [
         Assertion(
             "block-subadditivity",
@@ -325,21 +296,10 @@ def _run_indep2d(params: dict) -> tuple:
 def _run_tree_entropy(params: dict) -> tuple:
     ts = _spec_field(params, treeshifts.TreeShiftSpec)
     n = _int_field(params, "n")
-    rows = []
     geo = ts.geometry()
-    counts = treeshifts.count_series(ts, n)
-    for m in range(1, n + 1):
-        count = counts[m]
-        rows.append(
-            {
-                "n": m,
-                "count": count,
-                "estimate": math.log(count) / geo.delta_size(m)
-                if count
-                else float("-inf"),
-            }
-        )
     est = treeshifts.tree_entropy_est(ts, n)
+    rows = [{"n": m, "count": c, "estimate": words.log_per_size(c, geo.delta_size(m))}
+            for m, c in enumerate(est.counts[1:], start=1)]
     summary = {"estimate": est.raw, "running_max_tail": est.running_max_tail}
     assertions = [
         Assertion(
@@ -360,7 +320,7 @@ def _run_surface(params: dict) -> tuple:
     surface = treeshifts.surface_series(ts, n)
     for m in range(1, n + 1):
         # the same floats as surface_entropy_est(ts, m)
-        raw = math.log(surface[m]) / geo.level_size(m) if surface[m] else float("-inf")
+        raw = words.log_per_size(surface[m], geo.level_size(m))
         rows.append({"n": m, "count": surface[m], "estimate": raw})
     ok = all(surface[m] <= counts[m] for m in range(1, n + 1))
     summary = {"count": surface[n], "estimate": raw}
@@ -412,10 +372,8 @@ def _run_density(params: dict) -> tuple:
         raise ConfigError("n_range: expected [start, stop, step] positive integers")
     ns = list(range(rng[0], rng[1] + 1, rng[2]))
     dens = treeshifts.tree_density(vset, geo, ns)
-    rows = []
-    for n, ratio in zip(ns, dens.ratios):
-        members = vset.count_in(geo, n)
-        rows.append({"n": n, "count": members, "ratio": ratio})
+    rows = [{"n": n, "count": count, "ratio": ratio}
+            for n, count, ratio in zip(ns, dens.counts, dens.ratios)]
     summary = {"upper": dens.upper, "lower": dens.lower}
     assertions = [
         Assertion(
@@ -496,12 +454,11 @@ def _reproduce_thm1(depth: int) -> tuple:
 
     step = max(1, depth // 6)
     ns = sorted(set(list(range(max(2, step), depth + 1, step)) + [depth]))
-    counts = treeshifts.count_series(ts, depth)
-    raws = [math.log(counts[m]) / geo.delta_size(m) for m in ns]
-    rows = [{"n": m, "count": counts[m], "estimate": raw} for m, raw in zip(ns, raws)]
+    chains = treeshifts.entropy_chain_series(ts, depth)
+    raws = [chains[m].lhs for m in ns]
+    rows = [{"n": m, "count": chains[m].count, "estimate": raw} for m, raw in zip(ns, raws)]
 
     monotone = all(raws[i + 1] <= raws[i] + 1e-12 for i in range(len(raws) - 1))
-    chains = treeshifts.entropy_chain_series(ts, depth)
     chain_ok = all(chains[m].holds for m in ns)
 
     sink_identity = True
@@ -597,7 +554,7 @@ def _reproduce_thm3(depth: int) -> tuple:
     ok_lower = True
     for k in range(1, depth + 1):
         count = grids.count_blocks_2d(spec, k, k)
-        raw = math.log(count) / (k * k)
+        raw = words.log_per_size(count, k * k)
         rows.append({"k": k, "count": count, "estimate": raw})
         if k >= 2:
             wit = grids.indep_witness_2d(spec, k, k)
@@ -635,17 +592,17 @@ def _reproduce_thm4(depth: int) -> tuple:
     geo = ts.geometry()
 
     nmax = min(depth, 8)
-    counts = treeshifts.count_series(ts, nmax)
+    est = treeshifts.tree_entropy_est(ts, nmax)
+    counts = est.counts
+    raw = est.raw
     rows = [
-        {"n": m, "count": c, "estimate": math.log(c) / geo.delta_size(m) if c > 1 else 0.0}
+        {"n": m, "count": c, "estimate": words.log_per_size(c, geo.delta_size(m))}
         for m, c in enumerate(counts)
     ]
     recurrence = all(
         counts[m] == 1 + counts[m - 1] ** 2 for m in range(1, nmax + 1)
     )
 
-    ent_n = min(depth, 8)
-    raw = treeshifts.tree_entropy_est(ts, ent_n).raw
     target = 0.5 * math.log(2.0)
 
     law_ok = set(treeshifts.subset_census(ts, 3)) <= {(True, True), (False, False)}
@@ -765,14 +722,17 @@ def _reproduce_cor1(depth: int) -> tuple:
     return ("spec", "entropy_estimate", "surface_estimate"), rows, summary, assertions
 
 
+# key -> (reproducer, default depth)
 _REPRODUCERS = {
-    "thm1": _reproduce_thm1,
-    "thm3": _reproduce_thm3,
-    "thm4": _reproduce_thm4,
-    "thm5": _reproduce_thm5,
-    "thm6": _reproduce_thm6,
-    "cor1": _reproduce_cor1,
+    "thm1": (_reproduce_thm1, 24),
+    "thm3": (_reproduce_thm3, 4),
+    "thm4": (_reproduce_thm4, 6),
+    "thm5": (_reproduce_thm5, 6),
+    "thm6": (_reproduce_thm6, 6),
+    "cor1": (_reproduce_cor1, 6),
 }
+
+REPRODUCE_KEYS = tuple(_REPRODUCERS)
 
 
 def reproduce(key: str, depth: Optional[int] = None, seed: int = 0) -> Report:
@@ -781,11 +741,12 @@ def reproduce(key: str, depth: Optional[int] = None, seed: int = 0) -> Report:
         raise ConfigError(
             f"reproduce key: expected one of {', '.join(REPRODUCE_KEYS)}, got {key!r}"
         )
+    reproducer, default_depth = _REPRODUCERS[key]
     if depth is None:
-        depth = _DEFAULT_DEPTH[key]
+        depth = default_depth
     if not _is_int(depth) or depth < 2:
         raise ConfigError("depth: expected an integer >= 2")
-    columns, rows, summary, assertions = _REPRODUCERS[key](depth)
+    columns, rows, summary, assertions = reproducer(depth)
     cfg_obj = {"target": "reproduce", "theorem": key, "depth": depth, "seed": seed}
     summary = dict(summary)
     summary["depth"] = depth
@@ -811,6 +772,8 @@ _RUNNERS = {
     "density": _run_density,
     "bip": _run_bip,
 }
+
+TARGETS = (*_RUNNERS, "reproduce")
 
 
 def run_config(cfg: ExperimentConfig) -> Report:

@@ -63,11 +63,10 @@ from .errors import (
 )
 from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, sink_decomposition, sink_level_counts
 from .trees import entering_counts  # noqa: F401  the a_l of the chain's W, re-exported
-from .words import ShiftSpec1D, WordAutomaton
+from .words import ShiftSpec1D, WordAutomaton, log_per_size
 
 CLASS_CAP = 4096
 MEMO_CAP = CLASS_CAP
-HEREDITARY_HORIZON = 6
 ROOT = 0
 
 
@@ -154,25 +153,22 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
 
 
-def _log_per_vertex(count: int, size: int) -> float:
-    return (math.log(count) if count else float("-inf")) / size
-
-
 @dataclass(frozen=True)
 class TreeEntropy:
     raw: float
     running_max_tail: float
+    counts: tuple[int, ...]
 
 
 def tree_entropy_est(ts: TreeShiftSpec, n: int) -> TreeEntropy:
-    """raw = log count / |Delta_n|; tail max of raw over depths n/2..n."""
+    """raw = log count / |Delta_n|; tail max of raw over n/2..n; counts of Delta_0..Delta_n."""
     if n < 1:
         raise DomainError("entropy estimate needs n >= 1")
     geo = ts.geometry()
-    counts = count_series(ts, n)
-    raws = [_log_per_vertex(counts[m], geo.delta_size(m)) for m in range(1, n + 1)]
+    counts = tuple(count_series(ts, n))
+    raws = [log_per_size(counts[m], geo.delta_size(m)) for m in range(1, n + 1)]
     tail = raws[(n - 1) // 2:]
-    return TreeEntropy(raw=raws[-1], running_max_tail=max(tail))
+    return TreeEntropy(raw=raws[-1], running_max_tail=max(tail), counts=counts)
 
 
 def _remember(memo: dict, key, value):
@@ -253,7 +249,7 @@ def surface_entropy_est(ts: TreeShiftSpec, n: int) -> SurfaceEntropy:
     if n < 1:
         raise DomainError("surface estimate needs n >= 1")
     count = surface_series(ts, n)[n]
-    return SurfaceEntropy(count=count, raw=_log_per_vertex(count, ts.geometry().level_size(n)))
+    return SurfaceEntropy(count=count, raw=log_per_size(count, ts.geometry().level_size(n)))
 
 
 def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
@@ -333,18 +329,18 @@ class TreeDensity:
     ratios: tuple[Fraction, ...]
     upper: Fraction
     lower: Fraction
+    counts: tuple[int, ...]
 
 
 def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
-    """|S inside Delta_n| / |Delta_n| per depth, extremes over the tail half."""
+    """counts |S inside Delta_n| and ratios to |Delta_n| per depth, extremes over the tail half."""
     depths = list(n_range)
     if not depths:
         raise DomainError("depth range must be nonempty")
-    ratios = tuple(
-        Fraction(vertex_set.count_in(geometry, n), geometry.delta_size(n)) for n in depths
-    )
+    counts = tuple(vertex_set.count_in(geometry, n) for n in depths)
+    ratios = tuple(Fraction(c, geometry.delta_size(n)) for c, n in zip(counts, depths))
     tail = ratios[len(ratios) // 2:]
-    return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail))
+    return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail), counts=counts)
 
 
 def _validate_vertices(geo: TreeGeometry, ids, n: float) -> None:
@@ -546,10 +542,8 @@ def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
     decomp = sink_decomposition(ts.matrix)  # raises NotUnexpandable
     if ts.base is None:
         raise NotHereditary("one-step matrix bases carry no hereditary order")
-    if not words_mod.is_hereditary_upto(ts.base, HEREDITARY_HORIZON):
-        raise NotHereditary(
-            f"base fails the hereditary check up to length {HEREDITARY_HORIZON}"
-        )
+    if not words_mod.is_hereditary_upto(ts.base, math.inf):
+        raise NotHereditary("base is not hereditary: lowering a symbol breaks an admissible word")
     positions = tuple(sorted({int(p) for p in s1d}))
     if positions and positions[0] < 1:
         raise DomainError("ray positions are 1-based")
@@ -703,6 +697,7 @@ class EntropyChain:
     rhs: float
     sink_weight: int
     holds: bool
+    count: int
 
 
 def entropy_chain_series(ts: TreeShiftSpec, n: int) -> list[EntropyChain]:
@@ -717,7 +712,8 @@ def entropy_chain_series(ts: TreeShiftSpec, n: int) -> list[EntropyChain]:
     sink-resident vertices of Delta_n, the sink level counts S(0) ..
     S(n - 1) summed.  Delta_0 holds no sink vertex, so its bound is 0.
     One ``count_series``, one ``block_counts`` and one
-    ``sink_level_counts`` serve every depth.
+    ``sink_level_counts`` serve every depth; each entry keeps its
+    pattern count, the lhs's numerator.
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
@@ -726,15 +722,16 @@ def entropy_chain_series(ts: TreeShiftSpec, n: int) -> list[EntropyChain]:
     geo = ts.geometry()
     blocks = words_mod.block_counts(ts.base, n)
     # at depth m: the Fekete bound over lengths 1 .. m and W = S(0) + ... + S(m - 1)
-    fekete = accumulate((_log_per_vertex(blocks[m], m) for m in range(1, n + 1)), min,
+    fekete = accumulate((log_per_size(blocks[m], m) for m in range(1, n + 1)), min,
                         initial=math.inf)
     weights = accumulate(sink_level_counts(ts.matrix, n)[:n], initial=0)
     chains = []
     for m, (count, bound, weight) in enumerate(zip(count_series(ts, n), fekete, weights)):
         size = geo.delta_size(m)
-        lhs = _log_per_vertex(count, size)
+        lhs = log_per_size(count, size)
         rhs = bound * weight / size if m else 0.0
-        chains.append(EntropyChain(lhs=lhs, rhs=rhs, sink_weight=weight, holds=lhs >= rhs - 1e-12))
+        chains.append(EntropyChain(lhs=lhs, rhs=rhs, sink_weight=weight, holds=lhs >= rhs - 1e-12,
+                                   count=count))
     return chains
 
 

@@ -15,7 +15,8 @@ Every spec compiles once into a ``WordAutomaton``: integer states and a
   beyond the cap;
 * entropy estimates in nats, with the subadditivity (Fekete) upper bound
   ``min_{m <= n} log |B_m| / m``;
-* a hereditary check (coordinatewise lowering keeps words admissible);
+* an exact hereditary check (coordinatewise lowering keeps words
+  admissible), by a search over pairs of automaton states;
 * window-scale independence: S inside [1, l] is independent when every
   assignment S -> alphabet extends to an admissible length-l word, and
   J_l is the maximum size of such an S.  J is subadditive, so J_l / l
@@ -282,14 +283,15 @@ def blocks_1d(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
     return frozenset(out)
 
 
+def log_per_size(count: int, size: int) -> float:
+    """log count / size in nats, -inf for count 0: the estimate of a window of ``size`` sites."""
+    return (math.log(count) if count else -math.inf) / size
+
+
 @dataclass(frozen=True)
 class Entropy1D:
     raw: float
     fekete_upper: float
-
-
-def _safe_log(count: int) -> float:
-    return math.log(count) if count > 0 else float("-inf")
 
 
 def entropy_est_1d(spec: ShiftSpec1D, n: int) -> Entropy1D:
@@ -297,19 +299,36 @@ def entropy_est_1d(spec: ShiftSpec1D, n: int) -> Entropy1D:
     if n < 1:
         raise DomainError("entropy estimate needs n >= 1")
     counts = block_counts(spec, n)
-    per_len = [_safe_log(counts[m]) / m for m in range(1, n + 1)]
+    per_len = [log_per_size(counts[m], m) for m in range(1, n + 1)]
     return Entropy1D(raw=per_len[-1], fekete_upper=min(per_len))
 
 
-def is_hereditary_upto(spec: ShiftSpec1D, n: int) -> bool:
-    """True when lowering one symbol of any admissible word of length <= n keeps it admissible."""
+def is_hereditary_upto(spec: ShiftSpec1D, n: float) -> bool:
+    """True when lowering one symbol of any admissible word of length <= n keeps it admissible.
+
+    A breadth-first search over pairs (state of w, state of w'), w' being w
+    with at most one symbol lowered by one, to depth n; equal states may
+    still lower.  A w' that dies while w lives is a counterexample.  With
+    n = math.inf the search ends when no new pair appears: an exact answer.
+    """
     if n < 1:
         raise DomainError("hereditary check needs n >= 1")
-    for m in range(1, n + 1):
-        block = blocks_1d(spec, m)
-        if any(w[:i] + (s - 1,) + w[i + 1:] not in block
-               for w in block for i, s in enumerate(w) if s):
+    table = spec.automaton.table
+    frontier = seen = {(spec.automaton.initial,) * 2}
+    depth = 0
+    while frontier and depth < n:
+        depth += 1
+        grown = set()
+        for q, low in frontier:
+            for s, t in enumerate(table[q]):
+                if t is not None:
+                    grown.add((t, table[low][s]))
+                    if q == low and s:
+                        grown.add((t, table[q][s - 1]))
+        if any(low is None for _, low in grown):
             return False
+        frontier = grown - seen
+        seen |= frontier
     return True
 
 

@@ -2,10 +2,10 @@
 
 The benchmark compares each op's report with the fields recorded in its
 reference through ``bench/check.py``.  Here the same comparison runs in
-process on the six default reproduce reports, on the ray-sweep boundary
-searches, tree entropies, surface counts and densities, and on every
-grid-sweep op, so a changed count or decision fails the suite before a
-benchmark run would.
+process on the six default reproduce reports, on the ray-sweep line
+entropies, boundary searches, tree entropies, surface counts and
+densities, and on every grid-sweep op, so a changed count or decision
+fails the suite before a benchmark run would.
 """
 
 from __future__ import annotations
@@ -45,6 +45,18 @@ def test_reproduce_matches_reference(key, reference):
 def test_ray_sweep_boundary_searches_match_reference(reference):
     ops = [op for op in workloads.pool("ray-sweep") if op["config"]["target"] == "bip"]
     assert len(ops) == 61
+    for op in ops:
+        report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
+        assert _mismatches(reference[workloads.op_id(op)], report) == [], op["config"]
+
+
+def test_reproduce_keys_match_the_workload():
+    assert harness.REPRODUCE_KEYS == workloads.REPRODUCE_KEYS
+
+
+def test_ray_sweep_line_entropies_match_reference(reference):
+    ops = [op for op in workloads.pool("ray-sweep") if op["config"]["target"] == "entropy1d"]
+    assert len(ops) == 129
     for op in ops:
         report = harness.run_config(harness.ExperimentConfig.from_json(op["config"]))
         assert _mismatches(reference[workloads.op_id(op)], report) == [], op["config"]

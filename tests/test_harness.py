@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from shiftlab import cli, harness, treeshifts
+from shiftlab import cli, grids, harness, trees, treeshifts, words
 from shiftlab.errors import ConfigError
 
 GOLDEN_CFG = {
@@ -51,6 +51,11 @@ class TestConfigValidation:
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             harness.ExperimentConfig.from_json([1, 2, 3])
+
+    def test_targets_and_keys_are_pinned(self):
+        assert harness.TARGETS == ("entropy1d", "entropy2d", "fr", "indep2d", "tree-entropy",
+                                   "surface", "density", "bip", "reproduce")
+        assert harness.REPRODUCE_KEYS == ("thm1", "thm3", "thm4", "thm5", "thm6", "cor1")
 
     def test_bad_reproduce_key(self):
         with pytest.raises(ConfigError, match="thm"):
@@ -269,3 +274,32 @@ class TestCli:
         out = tmp_path / "r.json"
         assert cli.main(["reproduce", "thm3", "--depth", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["name"] == "thm3"
+
+
+class TestOneWalkPerSeries:
+    def test_entropy2d_summary_matches_the_estimator(self):
+        for spec in (HARD_SQUARE_JSON, {"alphabet": 2, "forbidden": []}):
+            rep = run({"target": "entropy2d", "spec": spec, "k1": 3, "k2": 4})
+            est = grids.entropy_est_2d(grids.ShiftSpec2D.from_json(spec), 3, 4)
+            assert rep.summary == {"estimate": est.raw, "fekete_upper": est.fekete_upper}
+
+    def test_tree_entropy_rows_match_the_count_walk(self):
+        cfg = {"target": "tree-entropy", "tree": DENSITY_CFG["tree"],
+               "base": DENSITY_CFG["base"], "n": 9}
+        ts = treeshifts.TreeShiftSpec.from_json(cfg)
+        rep = run(cfg)
+        assert [row["count"] for row in rep.rows] == treeshifts.count_series(ts, 9)[1:]
+
+    def test_density_rows_count_the_members(self):
+        rep = run(DENSITY_CFG)
+        ts = treeshifts.TreeShiftSpec.from_json(DENSITY_CFG)
+        geo = ts.geometry()
+        members = treeshifts.LevelParity(1).members_in
+        assert [(row["n"], row["count"]) for row in rep.rows] == [
+            (n, len(members(geo, n))) for n in range(2, 9, 2)]
+
+    def test_thm1_rows_match_the_count_walk(self):
+        rep = harness.reproduce("thm1", depth=12)
+        ts = treeshifts.make_tree_shift(trees.AdjacencyMatrix.comb(), words.ShiftSpec1D.golden_mean())
+        counts = treeshifts.count_series(ts, 12)
+        assert [row["count"] for row in rep.rows] == [counts[row["n"]] for row in rep.rows]

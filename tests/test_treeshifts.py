@@ -190,6 +190,12 @@ class TestTreeEntropy:
     def test_zeros_base_zero(self):
         assert treeshifts.tree_entropy_est(TS_BIN_ZEROS, 6).raw == 0.0
 
+    def test_counts_are_the_pattern_counts(self):
+        for ts in (TS_COMB_GOLDEN, TS_BIN_A, TS_BIN_ZEROS, TS_COMB_ATMOST):
+            est = treeshifts.tree_entropy_est(ts, 7)
+            assert est.counts == tuple(treeshifts.count_patterns(ts, m) for m in range(8))
+            assert est.counts[:3] == tuple(len(naive_patterns(ts, m)) for m in range(3))
+
 
 class TestSurfaceEntropy:
     def test_upper_triangular_level_two(self):
@@ -459,6 +465,16 @@ class TestDensity:
         assert all(isinstance(r, Fraction) for r in dens.ratios)
         assert dens.upper >= dens.lower
 
+    def test_counts_are_the_members_per_depth(self):
+        geo = TS_COMB_GOLDEN.geometry()
+        depths = range(1, 8, 2)
+        for vset in (treeshifts.LevelParity(1), treeshifts.VertexSet.of(["", "1", "12", "122"]),
+                     treeshifts.sink_lift(TS_COMB_GOLDEN, [1, 3, 4])):
+            dens = treeshifts.tree_density(vset, geo, depths)
+            assert dens.counts == tuple(len(vset.members_in(geo, n)) for n in depths)
+            assert dens.ratios == tuple(
+                Fraction(c, geo.delta_size(n)) for c, n in zip(dens.counts, depths))
+
     def test_ray_vertices(self):
         vs = treeshifts.ray_vertices(2, 3)
         assert vs.ids == frozenset({"2", "22", "222"})
@@ -568,6 +584,23 @@ class TestSinkLift:
         )
         with pytest.raises(NotHereditary):
             treeshifts.sink_lift(ts, [1])
+
+    @pytest.mark.parametrize(
+        "base",
+        [words.ShiftSpec1D.at_most_k(2, symbol=0, count=6),
+         words.ShiftSpec1D.with_forbidden(2, ["0000000"])],
+        ids=["at-most-6-zeros", "no-seven-zeros"],
+    )
+    def test_bases_failing_past_length_six_rejected(self, base):
+        # every word of length <= 6 lowers safely; lowering a 1 of 0001000 does not
+        ts = treeshifts.make_tree_shift(COMB, base)
+        with pytest.raises(NotHereditary):
+            treeshifts.sink_lift(ts, [1])
+
+    def test_hereditary_bases_lift(self):
+        for base in (GOLDEN, ATMOST):
+            lift = treeshifts.sink_lift(treeshifts.make_tree_shift(COMB, base), [1, 3])
+            assert lift.positions == (1, 3)
 
 
 class TestBipSearch:
@@ -753,10 +786,12 @@ class TestEntropyChain:
             weight = sum(l * a for l, a in enumerate(trees.entering_counts(tree, m - 1), start=1))
             rhs = fekete * weight / geo.delta_size(m)
             want = treeshifts.EntropyChain(lhs=lhs, rhs=rhs, sink_weight=weight,
-                                           holds=lhs >= rhs - 1e-12)
+                                           holds=lhs >= rhs - 1e-12,
+                                           count=treeshifts.count_patterns(ts, m))
             assert series[m] == want, m
         assert series[0] == treeshifts.EntropyChain(
-            lhs=math.log(treeshifts.count_patterns(ts, 0)), rhs=0.0, sink_weight=0, holds=True)
+            lhs=math.log(treeshifts.count_patterns(ts, 0)), rhs=0.0, sink_weight=0, holds=True,
+            count=treeshifts.count_patterns(ts, 0))
         for m in (1, 7, 30):
             assert treeshifts.entropy_chain(ts, m) == series[m]
 

@@ -161,6 +161,21 @@ class TestEntropy:
         assert est.raw <= est.fekete_upper + 1e-12
 
 
+class TestLogPerSize:
+    @given(count=st.integers(1, 10 ** 40), size=st.integers(1, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_log_over_size(self, count, size):
+        assert words.log_per_size(count, size).hex() == (math.log(count) / size).hex()
+
+    def test_empty_count_is_minus_infinity(self):
+        for size in (1, 6, 10 ** 30):
+            assert words.log_per_size(0, size) == -math.inf
+
+    def test_single_count_is_zero(self):
+        for size in (1, 6, 10 ** 30):
+            assert words.log_per_size(1, size).hex() == (0.0).hex()
+
+
 class TestHereditary:
     def test_closure_contains_language(self):
         spec = words.ShiftSpec1D.with_forbidden(2, ["10"])
@@ -199,6 +214,25 @@ class TestHereditary:
         assert not words.is_hereditary_upto(spec, 4)
         # at length 2 only the last symbol of 11 lowers into 10
         assert not words.is_hereditary_upto(spec, 2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [words.ShiftSpec1D.at_most_k(2, symbol=0, count=6),
+         words.ShiftSpec1D.with_forbidden(2, ["0000000"])],
+        ids=["at-most-6-zeros", "no-seven-zeros"],
+    )
+    def test_counterexamples_past_length_six(self, spec):
+        # lowering a 1 of a length-7 word makes seven zeros; the oracle agrees
+        for n in range(1, 9):
+            want = all(closure(spec, m) == words.blocks_1d(spec, m) for m in range(1, n + 1))
+            assert want == (n <= 6)
+            assert words.is_hereditary_upto(spec, n) == want
+        assert not words.is_hereditary_upto(spec, math.inf)
+
+    def test_exact_check_on_hereditary_specs(self):
+        # upward-closed forbidden sets, or a budget on the top symbol: lowering breaks no word
+        for spec in (GOLDEN, ATMOST, FULL2, words.ShiftSpec1D.with_forbidden(3, ["22", "12", "21"])):
+            assert words.is_hereditary_upto(spec, math.inf)
 
     @given(spec=small_spec(), n=st.integers(min_value=1, max_value=5))
     @settings(max_examples=50, deadline=None)
