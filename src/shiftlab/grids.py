@@ -4,13 +4,17 @@ A 2D spec forbids a finite set of rectangular patterns; a block is
 locally admissible when no forbidden pattern occurs at any placement.
 
 A k1 x k2 window is a word of k1 rows over the admissible width-k2
-rows (Calkin and Wilf's row transfer): a spec caches per width a
-``RowShift``, whose automaton reads rows.  A window wider than it is
-tall is read as the columns of the transposed spec instead, so the
-rows always run along the shorter side.  Counts come from
-``words.block_counts``, symbol maxima from a (max, +) pass, and
-independence from the class DP of ``treeshifts`` walked up the rows.
-Only ``blocks_2d`` and the shattering witness enumerate blocks.
+rows (Calkin and Wilf's row transfer), read by the automaton of a
+``RowShift``.  A process keeps one row shift per (spec value, width),
+so equal specs parsed from different configs share it and its class-DP
+memo.  A window wider than it is tall is read as the columns of the
+transposed spec instead, so the rows always run along the shorter side.
+Counts come from ``words.block_counts``, and independence from the
+class DP of ``treeshifts`` walked up the rows.  Symbol maxima come from
+one (max, +) pass of counts per width, which gives M(k, w) for every
+height k; ``max_symbol_block`` keeps a pass per window that also builds
+its lex-first witness.  Only ``blocks_2d`` and the shattering witness
+enumerate blocks.
 
 The symbol-frequency extreme M(k1, k2) = max occurrences of a symbol
 over admissible blocks is subadditive in each index, so
@@ -26,12 +30,14 @@ size forces, pull a shattered set, check it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from . import shatter, treeshifts, words
+from .caps import enumeration_cap
 from .errors import DomainError, EmptyLanguage, NoWitness
 
 Cell = tuple[int, int]
@@ -85,11 +91,6 @@ class ShiftSpec2D:
                 for s in row:
                     if not (0 <= s < self.alphabet_size):
                         raise DomainError(f"pattern symbol {s} outside the alphabet")
-
-    @cached_property
-    def _row_shifts(self) -> dict:
-        """Row shifts by width, built on first use (see ``_window``)."""
-        return {}
 
     @cached_property
     def _transposed(self) -> "ShiftSpec2D":
@@ -169,19 +170,33 @@ class RowShift:
         self.automaton = words.WordAutomaton(len(self.rows), (), next_history)
 
 
-def _window(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[RowShift, int, bool]:
-    """A k1 x k2 window as (row shift, word length, transposed), the shift built once per width.
+@lru_cache(maxsize=32)
+def _row_shift(spec: ShiftSpec2D, width: int, cap: int) -> RowShift:
+    """The row shift of one (spec value, width), built once under each cap.
+
+    The cap is part of the key, so a window refused under a small
+    ``SHIFTLAB_CAP`` is refused whether or not a larger cap built it.
+    """
+    return RowShift(spec, width)
+
+
+def _orient(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[ShiftSpec2D, int, int, bool]:
+    """A k1 x k2 window as (spec of its rows, row width, word length, transposed).
 
     The rows run along the shorter side: a window wider than it is tall
     is a word of its k2 columns, the rows of the transposed spec.
     """
     if k1 < 1 or k2 < 1:
         raise DomainError("block sides must be >= 1")
-    transposed = k2 > k1
-    base, width, length = (spec._transposed, k1, k2) if transposed else (spec, k2, k1)
-    if width not in base._row_shifts:
-        base._row_shifts[width] = RowShift(base, width)
-    return base._row_shifts[width], length, transposed
+    if k2 > k1:
+        return spec._transposed, k1, k2, True
+    return spec, k2, k1, False
+
+
+def _window(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[RowShift, int, bool]:
+    """A k1 x k2 window as (row shift, word length, transposed)."""
+    base, width, length, transposed = _orient(spec, k1, k2)
+    return _row_shift(base, width, enumeration_cap()), length, transposed
 
 
 def blocks_2d(spec: ShiftSpec2D, k1: int, k2: int) -> tuple[GridBlock, ...]:
@@ -216,8 +231,7 @@ def max_symbol_block(spec: ShiftSpec2D, k1: int, k2: int, symbol: int = 1) -> Ma
     row-major order.  Putting one row above, or one column left of, two
     blocks keeps their order, so the first block of each state suffices.
     """
-    if not (0 <= symbol < spec.alphabet_size):
-        raise DomainError(f"symbol {symbol} outside the alphabet")
+    _check_symbol(spec, symbol)
     shift, length, transposed = _window(spec, k1, k2)
     weight = [row.count(symbol) for row in shift.rows]
 
@@ -238,15 +252,64 @@ def max_symbol_block(spec: ShiftSpec2D, k1: int, k2: int, symbol: int = 1) -> Ma
     return MaxSymbolBlock(M=-count, witness=GridBlock(block))
 
 
-def fr_estimate(spec: ShiftSpec2D, symbol: int, kmax: int) -> Fraction:
-    """min over 1 <= k1, k2 <= kmax of M(k1, k2) / (k1 k2), exact."""
+def _check_symbol(spec: ShiftSpec2D, symbol: int) -> None:
+    if not (0 <= symbol < spec.alphabet_size):
+        raise DomainError(f"symbol {symbol} outside the alphabet")
+
+
+def max_symbol_series(spec: ShiftSpec2D, width: int, length: int, symbol: int = 1) -> list[int | None]:
+    """[M(0, width), ..., M(length, width)]: the top symbol count of each k x width block.
+
+    One (max, +) pass of counts up the words of width-``width`` rows, no
+    witness: per state, the top count of the rows to come.  An entry is
+    None where no block of that height is admissible.
+    """
+    _check_symbol(spec, symbol)
+    if width < 1:
+        raise DomainError("block sides must be >= 1")
+    if length < 0:
+        raise DomainError("length must be >= 0")
+    shift = _row_shift(spec, width, enumeration_cap())
+    weight = [row.count(symbol) for row in shift.rows]
+    moves = [[(t, weight[x]) for x, t in enumerate(successors) if t is not None]
+             for successors in shift.automaton.table]
+    # -inf marks a state that no word of this length can leave
+    best = [0] * shift.automaton.n_states
+    out: list[int | None] = [0]
+    for _ in range(length):
+        below = best
+        best = [max((below[t] + w for t, w in row), default=-math.inf) for row in moves]
+        out.append(None if best[0] == -math.inf else best[0])
+    return out
+
+
+def max_symbol_windows(spec: ShiftSpec2D, symbol: int, kmax: int) -> list[tuple[int, int, int]]:
+    """(k1, k2, M(k1, k2)) for 1 <= k1, k2 <= kmax in row-major order.
+
+    Each window reads the ``max_symbol_series`` of its row spec and
+    width, fetched when its first window comes up, so the first error is
+    the one a pass window by window raises.  A spec equal to its
+    transpose reads one series for both orientations.
+    """
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    return min(
-        Fraction(max_symbol_block(spec, k1, k2, symbol).M, k1 * k2)
-        for k1 in range(1, kmax + 1)
-        for k2 in range(1, kmax + 1)
-    )
+    series: dict = {}
+    out = []
+    for k1 in range(1, kmax + 1):
+        for k2 in range(1, kmax + 1):
+            base, width, length, _ = _orient(spec, k1, k2)
+            if (base, width) not in series:
+                series[base, width] = max_symbol_series(base, width, kmax, symbol)
+            top = series[base, width][length]
+            if top is None:
+                raise EmptyLanguage(f"no admissible {k1}x{k2} blocks")
+            out.append((k1, k2, top))
+    return out
+
+
+def fr_estimate(spec: ShiftSpec2D, symbol: int, kmax: int) -> Fraction:
+    """min over 1 <= k1, k2 <= kmax of M(k1, k2) / (k1 k2), exact."""
+    return min(Fraction(top, k1 * k2) for k1, k2, top in max_symbol_windows(spec, symbol, kmax))
 
 
 @dataclass(frozen=True)

@@ -238,12 +238,10 @@ def _run_fr(params: dict) -> tuple:
     kmax = _int_field(params, "kmax")
     rows = []
     ratio_at = {}
-    for a in range(1, kmax + 1):
-        for b in range(1, kmax + 1):
-            m = grids.max_symbol_block(spec, a, b, symbol)
-            ratio = Fraction(m.M, a * b)
-            ratio_at[(a, b)] = ratio
-            rows.append({"k1": a, "k2": b, "max_count": m.M, "ratio": ratio})
+    for a, b, top in grids.max_symbol_windows(spec, symbol, kmax):
+        ratio = Fraction(top, a * b)
+        ratio_at[(a, b)] = ratio
+        rows.append({"k1": a, "k2": b, "max_count": top, "ratio": ratio})
     best_by_k = [
         min(ratio_at[(a, b)] for a in range(1, k + 1) for b in range(1, k + 1))
         for k in range(1, kmax + 1)

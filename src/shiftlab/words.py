@@ -261,18 +261,22 @@ def count_blocks_1d(spec: ShiftSpec1D, n: int) -> int:
 
 
 def blocks_1d(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
-    """The admissible words of length n (n = 0 gives the empty word)."""
+    """The admissible words of length n (n = 0 gives the empty word).
+
+    The exact count comes first, so more than ``SHIFTLAB_CAP`` words are
+    refused before any is listed.
+    """
     if n < 0:
         raise DomainError("length must be >= 0")
     limit = enumeration_cap()
+    if block_counts(spec, n)[n] > limit:
+        raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} words of length {n}")
     auto = spec.automaton
     out: list[Word] = []
 
     def extend(prefix: Word, state) -> None:
         if len(prefix) == n:
             out.append(prefix)
-            if len(out) > limit:
-                raise CapExceeded(f"more than {limit} words of length {n}")
             return
         for s in range(auto.size):
             t = auto.step(state, s)

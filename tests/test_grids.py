@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from shiftlab.errors import (
     DomainError,
     EmptyLanguage,
     NoWitness,
+    ShiftLabError,
 )
 
 HARD_SQUARE = grids.ShiftSpec2D.hard_square()
@@ -282,6 +284,124 @@ class TestFillRatio:
     def test_nonincreasing_in_kmax(self):
         vals = [grids.fr_estimate(HARD_SQUARE, 1, k) for k in range(1, 5)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+@st.composite
+def series_cases(draw):
+    """A spec over 2 or 3 symbols with up to three patterns up to 2 x 2,
+    a row width up to 4, a symbol and an orientation."""
+    r = draw(st.sampled_from([2, 3]))
+    shapes = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)])
+    pats = []
+    for p1, p2 in draw(st.lists(shapes, max_size=3)):
+        cells = draw(st.lists(st.integers(0, r - 1), min_size=p1 * p2, max_size=p1 * p2))
+        pats.append([cells[i * p2:(i + 1) * p2] for i in range(p1)])
+    spec = grids.ShiftSpec2D.from_patterns(r, pats)
+    return spec, draw(st.integers(1, 4)), draw(st.integers(0, r - 1)), draw(st.booleans())
+
+
+def fr_window_by_window(spec: grids.ShiftSpec2D, symbol: int, kmax: int):
+    """The fill ratio from one witness pass per window in row-major order,
+    or the (type, text) of the first error that pass raises."""
+    try:
+        return min(Fraction(grids.max_symbol_block(spec, k1, k2, symbol).M, k1 * k2)
+                   for k1 in range(1, kmax + 1) for k2 in range(1, kmax + 1))
+    except ShiftLabError as err:
+        return type(err), str(err)
+
+
+class TestSymbolSeries:
+    @given(case=series_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_series_matches_each_window(self, case):
+        # transposed, entry k is the width x k window read as k columns
+        spec, width, symbol, transposed = case
+        series = grids.max_symbol_series(spec._transposed if transposed else spec, width, 4, symbol)
+        assert len(series) == 5 and series[0] == 0
+        for k, top in enumerate(series[1:], start=1):
+            k1, k2 = (width, k) if transposed else (k, width)
+            if top is None:
+                with pytest.raises(EmptyLanguage):
+                    grids.max_symbol_block(spec, k1, k2, symbol)
+                assert grids.count_blocks_2d(spec, k1, k2) == 0
+                continue
+            assert top == grids.max_symbol_block(spec, k1, k2, symbol).M
+            if grids.count_blocks_2d(spec, k1, k2) <= 4096:
+                blocks = grids.blocks_2d(spec, k1, k2)
+                assert top == max(grids.count_symbol(b, symbol) for b in blocks)
+
+    def test_hard_square_windows_are_half_full(self):
+        # no two adjacent ones: the checkerboard's ceil(k1 k2 / 2) is the top
+        got = {(k1, k2): top for k1, k2, top in grids.max_symbol_windows(HARD_SQUARE, 1, 8)}
+        assert list(got) == [(k1, k2) for k1 in range(1, 9) for k2 in range(1, 9)]
+        assert got == {(k1, k2): (k1 * k2 + 1) // 2 for k1, k2 in got}
+
+    def test_series_needs_a_row_and_a_symbol(self):
+        with pytest.raises(DomainError, match="symbol 2 outside the alphabet"):
+            grids.max_symbol_series(HARD_SQUARE, 0, 3, 2)
+        with pytest.raises(DomainError, match="block sides"):
+            grids.max_symbol_series(HARD_SQUARE, 0, 3, 1)
+        assert grids.max_symbol_series(HARD_SQUARE, 3, 0, 1) == [0]
+
+    def test_fr_raises_what_a_pass_per_window_raises(self, monkeypatch):
+        every_line = ["00", "01", "10", "11"]
+        specs = [
+            grids.ShiftSpec2D.from_patterns(2, [[line] for line in every_line]),  # dead at 1x2
+            grids.ShiftSpec2D.from_patterns(2, [list(line) for line in every_line]),  # dead at 2x1
+            # no column of three: dead at 3x1, after 1x3 and 2x3 were read
+            grids.ShiftSpec2D.from_patterns(2, [list(f"{m:03b}") for m in range(8)]),
+            grids.ShiftSpec2D.from_patterns(2, [[f"{m:04b}"[:2], f"{m:04b}"[2:]] for m in range(16)]),
+            grids.ShiftSpec2D.from_patterns(3, [["11"], ["1", "1"], ["02"]]),
+            HARD_SQUARE,
+        ]
+        for cap in ("4", "16", "64", "256"):
+            monkeypatch.setenv("SHIFTLAB_CAP", cap)
+            for spec in specs:
+                for symbol in (1, 2, 3):
+                    want = fr_window_by_window(spec, symbol, 4)
+                    try:
+                        got = grids.fr_estimate(spec, symbol, 4)
+                    except ShiftLabError as err:
+                        got = type(err), str(err)
+                    assert got == want, (cap, spec, symbol)
+        monkeypatch.delenv("SHIFTLAB_CAP")
+        assert fr_window_by_window(specs[2], 1, 4) == (EmptyLanguage, "no admissible 3x1 blocks")
+        assert fr_window_by_window(specs[0], 2, 4) == (DomainError, "symbol 2 outside the alphabet")
+
+
+class TestSharedRowShifts:
+    TEXT = json.dumps({"alphabet": 2, "forbidden": [{"dims": [1, 2], "cells": "11"},
+                                                    {"dims": [3, 1], "cells": "101"}]})
+
+    def test_equal_specs_share_one_row_shift(self):
+        a, b = (grids.ShiftSpec2D.from_json(json.loads(self.TEXT)) for _ in range(2))
+        assert a is not b and a == b
+        tall, wide = grids._window(a, 3, 2)[0], grids._window(a, 2, 3)[0]
+        assert tall is not wide  # the transposed spec reads the wide window
+        assert grids._window(b, 3, 2)[0] is tall
+        assert grids._window(b, 2, 3)[0] is wide
+
+    def test_a_spec_differing_in_one_pattern_gets_its_own(self):
+        a = grids.ShiftSpec2D.from_json(json.loads(self.TEXT))
+        obj = json.loads(self.TEXT)
+        obj["forbidden"][0]["cells"] = "01"
+        c = grids.ShiftSpec2D.from_json(obj)
+        assert grids._window(c, 3, 2)[0] is not grids._window(a, 3, 2)[0]
+        assert grids._window(c, 2, 3)[0] is not grids._window(a, 2, 3)[0]
+
+    def test_counts_stay_right_past_the_cache_size(self):
+        squares = [[f"{m:04b}"[:2], f"{m:04b}"[2:]] for m in range(16)]
+        lines = ["00", "01", "10", "11"]
+        specs = [grids.ShiftSpec2D.from_patterns(2, [p]) for p in squares]
+        specs += [grids.ShiftSpec2D.from_patterns(2, [[a], list(b)]) for a in lines for b in lines]
+        specs += [grids.ShiftSpec2D.from_patterns(2, [[t]]) for t in ("000", "111", "010", "101")]
+        assert len(set(specs)) == len(specs) > grids._row_shift.cache_info().maxsize
+        for _ in range(2):
+            for spec in specs:
+                for k1, k2 in ((3, 2), (2, 3)):
+                    assert grids.count_blocks_2d(spec, k1, k2) == len(naive_blocks_oracle(spec, k1, k2))
+            info = grids._row_shift.cache_info()
+            assert info.currsize <= info.maxsize
 
 
 class TestPrefixRegular:

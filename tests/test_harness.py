@@ -303,3 +303,67 @@ class TestOneWalkPerSeries:
         ts = treeshifts.make_tree_shift(trees.AdjacencyMatrix.comb(), words.ShiftSpec1D.golden_mean())
         counts = treeshifts.count_series(ts, 12)
         assert [row["count"] for row in rep.rows] == [counts[row["n"]] for row in rep.rows]
+
+    def test_fr_reads_one_series_per_width(self, monkeypatch):
+        cfg = {"target": "fr", "spec": HARD_SQUARE_JSON, "symbol": 1, "kmax": 4}
+        spec = grids.ShiftSpec2D.from_json(HARD_SQUARE_JSON)
+        want = [grids.max_symbol_block(spec, a, b, 1).M for a in range(1, 5) for b in range(1, 5)]
+        widths = []
+        series = grids.max_symbol_series
+
+        def spy(base, width, length, symbol):
+            widths.append(width)
+            return series(base, width, length, symbol)
+
+        def refuse(*args):
+            raise AssertionError("max_symbol_block keeps a witness pass per window")
+
+        monkeypatch.setattr(grids, "max_symbol_series", spy)
+        monkeypatch.setattr(grids, "max_symbol_block", refuse)
+        rep = run(cfg)
+        assert rep.passed
+        assert [row["max_count"] for row in rep.rows] == want
+        # the hard square is its own transpose, so one series per width 1..4
+        # serves both orientations: once for the rows, once for fr_estimate
+        assert sorted(widths) == sorted(2 * [1, 2, 3, 4])
+
+
+class TestSharedRowShifts:
+    def test_hard_square_ops_build_each_row_shift_once(self, monkeypatch):
+        grids._row_shift.cache_clear()
+        built = []
+        init = grids.RowShift.__init__
+
+        def spy(shift, spec, width):
+            built.append((spec, width))
+            init(shift, spec, width)
+
+        monkeypatch.setattr(grids.RowShift, "__init__", spy)
+        for cfg in ({"target": "entropy2d", "k1": 4, "k2": 4},
+                    {"target": "fr", "symbol": 1, "kmax": 4},
+                    {"target": "indep2d", "k1": 3, "k2": 3}):
+            assert run({**cfg, "spec": HARD_SQUARE_JSON}).passed
+        # the hard square is its own transpose, so both orientations share too
+        assert all(spec == grids.ShiftSpec2D.hard_square() for spec, _ in built)
+        assert sorted(width for _, width in built) == [1, 2, 3, 4]
+
+
+class TestFrErrors:
+    DEAD_LINES = {"alphabet": 2, "forbidden": [{"dims": [1, 2], "cells": c}
+                                                for c in ("00", "01", "10", "11")]}
+
+    def _run(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_first_empty_window_names_itself(self, tmp_path, capsys):
+        cfg = {"target": "fr", "spec": self.DEAD_LINES, "symbol": 1, "kmax": 3}
+        assert self._run(cfg, tmp_path, capsys) == (2, "shiftlab: error: no admissible 1x2 blocks\n")
+
+    def test_out_of_range_symbol_raises_first(self, tmp_path, capsys):
+        cfg = {"target": "fr", "spec": self.DEAD_LINES, "symbol": 2, "kmax": 3}
+        assert self._run(cfg, tmp_path, capsys) == (2, "shiftlab: error: symbol 2 outside the alphabet\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import treeshifts, words
+from shiftlab import grids, treeshifts, words
 from shiftlab.errors import CapExceeded, DomainError
 
 
@@ -115,6 +115,26 @@ class TestCounting:
         monkeypatch.setenv("SHIFTLAB_CAP", "8")
         with pytest.raises(CapExceeded):
             words.blocks_1d(FULL2, 5)
+
+    def test_enumeration_cap_refuses_before_listing(self, monkeypatch):
+        # the exact count comes first: 2^40 words are refused without a step
+        steps = []
+        step = words.WordAutomaton.step
+        monkeypatch.setattr(words.WordAutomaton, "step",
+                            lambda auto, q, s: steps.append(q) or step(auto, q, s))
+        monkeypatch.setenv("SHIFTLAB_CAP", "1000")
+        with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 1000 words of length 40"):
+            words.blocks_1d(words.ShiftSpec1D.full(2), 40)
+        # a grid window lists its rows the same way
+        with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 1000 words of length 30"):
+            grids.count_blocks_2d(grids.ShiftSpec2D.full(2), 30, 30)
+        assert steps == []
+        # the golden mean has 13 words of length 5: a cap of 13 lists them all
+        monkeypatch.setenv("SHIFTLAB_CAP", "13")
+        assert len(words.blocks_1d(GOLDEN, 5)) == 13
+        monkeypatch.setenv("SHIFTLAB_CAP", "12")
+        with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 12"):
+            words.blocks_1d(GOLDEN, 5)
 
     @given(
         spec=small_spec(),
