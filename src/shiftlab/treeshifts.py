@@ -34,13 +34,16 @@ from one pattern-count series, one block-count series and one series of
 sink level counts.
 
 The class DP's memo is a dict on the ``WordAutomaton``.  It has two
-kinds of keys: a tolerated-state mask maps to its per-symbol preimages,
-and (pinned, the children's class maps) to the class map of a node
-step; class maps are frozensets of (mask, multiplicity) pairs.  Neither
-depends on the tree or on where a vertex sits, so every spec compiled to
-one automaton (lines, grid rows, and trees of any shape over one base)
-shares the memo and its steps.  The memo is cleared whenever it reaches
-MEMO_CAP entries, which bounds it and never changes a result.
+kinds of keys.  A tolerated-state mask maps to its compiled lift: its
+per-symbol preimages, their union (a free vertex's class) and the
+nonzero ones (a pinned vertex's classes).  (pinned, the children's class
+maps) maps to the class map of a node step.  Class maps are frozensets
+of (mask, multiplicity) pairs that carry ``total``, their restriction
+count, summed once when the step is made.  Neither key depends on the
+tree or on where a vertex sits, so every spec compiled to one automaton
+(lines, grid rows, and trees of any shape over one base) shares the
+memo and its steps.  The memo is cleared whenever it reaches MEMO_CAP
+entries, which bounds it and never changes a result.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import mul, or_
 
 from . import words as words_mod
 from .errors import (
@@ -178,30 +182,44 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def _preimages(auto: WordAutomaton, mask: int) -> tuple[int, ...]:
-    """Per symbol s, the states whose s-successor lies in ``mask``."""
+def _preimages(auto: WordAutomaton, mask: int) -> tuple:
+    """The lift of ``mask``, compiled once: (per symbol s, the states whose
+    s-successor lies in ``mask``; their union, the free vertex's class;
+    the nonzero ones, the pinned vertex's classes)."""
     hit = auto.memo.get(mask)
     if hit is None:
         per_symbol = tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
                                and mask >> row[s] & 1) for s in range(auto.size))
-        hit = _remember(auto.memo, mask, per_symbol)
+        hit = _remember(auto.memo, mask, (per_symbol, reduce(or_, per_symbol, 0),
+                                          tuple(compat for compat in per_symbol if compat)))
     return hit
 
 
-def _capped(classes: dict) -> dict:
-    if len(classes) > CLASS_CAP:
+def _cap(size: int) -> None:
+    if size > CLASS_CAP:
         raise CapExceeded(f"class dictionary exceeded CLASS_CAP = {CLASS_CAP} entries")
+
+
+def _capped(classes: dict) -> dict:
+    _cap(len(classes))
     return classes
+
+
+class _ClassMap(frozenset):
+    """A class map, frozen, with ``total``, its restriction count, summed once."""
+
+    __slots__ = ("total",)
 
 
 def _combine_children(children, auto: WordAutomaton) -> dict:
     """Product over children keyed by the intersection of tolerated states.
 
-    Each child is an iterable of (mask, multiplicity) pairs.  Starts from
-    the one class of all states, so a leaf, which has no children,
+    Each child is an iterable of (mask, multiplicity) pairs.  A leaf,
+    which has no children, gets the one class of all states: it
     tolerates everything below it.
     """
-    acc = {auto.all_states: 1}
+    children = iter(children)
+    acc = _capped(dict(next(children, ((auto.all_states, 1),))))
     for child in children:
         nxt: dict = {}
         for c1, m1 in acc.items():
@@ -221,15 +239,20 @@ def _lift(classes: dict, auto: WordAutomaton, pinned) -> dict:
     to work.  A tuple pins part of a symbol: symbols s with one label
     ``pinned[s]`` share a class.
     """
-    labels = range(auto.size) if pinned is True else pinned or (0,) * auto.size
     out: dict = {}
     for inter, mult in classes.items():
-        merged: dict = {}
-        for label, compat in zip(labels, _preimages(auto, inter)):
-            merged[label] = merged.get(label, 0) | compat
-        for compat in merged.values():
-            if compat:
-                out[compat] = out.get(compat, 0) + mult
+        per_symbol, union, nonzero = _preimages(auto, inter)
+        if pinned is True:
+            lifted = nonzero
+        elif not pinned:
+            lifted = (union,) if union else ()
+        else:
+            merged: dict = {}
+            for label, compat in zip(pinned, per_symbol):
+                merged[label] = merged.get(label, 0) | compat
+            lifted = [compat for compat in merged.values() if compat]
+        for compat in lifted:
+            out[compat] = out.get(compat, 0) + mult
     return _capped(out)
 
 
@@ -357,7 +380,9 @@ def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
     hit = auto.memo.get(key)
     if hit is None:
         classes = _lift(_combine_children(kids, auto), auto, pinned)
-        hit = _remember(auto.memo, key, frozenset(classes.items()))
+        hit = _ClassMap(classes.items())
+        hit.total = sum(classes.values())
+        _remember(auto.memo, key, hit)
     return hit
 
 
@@ -458,23 +483,53 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
 
 def _pin_table(auto: WordAutomaton, children, pinnable: bool) -> dict:
     """One vertex's table from its children's (digit, table) pairs; see ``_max_pin_sets``."""
-    acc = {(): ()}
-    for c, table in children:
-        acc = _capped({
-            classes + (child,): pins + tuple(str(c) + v for v in more)
-            for classes, pins in acc.items() for child, more in table.items()
-        })
-    r = auto.size
+    tables = [table for _, table in children]
+    for size in accumulate(map(len, tables), mul):
+        _cap(size)  # the product of the children's tables
+    # (class maps, entries, restrictions an independent pin set has) per
+    # choice of one entry per child, in ascending order of the entries'
+    # ranks; on a table shared with the previous child the ranks do not
+    # fall, since the mirrored choice steps to the same class map first
+    combos = [((), (), 1)]
+    for i, table in enumerate(tables):
+        items = list(table.items())
+        mirror = i and table is tables[i - 1]
+        combos = [(maps + (classes,), kids + (kid,), need * classes.total)
+                  for maps, kids, need in combos
+                  for classes, kid in (items[kids[-1][0]:] if mirror else items)]
+    memo = auto.memo  # read inline; an empty map reads falsy and is stepped again
+    free: dict = {}
+    pinned: dict = {}
+    for maps, kids, need in combos:
+        step = memo.get((False, maps)) or _node_step(auto, False, maps)
+        if step.total < need:
+            continue  # pinning the vertex too cannot bring all r^|pins| back
+        if step not in free:
+            free[step] = kids
+        if pinnable:
+            step = memo.get((True, maps)) or _node_step(auto, True, maps)
+            if step.total == need * auto.size and step not in pinned:
+                pinned[step] = kids
+    # ranks: pinned entries first, each kind in the order its products came
     out: dict = {}
-    for classes, pins in acc.items():
-        for pinned in (False, True)[:1 + pinnable]:
-            grown = ("",) + pins if pinned else pins
-            step = _node_step(auto, pinned, classes)
-            if sum(m for _, m in step) < r ** len(grown):
-                continue
-            if step not in out or grown < out[step]:
-                out[step] = grown
+    for pin, found in ((True, pinned), (False, free)):
+        for step, kids in found.items():
+            if step not in out:
+                out[step] = (len(out), pin, kids, step.total)
     return _capped(out)
+
+
+def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
+    """The sorted ids of a root entry's pin set, read down the paths to its pins."""
+    ids = []
+    stack = [("", ROOT, entry)]
+    while stack:  # preorder, children by ascending digit: sorted ids
+        prefix, digit, (_, pinned, kids, _) = stack.pop()
+        if pinned:
+            ids.append(prefix)
+        stack.extend((prefix + str(c), c, kid) for c, kid  # kid[3] == 1: no pins below
+                     in zip(reversed(geo.children_digits(digit)), reversed(kids)) if kid[3] > 1)
+    return tuple(ids)
 
 
 def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int,
@@ -485,20 +540,33 @@ def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int,
     table from class map to the lex-first largest pin set of its subtree
     (ids relative to the subtree root, sorted): the product of the
     children's tables, stepped through ``_node_step`` free and, where
-    allowed, pinned.  A pin set with fewer than r^|pins|
-    restrictions is dropped, since no step brings one back; so a class
-    map's pin sets share one size and, having equal futures, one witness.
-    The root table at height m gives the set for Delta_m: its largest
-    entry with r^|pins| restrictions from the initial state.  A table
-    past CLASS_CAP entries raises CapExceeded.
+    allowed, pinned.  A pin set with fewer than r^|pins| restrictions is
+    dropped, since no step brings one back; so a class map's pin sets
+    share one size, r^size is the map's ``total``, and, having equal
+    futures, they need one witness.
+
+    Witnesses are lazy: an entry is (rank, pinned, the children's
+    entries, total), and no ids are built while the tables are.  Ranks
+    order a table's entries by their pin sets with a sentinel above
+    every id appended, so a set that is a proper prefix of another sorts
+    after it, as its next id comes from a later child.  The lex-first
+    set of one class map is then the one with the least (not pinned,
+    rank of child 1, rank of child 2, ...): the vertex's own id ""
+    sorts first, and the children's ids follow in digit order.  The
+    products are stepped in that order, so the first pin set of each
+    kind, pinned or free, to reach a class map is the one kept.  The
+    root table at height m gives the set for Delta_m: its largest entry
+    with r^|pins| restrictions from the initial state.  Only its ids are
+    built, down the paths to its pins; children with empty pin sets
+    (total 1, as r >= 2) are not entered.  A table past CLASS_CAP
+    entries raises CapExceeded.
     """
     geo.level_vertices(0)  # ids are digit strings; raises past MAX_DIGIT_GENERATORS
-    r = auto.size
     best = []
     for root in geo.walk_up(n, lambda kids, height: _pin_table(auto, kids, height < pin_levels)):
-        independent = [pins for classes, pins in root.items()
-                       if _root_count(classes) == r ** len(pins)]
-        best.append(min(independent, key=lambda pins: (-len(pins), pins), default=()))
+        top = min((((-classes.total, entry[0]), entry) for classes, entry in root.items()
+                   if _root_count(classes) == classes.total), default=None)
+        best.append(_pin_ids(geo, top[1]) if top else ())
     return best
 
 

@@ -734,6 +734,46 @@ class TestPinSetWalk:
             ts = treeshifts.make_tree_shift(tree, base)
         except EmptyBase:
             assume(False)
+        self._check_against_oracle(ts, n)
+
+    @given(tree=st.sampled_from([COMB, CHAIN, GOLDEN_TREE]), base=st.integers(2, 3).flatmap(_bases))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_combinations_oracle_at_the_oracle_depth(self, tree, base):
+        # n = 3 on the comb and the golden tree over two symbols, lower elsewhere
+        try:
+            ts = treeshifts.make_tree_shift(tree, base)
+        except EmptyBase:
+            assume(False)
+        n = _oracle_depth(ts)
+        assume(n)
+        self._check_against_oracle(ts, n)
+
+    def test_pinned_vertex_sorts_first(self):
+        # "12" pinned and "12" free over a pinned "122" reach one class map,
+        # as do "2" and "222"; a walk that kept the free vertex there would
+        # answer ("111", "112", "122", "222"), which is as large
+        patterns = naive_patterns(TS_COMB_ATMOST, 3)
+        want = _lex_first_max(TS_COMB_ATMOST, patterns, TS_COMB_ATMOST.geometry().vertices(3))
+        assert want == ("111", "112", "12", "2")
+        est = treeshifts.max_indep_est(TS_COMB_ATMOST, 3)
+        assert tuple(sorted(est.witness.ids)) == want
+
+    def test_proper_prefix_sorts_after(self):
+        # ("1", "11", "2") and ("1", "2", "21") reach one class map at the
+        # root.  At vertex "1", ("1",) is a proper prefix of ("1", "11");
+        # ranking it first would keep ("1", "2", "21") there and answer
+        # ("1", "11", "21"), which is as large
+        ts = treeshifts.make_tree_shift(GOLDEN_TREE, words.ShiftSpec1D.with_forbidden(2, ["000", "110", "011"]))
+        verts = trees.TreeGeometry(GOLDEN_TREE).vertices(2)
+        want = _lex_first_max(ts, naive_patterns(ts, 2), [v for v in verts if v])
+        assert want == ("1", "11", "2")
+        res = treeshifts.bip_search(ts, 2, 2)
+        assert res.certified
+        assert tuple(sorted(res.S_n.ids)) == want
+
+    @staticmethod
+    def _check_against_oracle(ts, n):
+        tree = ts.matrix
         verts = trees.TreeGeometry(tree).vertices(n)
         patterns = naive_patterns(ts, n)
         want = _lex_first_max(ts, patterns, verts)
