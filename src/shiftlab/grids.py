@@ -283,28 +283,47 @@ def max_symbol_series(spec: ShiftSpec2D, width: int, length: int, symbol: int = 
     return out
 
 
-def max_symbol_windows(spec: ShiftSpec2D, symbol: int, kmax: int) -> list[tuple[int, int, int]]:
-    """(k1, k2, M(k1, k2)) for 1 <= k1, k2 <= kmax in row-major order.
+def _window_series(spec: ShiftSpec2D, k1: int, k2: int, series):
+    """(a, b, the a x b window's entry) for 1 <= a <= k1, 1 <= b <= k2 in row-major order.
 
-    Each window reads the ``max_symbol_series`` of its row spec and
-    width, fetched when its first window comes up, so the first error is
+    ``series(row spec, width, length)`` lists the entries of heights 0 ..
+    length of one width.  Each is fetched once, as long as its tallest
+    window needs, when its first window comes up, so the first error is
     the one a pass window by window raises.  A spec equal to its
     transpose reads one series for both orientations.
     """
+    shapes = [(a, b, *_orient(spec, a, b)[:3]) for a in range(1, k1 + 1) for b in range(1, k2 + 1)]
+    tallest: dict = {}
+    for *_, base, width, length in shapes:
+        tallest[base, width] = max(tallest.get((base, width), 0), length)
+    fetched: dict = {}
+    for a, b, base, width, length in shapes:
+        if (base, width) not in fetched:
+            fetched[base, width] = series(base, width, tallest[base, width])
+        yield a, b, fetched[base, width][length]
+
+
+def max_symbol_windows(spec: ShiftSpec2D, symbol: int, kmax: int) -> list[tuple[int, int, int]]:
+    """(k1, k2, M(k1, k2)) for 1 <= k1, k2 <= kmax in row-major order, one
+    ``max_symbol_series`` per row spec and width."""
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    series: dict = {}
     out = []
-    for k1 in range(1, kmax + 1):
-        for k2 in range(1, kmax + 1):
-            base, width, length, _ = _orient(spec, k1, k2)
-            if (base, width) not in series:
-                series[base, width] = max_symbol_series(base, width, kmax, symbol)
-            top = series[base, width][length]
-            if top is None:
-                raise EmptyLanguage(f"no admissible {k1}x{k2} blocks")
-            out.append((k1, k2, top))
+    for k1, k2, top in _window_series(spec, kmax, kmax, lambda base, width, length:
+                                      max_symbol_series(base, width, length, symbol)):
+        if top is None:
+            raise EmptyLanguage(f"no admissible {k1}x{k2} blocks")
+        out.append((k1, k2, top))
     return out
+
+
+def block_count_windows(spec: ShiftSpec2D, k1: int, k2: int) -> list[tuple[int, int, int]]:
+    """(a, b, count of a x b blocks) for 1 <= a <= k1, 1 <= b <= k2 in row-major
+    order, one ``words.block_counts`` series per row spec and width."""
+    if k1 < 1 or k2 < 1:
+        raise DomainError("block sides must be >= 1")
+    return list(_window_series(spec, k1, k2, lambda base, width, length:
+                               words.block_counts(_row_shift(base, width, enumeration_cap()), length)))
 
 
 def fr_estimate(spec: ShiftSpec2D, symbol: int, kmax: int) -> Fraction:
@@ -322,8 +341,7 @@ def entropy_est_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Entropy2D:
     """raw = log M(k1,k2)/(k1 k2); upper = min over 1 <= m_i <= k_i (nats)."""
     if k1 < 1 or k2 < 1:
         raise DomainError("entropy estimate needs sides >= 1")
-    logs = [words.log_per_size(count_blocks_2d(spec, m1, m2), m1 * m2)
-            for m1 in range(1, k1 + 1) for m2 in range(1, k2 + 1)]
+    logs = [words.log_per_size(count, m1 * m2) for m1, m2, count in block_count_windows(spec, k1, k2)]
     return Entropy2D(raw=logs[-1], fekete_upper=min(logs))
 
 

@@ -206,21 +206,15 @@ def _run_entropy2d(params: dict) -> tuple:
     spec = _spec_field(params, grids.ShiftSpec2D)
     k1 = _int_field(params, "k1")
     k2 = _int_field(params, "k2")
-    rows = []
-    for a in range(1, k1 + 1):
-        for b in range(1, k2 + 1):
-            count = grids.count_blocks_2d(spec, a, b)
-            rows.append({"k1": a, "k2": b, "count": count,
-                         "estimate": words.log_per_size(count, a * b)})
+    cnt = {(a, b): count for a, b, count in grids.block_count_windows(spec, k1, k2)}
+    rows = [{"k1": a, "k2": b, "count": count, "estimate": words.log_per_size(count, a * b)}
+            for (a, b), count in cnt.items()]
     # the same floats as entropy_est_2d(spec, k1, k2), read off the rows
     estimates = [row["estimate"] for row in rows]
-    subadd = True
-    cnt = {(r["k1"], r["k2"]): r["count"] for r in rows}
-    for a in range(1, k1 + 1):
-        for b in range(1, k2 + 1):
-            for a2 in range(1, k1 - a + 1):
-                if cnt[(a + a2, b)] > cnt[(a, b)] * cnt[(a2, b)]:
-                    subadd = False
+    # a window restricted to its two parts, stacked or side by side, is injective
+    subadd = all(cnt[a + a2, b] <= cnt[a, b] * cnt[a2, b]
+                 for a, b in cnt for a2 in range(1, k1 - a + 1)) and all(
+        cnt[a, b + b2] <= cnt[a, b] * cnt[a, b2] for a, b in cnt for b2 in range(1, k2 - b + 1))
     summary = {"estimate": estimates[-1], "fekete_upper": min(estimates)}
     assertions = [
         Assertion(

@@ -369,6 +369,41 @@ class TestSymbolSeries:
         assert fr_window_by_window(specs[0], 2, 4) == (DomainError, "symbol 2 outside the alphabet")
 
 
+class TestCountWindows:
+    # no two ones side by side, no 101 down a column: not its own transpose
+    SKEW = grids.ShiftSpec2D.from_patterns(2, [["11"], ["1", "0", "1"]])
+
+    @pytest.mark.parametrize("k1,k2", [(3, 2), (2, 3), (3, 4)], ids=["tall", "wide", "both"])
+    @pytest.mark.parametrize("spec", [HARD_SQUARE, SKEW, FULL2], ids=["hard-square", "skew", "full"])
+    def test_windows_match_the_oracle_in_both_orientations(self, spec, k1, k2):
+        got = grids.block_count_windows(spec, k1, k2)
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a in range(1, k1 + 1) for b in range(1, k2 + 1)]
+        for a, b, count in got:
+            assert count == grids.count_blocks_2d(spec, a, b) == len(naive_blocks_oracle(spec, a, b))
+
+    def test_one_series_per_row_spec_and_width(self, monkeypatch):
+        calls = []
+        block_counts = words.block_counts
+
+        def spy(shift, length):
+            if isinstance(shift, grids.RowShift):  # not the row listing inside a RowShift
+                calls.append((len(shift.rows[0]), length))
+            return block_counts(shift, length)
+
+        monkeypatch.setattr(words, "block_counts", spy)
+        est = grids.entropy_est_2d(self.SKEW, 4, 3)
+        # rows of widths 1..3 run up to height 4; the wide windows read
+        # columns of heights 1 and 2 of the transposed spec, up to length 3
+        assert sorted(calls) == [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        logs = [words.log_per_size(grids.count_blocks_2d(self.SKEW, a, b), a * b)
+                for a in range(1, 5) for b in range(1, 4)]
+        assert est == grids.Entropy2D(raw=logs[-1], fekete_upper=min(logs))
+
+    def test_sides_must_be_positive(self):
+        with pytest.raises(DomainError, match="block sides"):
+            grids.block_count_windows(HARD_SQUARE, 0, 2)
+
+
 class TestSharedRowShifts:
     TEXT = json.dumps({"alphabet": 2, "forbidden": [{"dims": [1, 2], "cells": "11"},
                                                     {"dims": [3, 1], "cells": "101"}]})

@@ -328,6 +328,30 @@ class TestOneWalkPerSeries:
         assert sorted(widths) == sorted(2 * [1, 2, 3, 4])
 
 
+class TestBlockSubadditivity:
+    def _run(self, monkeypatch, table, tmp_path):
+        monkeypatch.setattr(grids, "block_count_windows", lambda spec, k1, k2: [
+            (a, b, table[a, b]) for a in range(1, k1 + 1) for b in range(1, k2 + 1)])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "entropy2d", "spec": HARD_SQUARE_JSON, "k1": 2, "k2": 2}))
+        code = cli.main(["run", str(path), "--format", "json"])
+        checks = {a.name: a.passed for a in run({"target": "entropy2d", "spec": HARD_SQUARE_JSON,
+                                                 "k1": 2, "k2": 2}).assertions}
+        return code, checks["block-subadditivity"]
+
+    def test_true_counts_pass(self, monkeypatch, tmp_path, capsys):
+        assert self._run(monkeypatch, {(1, 1): 2, (1, 2): 3, (2, 1): 3, (2, 2): 7}, tmp_path) == (0, True)
+
+    def test_side_by_side_is_checked(self, monkeypatch, tmp_path, capsys):
+        # stacking holds (3 <= 2 * 2, 7 <= 4 * 4); 1 x 2 breaks 2 * 2 side by side
+        table = {(1, 1): 2, (1, 2): 5, (2, 1): 3, (2, 2): 7}
+        assert self._run(monkeypatch, table, tmp_path) == (1, False)
+
+    def test_stacking_is_checked(self, monkeypatch, tmp_path, capsys):
+        table = {(1, 1): 2, (1, 2): 3, (2, 1): 5, (2, 2): 7}
+        assert self._run(monkeypatch, table, tmp_path) == (1, False)
+
+
 class TestSharedRowShifts:
     def test_hard_square_ops_build_each_row_shift_once(self, monkeypatch):
         grids._row_shift.cache_clear()
