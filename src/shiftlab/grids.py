@@ -292,15 +292,20 @@ def _window_series(spec: ShiftSpec2D, k1: int, k2: int, series):
     the one a pass window by window raises.  A spec equal to its
     transpose reads one series for both orientations.
     """
-    shapes = [(a, b, *_orient(spec, a, b)[:3]) for a in range(1, k1 + 1) for b in range(1, k2 + 1)]
+    flip = spec != spec._transposed
+    shapes = []  # (a, b, row spec, series key, length); keys hash cheaper than specs
+    for a in range(1, k1 + 1):
+        for b in range(1, k2 + 1):
+            base, width, length, transposed = _orient(spec, a, b)
+            shapes.append((a, b, base, (width, transposed and flip), length))
     tallest: dict = {}
-    for *_, base, width, length in shapes:
-        tallest[base, width] = max(tallest.get((base, width), 0), length)
+    for *_, key, length in shapes:
+        tallest[key] = max(tallest.get(key, 0), length)
     fetched: dict = {}
-    for a, b, base, width, length in shapes:
-        if (base, width) not in fetched:
-            fetched[base, width] = series(base, width, tallest[base, width])
-        yield a, b, fetched[base, width][length]
+    for a, b, base, key, length in shapes:
+        if key not in fetched:
+            fetched[key] = series(base, key[0], tallest[key])
+        yield a, b, fetched[key][length]
 
 
 def max_symbol_windows(spec: ShiftSpec2D, symbol: int, kmax: int) -> list[tuple[int, int, int]]:
