@@ -31,7 +31,6 @@ size forces, pull a shattered set, check it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import and_
@@ -39,6 +38,7 @@ from operator import and_
 from . import shatter, treeshifts, words
 from .caps import enumeration_cap
 from .errors import DomainError, EmptyLanguage, NoWitness
+from .records import record
 
 Cell = tuple[int, int]
 Pattern = tuple[tuple[int, ...], ...]
@@ -59,7 +59,7 @@ def pattern_from_rows(rows) -> Pattern:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class GridBlock:
     """An a1 x a2 array of symbols, row 1 on top, 1-based coordinates."""
 
@@ -76,7 +76,7 @@ class GridBlock:
         return ["".join(str(s) for s in row) for row in self.rows]
 
 
-@dataclass(frozen=True)
+@record
 class ShiftSpec2D:
     """A 2D shift given by alphabet size and forbidden rectangular patterns."""
 
@@ -217,7 +217,7 @@ def count_symbol(block: GridBlock, symbol: int) -> int:
     return sum(row.count(symbol) for row in block.rows)
 
 
-@dataclass(frozen=True)
+@record
 class MaxSymbolBlock:
     M: int
     witness: GridBlock
@@ -336,7 +336,7 @@ def fr_estimate(spec: ShiftSpec2D, symbol: int, kmax: int) -> Fraction:
     return min(Fraction(top, k1 * k2) for k1, k2, top in max_symbol_windows(spec, symbol, kmax))
 
 
-@dataclass(frozen=True)
+@record
 class Entropy2D:
     raw: float
     fekete_upper: float
@@ -379,7 +379,7 @@ def prefix_regular_block(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class GridPositionSet:
     """1-based grid positions: an explicit cell set or a named generator."""
 
@@ -457,7 +457,7 @@ class GridPositionSet:
         raise DomainError(f"unknown position generator {gen!r}")
 
 
-@dataclass(frozen=True)
+@record
 class UpperDensity2D:
     ratios: tuple[Fraction, ...]
     upper_est: Fraction
@@ -500,7 +500,7 @@ def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int)
     return treeshifts._walk(shift.automaton, pins) == spec.alphabet_size ** len(cells)
 
 
-@dataclass(frozen=True)
+@record
 class Indep2DWitness:
     J: GridPositionSet
     k: int

@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .errors import ConfigError, PreconditionViolated
+from .records import record
 from . import words
 from . import grids
 from . import trees
@@ -50,7 +50,7 @@ def _fmt_value(v: Any) -> Any:
     return v
 
 
-@dataclass
+@record(frozen=False)
 class Assertion:
     name: str
     invariant: str
@@ -60,7 +60,7 @@ class Assertion:
         return {"name": self.name, "invariant": self.invariant, "pass": self.passed}
 
 
-@dataclass
+@record(frozen=False)
 class Report:
     kind: str
     name: str
@@ -118,7 +118,7 @@ def _config_hash(obj: Any) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     target: str
     params: dict

@@ -15,15 +15,15 @@ Indices are 1-based, matching window positions elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError, PreconditionViolated
+from .records import record
 
 APRIORI_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@record
 class BinaryFamily:
     """A set of distinct binary words of one fixed length.
 
@@ -84,7 +84,7 @@ def binary_entropy(eps: Fraction) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-@dataclass(frozen=True)
+@record
 class TailBound:
     lhs: int
     rhs: float

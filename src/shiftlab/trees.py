@@ -32,15 +32,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DeadEnd, DomainError, NotUnexpandable
+from .records import record
 
 MAX_DIGIT_GENERATORS = 9
 
 
-@dataclass(frozen=True)
+@record
 class AdjacencyMatrix:
     """d x d successor matrix; entry (i, j) = 1 lets j follow i."""
 
@@ -236,7 +236,7 @@ def level_sizes(matrix: AdjacencyMatrix, n: int) -> list[int]:
     return [matrix.geometry.level_size(k) for k in range(n + 1)]
 
 
-@dataclass(frozen=True)
+@record
 class ExpandingNumber:
     ratio_est: float
     spectral: float
@@ -303,7 +303,7 @@ def expanding_number(matrix: AdjacencyMatrix, n: int) -> ExpandingNumber:
     return ExpandingNumber(ratio_est=ratio, spectral=spectral, expandable=expandable)
 
 
-@dataclass(frozen=True)
+@record
 class SinkDecomposition:
     """Block upper-triangular certificate for an unexpandable matrix.
 

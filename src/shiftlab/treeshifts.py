@@ -24,7 +24,7 @@ to a full admissible labeling of Delta_n.  The check compares the exact
 number of distinct restrictions to S against r^|S| as big integers.
 ``subset_census`` runs the same DP for every S of Delta_n at once and
 counts the sets per (independent, antichain); on the binary tree it
-checks all 2^15 subsets of Delta_3 with tables of at most 566 entries.
+checks all 2^15 subsets of Delta_3 with tables of at most 419 entries.
 One more walk over every S keeps, per class map, the lex-first largest
 independent S instead of a count; it gives the exact maxima of
 ``max_indep_series`` (every depth at once), of ``words.max_indep_J`` on
@@ -50,10 +50,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement, groupby
 from operator import mul, or_
 
 from . import words as words_mod
@@ -65,6 +64,7 @@ from .errors import (
     NotHereditary,
     PreconditionViolated,
 )
+from .records import record
 from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, sink_decomposition, sink_level_counts
 from .trees import entering_counts  # noqa: F401  the a_l of the chain's W, re-exported
 from .words import ShiftSpec1D, WordAutomaton, log_per_size
@@ -74,7 +74,7 @@ MEMO_CAP = CLASS_CAP
 ROOT = 0
 
 
-@dataclass(frozen=True)
+@record
 class TreeShiftSpec:
     """Tree geometry plus the ray constraint (1D spec or one-step matrix)."""
 
@@ -157,7 +157,7 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
 
 
-@dataclass(frozen=True)
+@record
 class TreeEntropy:
     raw: float
     running_max_tail: float
@@ -261,7 +261,7 @@ def _root_count(classes) -> int:
     return sum(m for compat, m in classes if compat & 1)
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceEntropy:
     count: int
     raw: float
@@ -294,7 +294,7 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]
 
 
-@dataclass(frozen=True)
+@record
 class VertexSet:
     """Explicit set of vertex ids (digit strings; "" is the root)."""
 
@@ -323,7 +323,7 @@ class VertexSet:
         return cls.of(obj)
 
 
-@dataclass(frozen=True)
+@record
 class LevelParity:
     """All vertices whose level is congruent to `parity` mod 2."""
 
@@ -347,7 +347,7 @@ def ray_vertices(digit: int, n: int) -> VertexSet:
     return VertexSet.of(str(digit) * k for k in range(1, n + 1))
 
 
-@dataclass(frozen=True)
+@record
 class TreeDensity:
     ratios: tuple[Fraction, ...]
     upper: Fraction
@@ -440,6 +440,17 @@ def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
     return distinct_restrictions(ts, S, n) == ts.alphabet_size ** len(S.ids)
 
 
+def _multisets(table: dict, copies: int) -> list:
+    """Each multiset of ``copies`` entries of a table that many children share:
+    its keys summed as one entry of their product, and its count times its orders."""
+    out = []
+    for pick in combinations_with_replacement(table.items(), copies):
+        maps, sizes, pins, antichains = zip(*(key for key, _ in pick))
+        orders = math.factorial(copies) // math.prod(math.factorial(len(list(same))) for _, same in groupby(pick))
+        out.append(((maps, sum(sizes), any(pins), all(antichains)), orders * math.prod(m for _, m in pick)))
+    return out
+
+
 def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     """Vertex sets S of Delta_n counted by (S is independent, S is an antichain).
 
@@ -447,7 +458,9 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     from (class map, |S|, S has a pin, S is an antichain) to the number
     of pin sets S of its subtree with the key: the product of the
     children's tables, merged on equal keys, then stepped through
-    ``_node_step`` with the vertex pinned and free.  S is independent
+    ``_node_step`` with the vertex pinned and free.  Children that share
+    one table take each multiset of its entries once (``_multisets``), as
+    ``_combine_children`` does not see their order.  S is independent
     when the root class map counts r^|S| restrictions, as in
     ``is_indep_tree``.  A table past CLASS_CAP entries raises CapExceeded.
     """
@@ -457,11 +470,12 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
 
     def step(children, height) -> dict:
         acc = {((), 0, False, True): 1}
-        for _, table in children:
+        for _, run in groupby((table for _, table in children), key=id):
+            picks = _multisets(next(run), 1 + sum(1 for _ in run))
             nxt: dict = {}
             for (kids, size, below, anti), m1 in acc.items():
-                for (classes, size2, below2, anti2), m2 in table.items():
-                    k = (kids + (classes,), size + size2, below or below2, anti and anti2)
+                for (classes, size2, below2, anti2), m2 in picks:
+                    k = (kids + classes, size + size2, below or below2, anti and anti2)
                     nxt[k] = nxt.get(k, 0) + m1 * m2
             acc = _capped(nxt)
         out: dict = {}
@@ -570,7 +584,7 @@ def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int,
     return best
 
 
-@dataclass(frozen=True)
+@record
 class SinkLiftSet:
     """1D positions copied onto every sink ray of an unexpandable tree.
 
@@ -618,7 +632,7 @@ def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
     return SinkLiftSet(positions=positions, sink_gens=decomp.sink_generators())
 
 
-@dataclass(frozen=True)
+@record
 class BipResult:
     S_n: VertexSet
     ratio: Fraction
@@ -728,7 +742,7 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     )
 
 
-@dataclass(frozen=True)
+@record
 class MaxIndepEstimate:
     size: int
     witness: VertexSet
@@ -759,7 +773,7 @@ def max_indep_est(ts: TreeShiftSpec, n: int) -> MaxIndepEstimate:
     return max_indep_series(ts, n)[n]
 
 
-@dataclass(frozen=True)
+@record
 class EntropyChain:
     lhs: float
     rhs: float

@@ -35,13 +35,13 @@ Positions are 1-based throughout, matching the window notation [1, l].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
+from .records import record
 from .trees import AdjacencyMatrix, TreeGeometry
 
 FULL = "full"
@@ -59,7 +59,7 @@ def word_to_str(word: Word) -> str:
     return "".join(str(s) for s in word)
 
 
-@dataclass(frozen=True)
+@record
 class Alphabet:
     """Symbols 0..size-1 in their natural order."""
 
@@ -74,7 +74,7 @@ class Alphabet:
         return range(self.size)
 
 
-@dataclass(frozen=True)
+@record
 class ShiftSpec1D:
     """A 1D shift presentation.
 
@@ -292,7 +292,7 @@ def log_per_size(count: int, size: int) -> float:
     return (math.log(count) if count else -math.inf) / size
 
 
-@dataclass(frozen=True)
+@record
 class Entropy1D:
     raw: float
     fekete_upper: float
@@ -354,7 +354,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
     return _walk(spec.automaton, (p in pos for p in range(length, 0, -1))) == spec.alphabet.size ** len(pos)
 
 
-@dataclass(frozen=True)
+@record
 class MaxIndep1D:
     J: int
     witness: tuple[int, ...]

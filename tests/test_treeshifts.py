@@ -28,6 +28,7 @@ GOLDEN_TREE = trees.AdjacencyMatrix.from_rows(("11", "10"))
 # the root's children (1, 2, 3) are those of no vertex type, so its table is not shared
 CHAIN = trees.AdjacencyMatrix.from_rows(("110", "011", "001"))
 FAN = trees.AdjacencyMatrix.from_rows(("111", "010", "001"))
+TERNARY = trees.AdjacencyMatrix.from_rows(("111", "111", "111"))
 GOLDEN = words.ShiftSpec1D.golden_mean()
 ATMOST = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
 MATRIX_A = [[1, 1], [0, 1]]
@@ -289,10 +290,46 @@ class TestIndependence:
             treeshifts.is_indep_tree(TS_COMB_GOLDEN, ["21"], 3)
 
 
+def _census_by_subsets(ts: treeshifts.TreeShiftSpec, n: int) -> dict:
+    """The census by brute force: ``is_indep_tree`` on every vertex set of Delta_n."""
+    verts = ts.geometry().vertices(n)
+    want: dict = {}
+    for k in range(len(verts) + 1):
+        for S in itertools.combinations(verts, k):
+            antichain = not any(v.startswith(u) for u, v in itertools.permutations(S, 2))
+            key = (treeshifts.is_indep_tree(ts, S, n), antichain)
+            want[key] = want.get(key, 0) + 1
+    return want
+
+
 class TestSubsetCensus:
     def test_antichain_law_on_delta_three(self):
         census = treeshifts.subset_census(TS_BIN_A, 3)
         assert census == {(True, True): 677, (False, False): 32091}
+
+    def test_shared_children_step_each_unordered_pair_once(self, monkeypatch):
+        # both children of a binary vertex share one table; stepping both
+        # orders of every pair of its entries took 1,192 calls
+        calls = []
+        step = treeshifts._node_step
+        monkeypatch.setattr(treeshifts, "_node_step", lambda *args: calls.append(1) or step(*args))
+        census = treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
+        assert census == {(True, True): 677, (False, False): 32091}
+        assert len(calls) <= 632
+
+    @pytest.mark.parametrize("tree, base, n", [
+        (TERNARY, GOLDEN, 1),
+        (TERNARY, GOLDEN, 2),
+        (TERNARY, MATRIX_A, 2),
+        (FAN, GOLDEN, 2),
+        (GOLDEN_TREE, MATRIX_A, 3),
+        (GOLDEN_TREE, ATMOST, 3),
+    ])
+    def test_matches_subset_loop_where_children_share_tables(self, tree, base, n):
+        # a ternary vertex's three children share one table: each multiset
+        # of its entries counts once per order
+        ts = treeshifts.make_tree_shift(tree, base)
+        assert treeshifts.subset_census(ts, n) == _census_by_subsets(ts, n)
 
     @given(
         tree=st.sampled_from([BINARY, COMB, CHAIN]),
@@ -304,23 +341,17 @@ class TestSubsetCensus:
             ts = treeshifts.make_tree_shift(tree, base)
         except EmptyBase:
             assume(False)
-        verts = ts.geometry().vertices(2)
-        want: dict = {}
-        for k in range(len(verts) + 1):
-            for S in itertools.combinations(verts, k):
-                antichain = not any(v.startswith(u) for u, v in itertools.permutations(S, 2))
-                key = (treeshifts.is_indep_tree(ts, S, 2), antichain)
-                want[key] = want.get(key, 0) + 1
         census = treeshifts.subset_census(ts, 2)
-        assert census == want
-        assert sum(census.values()) == 2 ** len(verts)
+        assert census == _census_by_subsets(ts, 2)
+        assert sum(census.values()) == 2 ** len(ts.geometry().vertices(2))
 
     def test_widest_table_is_capped(self, monkeypatch):
-        # the widest census table of Delta_3 has 566 entries; class maps stay small
-        monkeypatch.setattr(treeshifts, "CLASS_CAP", 566)
+        # the widest census table of Delta_3 has 419 entries (the two children
+        # share one table, so it holds unordered pairs); class maps stay small
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 419)
         assert treeshifts.subset_census(TS_BIN_A, 3)[True, True] == 677
-        monkeypatch.setattr(treeshifts, "CLASS_CAP", 565)
-        with pytest.raises(CapExceeded, match="CLASS_CAP = 565 entries"):
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 418)
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 418 entries"):
             treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
 
     def test_class_maps_name_their_cap(self, monkeypatch):
