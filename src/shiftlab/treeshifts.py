@@ -52,7 +52,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, combinations_with_replacement, groupby
+from itertools import accumulate
 from operator import mul, or_
 
 from . import words as words_mod
@@ -440,17 +440,6 @@ def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
     return distinct_restrictions(ts, S, n) == ts.alphabet_size ** len(S.ids)
 
 
-def _multisets(table: dict, copies: int) -> list:
-    """Each multiset of ``copies`` entries of a table that many children share:
-    its keys summed as one entry of their product, and its count times its orders."""
-    out = []
-    for pick in combinations_with_replacement(table.items(), copies):
-        maps, sizes, pins, antichains = zip(*(key for key, _ in pick))
-        orders = math.factorial(copies) // math.prod(math.factorial(len(list(same))) for _, same in groupby(pick))
-        out.append(((maps, sum(sizes), any(pins), all(antichains)), orders * math.prod(m for _, m in pick)))
-    return out
-
-
 def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     """Vertex sets S of Delta_n counted by (S is independent, S is an antichain).
 
@@ -459,8 +448,9 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     of pin sets S of its subtree with the key: the product of the
     children's tables, merged on equal keys, then stepped through
     ``_node_step`` with the vertex pinned and free.  Children that share
-    one table take each multiset of its entries once (``_multisets``), as
-    ``_combine_children`` does not see their order.  S is independent
+    one table pair off: the second of a pair takes the entries from the
+    first one's rank up, twice each above it (``_pin_table``'s mirror
+    rule), as ``_combine_children`` does not see their order.  S is independent
     when the root class map counts r^|S| restrictions, as in
     ``is_indep_tree``.  A table past CLASS_CAP entries raises CapExceeded.
     """
@@ -469,17 +459,21 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     auto = ts.automaton
 
     def step(children, height) -> dict:
-        acc = {((), 0, False, True): 1}
-        for _, run in groupby((table for _, table in children), key=id):
-            picks = _multisets(next(run), 1 + sum(1 for _ in run))
+        tables = [table for _, table in children]
+        mirror = [False]
+        for i in range(1, len(tables)):
+            mirror.append(not mirror[-1] and tables[i] is tables[i - 1])
+        acc = {((), 0, False, True, 0): 1}
+        for table, mirrored, ranked in zip(tables, mirror, mirror[1:] + [False]):
             nxt: dict = {}
-            for (kids, size, below, anti), m1 in acc.items():
-                for (classes, size2, below2, anti2), m2 in picks:
-                    k = (kids + classes, size + size2, below or below2, anti and anti2)
-                    nxt[k] = nxt.get(k, 0) + m1 * m2
+            items = list(table.items())
+            for (kids, size, below, anti, rank), m1 in acc.items():  # rank is 0 unless mirrored
+                for r, ((classes, size2, below2, anti2), m2) in enumerate(items[rank:], rank):
+                    k = (kids + (classes,), size + size2, below or below2, anti and anti2, r if ranked else 0)
+                    nxt[k] = nxt.get(k, 0) + (2 * m1 * m2 if mirrored and r > rank else m1 * m2)
             acc = _capped(nxt)
         out: dict = {}
-        for (kids, size, below, anti), m in acc.items():
+        for (kids, size, below, anti, _), m in acc.items():
             for pinned in (False, True):
                 k = (_node_step(auto, pinned, kids), size + pinned, below or pinned,
                      anti and not (pinned and below))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -326,8 +327,8 @@ class TestSubsetCensus:
         (GOLDEN_TREE, ATMOST, 3),
     ])
     def test_matches_subset_loop_where_children_share_tables(self, tree, base, n):
-        # a ternary vertex's three children share one table: each multiset
-        # of its entries counts once per order
+        # a ternary vertex's three children share one table: the first two
+        # take each unordered pair once, the third every entry
         ts = treeshifts.make_tree_shift(tree, base)
         assert treeshifts.subset_census(ts, n) == _census_by_subsets(ts, n)
 
@@ -353,6 +354,19 @@ class TestSubsetCensus:
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 418)
         with pytest.raises(CapExceeded, match="CLASS_CAP = 418 entries"):
             treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
+
+    def test_ternary_census_past_the_cap_fails_fast(self):
+        # the product of three shared children is built one child at a time
+        # and capped after each; the widest product is never materialised
+        ts = treeshifts.make_tree_shift(TERNARY, GOLDEN)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="CLASS_CAP = 4096 entries"):
+                treeshifts.subset_census(ts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # bytes; taking every multiset of three entries first took 225 MB
 
     def test_class_maps_name_their_cap(self, monkeypatch):
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 1)
