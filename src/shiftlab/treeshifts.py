@@ -450,7 +450,8 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     ``_node_step`` with the vertex pinned and free.  Children that share
     one table pair off: the second of a pair takes the entries from the
     first one's rank up, twice each above it (``_pin_table``'s mirror
-    rule), as ``_combine_children`` does not see their order.  S is independent
+    rule), as ``_combine_children`` does not see their order; the
+    product's key carries that rank in between.  S is independent
     when the root class map counts r^|S| restrictions, as in
     ``is_indep_tree``.  A table past CLASS_CAP entries raises CapExceeded.
     """

@@ -356,8 +356,9 @@ class TestSubsetCensus:
             treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
 
     def test_ternary_census_past_the_cap_fails_fast(self):
-        # the product of three shared children is built one child at a time
-        # and capped after each; the widest product is never materialised
+        # a ternary vertex's children share one table; their product is
+        # built one child at a time and capped after each, so the census
+        # stops before it holds more than a few capped tables
         ts = treeshifts.make_tree_shift(TERNARY, GOLDEN)
         tracemalloc.start()
         try:
@@ -366,7 +367,7 @@ class TestSubsetCensus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6  # bytes; taking every multiset of three entries first took 225 MB
+        assert peak < 20e6  # bytes
 
     def test_class_maps_name_their_cap(self, monkeypatch):
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 1)
