@@ -13,9 +13,8 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from typing import Any, Optional, Sequence
 
-from .errors import ConfigError, PreconditionViolated
+from .errors import ConfigError
 from .records import record
 from . import words
 from . import grids
@@ -36,7 +35,7 @@ def _int_text(v: int) -> str:
     return _int_text(high) + _int_text(low).zfill(half)
 
 
-def _fmt_value(v: Any) -> Any:
+def _fmt_value(v: object) -> object:
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
@@ -70,7 +69,7 @@ class Report:
     rows: list
     summary: dict
     assertions: list
-    wall_clock_ms: Optional[float] = None
+    wall_clock_ms: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -113,7 +112,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _config_hash(obj: Any) -> str:
+def _config_hash(obj: object) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -125,7 +124,7 @@ class ExperimentConfig:
     seed: int = 0
 
     @classmethod
-    def from_json(cls, obj: Any) -> "ExperimentConfig":
+    def from_json(cls, obj: object) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config: expected a JSON object")
         target = obj.get("target")
@@ -140,12 +139,12 @@ class ExperimentConfig:
         return cls(target=target, params=params, seed=seed)
 
 
-def _is_int(v: Any) -> bool:
+def _is_int(v: object) -> bool:
     """JSON integers only: bool is an int subclass, but true is not 1 here."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _require(params: dict, name: str) -> Any:
+def _require(params: dict, name: str) -> object:
     if name not in params:
         raise ConfigError(f"{name}: missing required field")
     return params[name]
@@ -158,7 +157,7 @@ def _int_field(params: dict, name: str, lo: int = 1) -> int:
     return v
 
 
-def _spec_field(params: dict, kind: type) -> Any:
+def _spec_field(params: dict, kind: type) -> object:
     """The config's spec of class ``kind``; a spec that does not parse raises ConfigError.
 
     A line or grid spec is the "spec" field; a tree shift spreads over
@@ -326,7 +325,7 @@ def _run_surface(params: dict) -> tuple:
     return ("n", "count", "estimate"), rows, summary, assertions
 
 
-def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> Any:
+def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> object:
     obj = _require(params, "set")
     if isinstance(obj, list):
         return treeshifts.VertexSet.from_json(obj)
@@ -427,7 +426,7 @@ def _run_bip(params: dict) -> tuple:
 # canned reproduction runs
 
 
-def _catalog(depth: int) -> list:
+def _catalog() -> list:
     """Four-spec catalog over the binary tree used by the equivalence checks."""
     bt = trees.AdjacencyMatrix.binary_tree()
     full = treeshifts.make_tree_shift(bt, words.ShiftSpec1D.full(2))
@@ -625,7 +624,7 @@ def _reproduce_thm5(depth: int) -> tuple:
     ok_lower = True
     ok_ratio = True
     found_any = False
-    for name, ts in _catalog(depth):
+    for name, ts in _catalog():
         res = treeshifts.bip_search(ts, 1, depth)
         if res is None:
             rows.append({"spec": name, "size": 0, "ratio": 0.0, "found": False})
@@ -657,11 +656,8 @@ def _reproduce_thm5(depth: int) -> tuple:
 def _reproduce_thm6(depth: int) -> tuple:
     rows = []
     ok = True
-    for name, ts in _catalog(depth):
-        try:
-            res = treeshifts.bip_search(ts, 1, depth)
-        except PreconditionViolated:
-            res = None
+    for name, ts in _catalog():
+        res = treeshifts.bip_search(ts, 1, depth)
         surf = treeshifts.surface_entropy_est(ts, depth)
         has_bip = res is not None
         has_surface = surf.raw > 1e-2
@@ -689,7 +685,7 @@ def _reproduce_thm6(depth: int) -> tuple:
 def _reproduce_cor1(depth: int) -> tuple:
     rows = []
     ok = True
-    for name, ts in _catalog(depth):
+    for name, ts in _catalog():
         ent = treeshifts.tree_entropy_est(ts, depth)
         surf = treeshifts.surface_entropy_est(ts, depth)
         pos_ent = ent.raw > 1e-2
@@ -727,7 +723,7 @@ _REPRODUCERS = {
 REPRODUCE_KEYS = tuple(_REPRODUCERS)
 
 
-def reproduce(key: str, depth: Optional[int] = None, seed: int = 0) -> Report:
+def reproduce(key: str, depth: int | None = None, seed: int = 0) -> Report:
     """Run one canned check suite and return its deterministic report."""
     if key not in REPRODUCE_KEYS:
         raise ConfigError(
@@ -793,7 +789,7 @@ def run_config(cfg: ExperimentConfig) -> Report:
     )
 
 
-def emit_report(report: Report, fmt: str = "json", path: Optional[str] = None) -> str:
+def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> str:
     """Serialize a report as canonical JSON or a lossy CSV table."""
     if fmt == "json":
         text = report.json_bytes().decode("utf-8")

@@ -634,59 +634,16 @@ class BipResult:
     certified: bool
 
 
-def _greedy_extend(ts: TreeShiftSpec, base: list[str], candidates, n: int) -> list[str]:
-    current = list(base)
-    for vid in candidates:
-        if vid in current:
-            continue
-        if is_indep_tree(ts, current + [vid], n):
-            current.append(vid)
-    return current
-
-
-def _surface_family(ts: TreeShiftSpec, n: int):
-    """Distinct leaf labelings of Delta_n patterns, or None past 4,096 of them or 200,000 steps."""
-    if ts.alphabet_size != 2:
-        return None
-    geo = ts.geometry()
-    auto = ts.automaton
-    leaves = geo.level_vertices(n)
-    order = geo.vertices(n)
-    seen: set[str] = set()
-    steps = 0
-    labels: dict[str, int] = {}
-    states: dict[str, int] = {}
-    # depth-first over labelings in vertex order; an entry (idx, s, state)
-    # labels order[idx - 1] with s, reaching state, then visits idx
-    stack = [(0, None, None)]
-    while stack:
-        idx, s, state = stack.pop()
-        if idx:
-            labels[order[idx - 1]] = s
-            states[order[idx - 1]] = state
-        steps += 1
-        if steps > 200000 or len(seen) > 4096:
-            return None
-        if idx == len(order):
-            seen.add("".join(str(labels[v]) for v in leaves))
-            continue
-        vid = order[idx]
-        parent_state = auto.initial if vid == "" else states[vid[:-1]]
-        successors = [(idx + 1, s, auto.step(parent_state, s)) for s in range(ts.alphabet_size)]
-        stack.extend(entry for entry in reversed(successors) if entry[2] is not None)
-    return leaves, sorted(seen)
-
-
 def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | None:
     """Look for a large independence set confined to the top levels.
 
     Searches S inside levels n-boundary_levels+1 .. n of Delta_n.  With
     at most 20 boundary vertices the pin-set walk of ``max_indep_est``,
     pinning only those levels, gives the lex-first largest set and the
-    outcome (including None) is certified; otherwise it is a heuristic:
-    try the whole level n, fall back to shattering the realized leaf
-    labelings, then grow greedily.  Returns None when no nonempty
-    candidate passes.
+    outcome (including None) is certified.  Past that it is one greedy
+    pass over the boundary, leaves first, starting from the whole level
+    n when it is independent and from nothing otherwise; not certified.
+    Returns None when no nonempty candidate passes.
     """
     if boundary_levels < 1:
         raise DomainError("boundary depth must be >= 1")
@@ -709,27 +666,10 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
             S_n=VertexSet.of(best), ratio=Fraction(len(best), delta), certified=True
         )
 
-    if is_indep_tree(ts, leaves, n):
-        chosen = _greedy_extend(ts, leaves, upper, n)
-        return BipResult(
-            S_n=VertexSet.of(chosen), ratio=Fraction(len(chosen), delta), certified=False
-        )
-
-    fam = _surface_family(ts, n)
-    seed: list[str] = []
-    if fam is not None:
-        leaf_order, patterns = fam
-        if len(patterns) >= 2:
-            from . import shatter
-
-            family = shatter.BinaryFamily.from_words(patterns)
-            k = shatter.forced_shatter_size(family)
-            if k >= 1:
-                picked = shatter.extract_shattered(family, k)
-                seed = [leaf_order[i - 1] for i in picked]
-                if not is_indep_tree(ts, seed, n):
-                    seed = []
-    chosen = _greedy_extend(ts, seed, boundary, n)
+    chosen = list(leaves) if is_indep_tree(ts, leaves, n) else []
+    for vid in boundary[len(chosen):]:
+        if is_indep_tree(ts, chosen + [vid], n):
+            chosen.append(vid)
     if not chosen:
         return None
     return BipResult(

@@ -660,6 +660,20 @@ class TestBipSearch:
     def test_zeros_base_has_no_witness(self):
         assert treeshifts.bip_search(TS_BIN_ZEROS, 1, 6) is None
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+    @pytest.mark.parametrize("n, l", [(6, 1), (5, 2)])
+    def test_dependent_leaves_keep_one_vertex(self, rows, n, l):
+        # a cyclic step: the root's label fixes every other, so no two
+        # vertices are independent and the greedy pass keeps the first leaf
+        ts = treeshifts.make_tree_shift(BINARY, rows)
+        assert treeshifts.count_patterns(ts, n) == len(rows)
+        res = treeshifts.bip_search(ts, l, n)
+        assert res is not None
+        assert res.S_n.ids == frozenset({"1" * n})
+        assert res.ratio == Fraction(1, ts.geometry().delta_size(n))
+        assert not res.certified
+        assert treeshifts.is_indep_tree(ts, res.S_n.ids, n)
+
     def test_unexpandable_tree_rejected(self):
         with pytest.raises(PreconditionViolated):
             treeshifts.bip_search(TS_COMB_GOLDEN, 1, 6)
