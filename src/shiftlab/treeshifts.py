@@ -22,24 +22,27 @@ unpinned subtrees to one class.
 Independence of a vertex set S: every assignment S -> alphabet extends
 to a full admissible labeling of Delta_n.  The check compares the exact
 number of distinct restrictions to S against r^|S| as big integers.
-``subset_census`` runs the same DP for every S of Delta_n at once and
-counts the sets per (independent, antichain); on the binary tree it
-checks all 2^15 subsets of Delta_3 with tables of at most 419 entries.
-One more walk over every S keeps, per class map, the lex-first largest
-independent S instead of a count; it gives the exact maxima of
+Two walks take every S of Delta_n at once.  They need only the support
+of S's class map, its set of masks: whether S has lost a restriction,
+and whether the root tolerates all it has, depend on nothing else.
+``subset_census`` counts the sets per (independent, antichain); on the
+binary tree it checks all 2^63 subsets of Delta_5 with tables of at
+most 3 entries.  The pin-set walk keeps, per support, the lex-first
+largest independent S; it gives the exact maxima of
 ``max_indep_series`` (every depth at once), of ``words.max_indep_J`` on
 the one-generator ray, and of ``bip_search`` on small boundaries.
 ``entropy_chain_series`` reads the sink-ray entropy bound of every depth
 from one pattern-count series, one block-count series and one series of
 sink level counts.
 
-The class DP's memo is a dict on the ``WordAutomaton``.  It has two
+The class DP's memo is a dict on the ``WordAutomaton``.  It has three
 kinds of keys.  A tolerated-state mask maps to its compiled lift: its
 per-symbol preimages, their union (a free vertex's class) and the
 nonzero ones (a pinned vertex's classes).  (pinned, the children's class
-maps) maps to the class map of a node step.  Class maps are frozensets
-of (mask, multiplicity) pairs that carry ``total``, their restriction
-count, summed once when the step is made.  Neither key depends on the
+maps, a tuple) maps to the class map of a node step; class maps are
+frozensets of (mask, multiplicity) pairs.  (step, a support) maps to the
+support after a step of the two walks; supports are frozensets of
+masks, so these keys never equal a node step's.  No key depends on the
 tree or on where a vertex sits, so every spec compiled to one automaton
 (lines, grid rows, and trees of any shape over one base) shares the
 memo and its steps.  The memo is cleared whenever it reaches MEMO_CAP
@@ -53,7 +56,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
-from operator import mul, or_
+from operator import or_
 
 from . import words as words_mod
 from .errors import (
@@ -203,12 +206,6 @@ def _cap(size: int) -> None:
 def _capped(classes: dict) -> dict:
     _cap(len(classes))
     return classes
-
-
-class _ClassMap(frozenset):
-    """A class map, frozen, with ``total``, its restriction count, summed once."""
-
-    __slots__ = ("total",)
 
 
 def _combine_children(children, auto: WordAutomaton) -> dict:
@@ -379,11 +376,35 @@ def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
     key = (pinned, kids)
     hit = auto.memo.get(key)
     if hit is None:
-        classes = _lift(_combine_children(kids, auto), auto, pinned)
-        hit = _ClassMap(classes.items())
-        hit.total = sum(classes.values())
-        _remember(auto.memo, key, hit)
+        hit = _remember(auto.memo, key, frozenset(_lift(_combine_children(kids, auto), auto, pinned).items()))
     return hit
+
+
+# A pin set loses a restriction exactly where a mask 0 enters the support
+# of its class map (its set of masks): an empty product, union preimage or
+# symbol preimage.  DEAD, the support {0}, stands for every such pin set.
+DEAD = frozenset({0})
+
+
+def _support_step(auto: WordAutomaton, step, support: frozenset) -> frozenset:
+    """The support after one step: ``step`` is the support of a pin set
+    to take the product with, or whether the vertex is pinned."""
+    key = (step, support)  # a frozenset second: no (pinned, kids) key of ``_node_step``
+    hit = auto.memo.get(key)
+    if hit is None:
+        if isinstance(step, frozenset):
+            hit = frozenset(x & y for x in step for y in support)
+        elif step:
+            hit = frozenset(compat for mask in support for compat in _preimages(auto, mask)[0])
+        else:
+            hit = frozenset(_preimages(auto, mask)[1] for mask in support)
+        hit = _remember(auto.memo, key, DEAD if 0 in hit else hit)
+    return hit
+
+
+def _tolerates_root(support: frozenset) -> bool:
+    """True iff every restriction with this support extends from the initial state 0."""
+    return all(mask & 1 for mask in support)
 
 
 def _walk(auto: WordAutomaton, pins) -> int:
@@ -444,139 +465,105 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     """Vertex sets S of Delta_n counted by (S is independent, S is an antichain).
 
     One bottom-up walk takes every S at once.  Each vertex keeps a table
-    from (class map, |S|, S has a pin, S is an antichain) to the number
-    of pin sets S of its subtree with the key: the product of the
-    children's tables, merged on equal keys, then stepped through
-    ``_node_step`` with the vertex pinned and free.  Children that share
-    one table pair off: the second of a pair takes the entries from the
-    first one's rank up, twice each above it (``_pin_table``'s mirror
-    rule), as ``_combine_children`` does not see their order; the
-    product's key carries that rank in between.  S is independent
-    when the root class map counts r^|S| restrictions, as in
-    ``is_indep_tree``.  A table past CLASS_CAP entries raises CapExceeded.
+    from (support of S's class map, S has a pin, S is an antichain) to
+    the number of pin sets S of its subtree with the key: the children's
+    tables folded one at a time into a partial support, then stepped
+    free and pinned, all by ``_support_step``.  Every S that has lost a
+    restriction shares the support DEAD.  S is independent when its root
+    support is not DEAD and every mask in it holds the initial state, as
+    ``is_indep_tree`` asks of the root class map.  A table past
+    CLASS_CAP entries raises CapExceeded.
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
     auto = ts.automaton
 
     def step(children, height) -> dict:
-        tables = [table for _, table in children]
-        mirror = [False]
-        for i in range(1, len(tables)):
-            mirror.append(not mirror[-1] and tables[i] is tables[i - 1])
-        acc = {((), 0, False, True, 0): 1}
-        for table, mirrored, ranked in zip(tables, mirror, mirror[1:] + [False]):
+        acc = {(frozenset({auto.all_states}), False, True): 1}
+        for _, table in children:
             nxt: dict = {}
-            items = list(table.items())
-            for (kids, size, below, anti, rank), m1 in acc.items():  # rank is 0 unless mirrored
-                for r, ((classes, size2, below2, anti2), m2) in enumerate(items[rank:], rank):
-                    k = (kids + (classes,), size + size2, below or below2, anti and anti2, r if ranked else 0)
-                    nxt[k] = nxt.get(k, 0) + (2 * m1 * m2 if mirrored and r > rank else m1 * m2)
+            for (part, below, anti), m1 in acc.items():
+                for (support, below2, anti2), m2 in table.items():
+                    k = (_support_step(auto, part, support), below or below2, anti and anti2)
+                    nxt[k] = nxt.get(k, 0) + m1 * m2
             acc = _capped(nxt)
         out: dict = {}
-        for (kids, size, below, anti, _), m in acc.items():
+        for (part, below, anti), m in acc.items():
             for pinned in (False, True):
-                k = (_node_step(auto, pinned, kids), size + pinned, below or pinned,
-                     anti and not (pinned and below))
+                k = (_support_step(auto, pinned, part), below or pinned, anti and not (pinned and below))
                 out[k] = out.get(k, 0) + m
         return _capped(out)
 
     *_, root = ts.geometry().walk_up(n, step)
-    r = ts.alphabet_size
     census: dict = {}
-    for (classes, size, _, anti), m in root.items():
-        k = (_root_count(classes) == r ** size, anti)
+    for (support, _, anti), m in root.items():
+        k = (_tolerates_root(support), anti)
         census[k] = census.get(k, 0) + m
     return census
 
 
-def _pin_table(auto: WordAutomaton, children, pinnable: bool) -> dict:
+def _pin_table(auto: WordAutomaton, children, pinnable: bool) -> list:
     """One vertex's table from its children's (digit, table) pairs; see ``_max_pin_sets``."""
     tables = [table for _, table in children]
-    for size in accumulate(map(len, tables), mul):
-        _cap(size)  # the product of the children's tables
-    # (class maps, entries, restrictions an independent pin set has) per
-    # choice of one entry per child, in ascending order of the entries'
-    # ranks; on a table shared with the previous child the ranks do not
-    # fall, since the mirrored choice steps to the same class map first
-    combos = [((), (), 1)]
-    for i, table in enumerate(tables):
-        items = list(table.items())
-        mirror = i and table is tables[i - 1]
-        combos = [(maps + (classes,), kids + (kid,), need * classes.total)
-                  for maps, kids, need in combos
-                  for classes, kid in (items[kids[-1][0]:] if mirror else items)]
-    memo = auto.memo  # read inline; an empty map reads falsy and is stepped again
-    free: dict = {}
-    pinned: dict = {}
-    for maps, kids, need in combos:
-        step = memo.get((False, maps)) or _node_step(auto, False, maps)
-        if step.total < need:
-            continue  # pinning the vertex too cannot bring all r^|pins| back
-        if step not in free:
-            free[step] = kids
-        if pinnable:
-            step = memo.get((True, maps)) or _node_step(auto, True, maps)
-            if step.total == need * auto.size and step not in pinned:
-                pinned[step] = kids
-    # ranks: pinned entries first, each kind in the order its products came
+    # partial support -> (-size, the children's ranks) of the best pin set folded so far
+    acc = {frozenset({auto.all_states}): (0, ())}
+    for table in tables:
+        nxt: dict = {}
+        for part, (neg, ranks) in acc.items():
+            for rank, (support, size, _, _) in enumerate(table):
+                key = _support_step(auto, part, support)
+                best = (neg - size, ranks + (rank,))
+                if key is not DEAD and (key not in nxt or best < nxt[key]):
+                    nxt[key] = best
+        acc = _capped(nxt)
     out: dict = {}
-    for pin, found in ((True, pinned), (False, free)):
-        for step, kids in found.items():
-            if step not in out:
-                out[step] = (len(out), pin, kids, step.total)
-    return _capped(out)
+    for part, (neg, ranks) in acc.items():
+        for pinned in (True, False) if pinnable else (False,):
+            key = _support_step(auto, pinned, part)
+            best = (neg - pinned, not pinned, ranks)
+            if key is not DEAD and (key not in out or best < out[key]):
+                out[key] = best
+    return [(support, -neg, not free, tuple(table[i] for table, i in zip(tables, ranks)))
+            for support, (neg, free, ranks) in sorted(_capped(out).items(), key=lambda item: item[1][1:])]
 
 
 def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
-    """The sorted ids of a root entry's pin set, read down the paths to its pins."""
+    """The sorted ids of a table entry's pin set, read down the paths to its pins."""
     ids = []
-    stack = [("", ROOT, entry)]
+    stack = [("", ROOT, entry)] if entry else []
     while stack:  # preorder, children by ascending digit: sorted ids
-        prefix, digit, (_, pinned, kids, _) = stack.pop()
+        prefix, digit, (_, _, pinned, kids) = stack.pop()
         if pinned:
             ids.append(prefix)
-        stack.extend((prefix + str(c), c, kid) for c, kid  # kid[3] == 1: no pins below
-                     in zip(reversed(geo.children_digits(digit)), reversed(kids)) if kid[3] > 1)
+        stack.extend((prefix + str(c), c, kid) for c, kid
+                     in zip(reversed(geo.children_digits(digit)), reversed(kids)) if kid[1])
     return tuple(ids)
 
 
-def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int,
-                  pin_levels: int) -> list[tuple[str, ...]]:
-    """Lex-first largest independent pin sets of Delta_0 .. Delta_n, from one walk.
+def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int, pin_levels: int) -> list:
+    """Largest independent pin sets of Delta_0 .. Delta_n, lex-first, from one walk.
 
-    Pins may sit at heights below ``pin_levels``.  Each vertex keeps a
-    table from class map to the lex-first largest pin set of its subtree
-    (ids relative to the subtree root, sorted): the product of the
-    children's tables, stepped through ``_node_step`` free and, where
-    allowed, pinned.  A pin set with fewer than r^|pins| restrictions is
-    dropped, since no step brings one back; so a class map's pin sets
-    share one size, r^size is the map's ``total``, and, having equal
-    futures, they need one witness.
+    Pins may sit at heights below ``pin_levels``.  A pin set that has
+    lost a restriction is dropped, since no step brings one back, and
+    the future of any other depends only on its support.  So a vertex
+    keeps one entry per support: the largest pin set of its subtree
+    reaching it and, among equal sizes, the lex-first one (ids relative
+    to the subtree root, sorted).  Its children fold into a partial
+    support one at a time, which is then stepped free and, where
+    allowed, pinned.
 
-    Witnesses are lazy: an entry is (rank, pinned, the children's
-    entries, total), and no ids are built while the tables are.  Ranks
-    order a table's entries by their pin sets with a sentinel above
-    every id appended, so a set that is a proper prefix of another sorts
-    after it, as its next id comes from a later child.  The lex-first
-    set of one class map is then the one with the least (not pinned,
-    rank of child 1, rank of child 2, ...): the vertex's own id ""
-    sorts first, and the children's ids follow in digit order.  The
-    products are stepped in that order, so the first pin set of each
-    kind, pinned or free, to reach a class map is the one kept.  The
-    root table at height m gives the set for Delta_m: its largest entry
-    with r^|pins| restrictions from the initial state.  Only its ids are
-    built, down the paths to its pins; children with empty pin sets
-    (total 1, as r >= 2) are not entered.  A table past CLASS_CAP
-    entries raises CapExceeded.
+    An entry is (support, size, pinned, the children's entries), so no
+    ids are built while the tables are.  A table lists its entries in
+    the order of their pin sets with a sentinel above every id appended
+    (a proper prefix sorts after, as its next id comes from a later
+    child): the order of (not pinned, rank of child 1, rank of child 2,
+    ...).  Returns, per depth m, the root entry for Delta_m: the first
+    of the largest whose masks all hold the initial state.  ``_pin_ids``
+    reads its ids.  A table past CLASS_CAP entries raises CapExceeded.
     """
     geo.level_vertices(0)  # ids are digit strings; raises past MAX_DIGIT_GENERATORS
-    best = []
-    for root in geo.walk_up(n, lambda kids, height: _pin_table(auto, kids, height < pin_levels)):
-        top = min((((-classes.total, entry[0]), entry) for classes, entry in root.items()
-                   if _root_count(classes) == classes.total), default=None)
-        best.append(_pin_ids(geo, top[1]) if top else ())
-    return best
+    return [max((entry for entry in root if _tolerates_root(entry[0])), key=lambda e: e[1], default=None)
+            for root in geo.walk_up(n, lambda kids, height: _pin_table(auto, kids, height < pin_levels))]
 
 
 @record
@@ -643,7 +630,10 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     outcome (including None) is certified.  Past that it is one greedy
     pass over the boundary, leaves first, starting from the whole level
     n when it is independent and from nothing otherwise; not certified.
-    Returns None when no nonempty candidate passes.
+    Returns None when no nonempty candidate passes.  The walk, keyed by
+    support, would finish past 20 vertices too; the pass stays only
+    because the recorded ray-sweep reports read ``certified`` false on
+    the 12 searches past the threshold, and the walk would certify them.
     """
     if boundary_levels < 1:
         raise DomainError("boundary depth must be >= 1")
@@ -659,7 +649,7 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     boundary = leaves + upper
 
     if len(boundary) <= 20:
-        best = _max_pin_sets(ts.automaton, geo, n, boundary_levels)[n]
+        best = _pin_ids(geo, _max_pin_sets(ts.automaton, geo, n, boundary_levels)[n])
         if not best:
             return None
         return BipResult(
@@ -697,8 +687,15 @@ def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
     return [
         MaxIndepEstimate(size=len(pins), witness=VertexSet.of(pins),
                          ratio=Fraction(len(pins), geo.delta_size(m)), certified=True)
-        for m, pins in enumerate(_max_pin_sets(ts.automaton, geo, n, n + 1))
+        for m, pins in enumerate(_pin_ids(geo, top) for top in _max_pin_sets(ts.automaton, geo, n, n + 1))
     ]
+
+
+def max_indep_sizes(ts: TreeShiftSpec, n: int) -> list[int]:
+    """The sizes of ``max_indep_series``, exact, from the same walk without building a witness."""
+    if n < 0:
+        raise DomainError("depth must be >= 0")
+    return [top[1] if top else 0 for top in _max_pin_sets(ts.automaton, ts.geometry(), n, n + 1)]
 
 
 def max_indep_est(ts: TreeShiftSpec, n: int) -> MaxIndepEstimate:

@@ -369,11 +369,12 @@ def max_indep_J_series(spec: ShiftSpec1D, length: int) -> list[MaxIndep1D]:
     position k + 1, so the lex-first set over sorted ids is the
     lex-first set of positions.
     """
-    from .treeshifts import _max_pin_sets
+    from .treeshifts import _max_pin_sets, _pin_ids
 
     if length < 1:
         raise DomainError("window length must be >= 1")
-    windows = _max_pin_sets(spec.automaton, TreeGeometry(AdjacencyMatrix(((1,),))), length - 1, length)
+    ray = TreeGeometry(AdjacencyMatrix(((1,),)))
+    windows = [_pin_ids(ray, top) for top in _max_pin_sets(spec.automaton, ray, length - 1, length)]
     fekete = accumulate((Fraction(len(pins), m) for m, pins in enumerate(windows, start=1)), min)
     return [
         MaxIndep1D(J=len(pins), witness=tuple(len(v) + 1 for v in pins), fekete_limit_est=est)

@@ -30,6 +30,7 @@ GOLDEN_TREE = trees.AdjacencyMatrix.from_rows(("11", "10"))
 CHAIN = trees.AdjacencyMatrix.from_rows(("110", "011", "001"))
 FAN = trees.AdjacencyMatrix.from_rows(("111", "010", "001"))
 TERNARY = trees.AdjacencyMatrix.from_rows(("111", "111", "111"))
+TWO_OF_THREE = trees.AdjacencyMatrix.from_rows(("110", "011", "101"))
 GOLDEN = words.ShiftSpec1D.golden_mean()
 ATMOST = words.ShiftSpec1D.at_most_k(2, symbol=1, count=1)
 MATRIX_A = [[1, 1], [0, 1]]
@@ -291,15 +292,20 @@ class TestIndependence:
             treeshifts.is_indep_tree(TS_COMB_GOLDEN, ["21"], 3)
 
 
+def _subsets(verts):
+    return itertools.chain.from_iterable(itertools.combinations(verts, k) for k in range(len(verts) + 1))
+
+
+def _is_antichain(S) -> bool:
+    return not any(v.startswith(u) for u, v in itertools.permutations(S, 2))
+
+
 def _census_by_subsets(ts: treeshifts.TreeShiftSpec, n: int) -> dict:
     """The census by brute force: ``is_indep_tree`` on every vertex set of Delta_n."""
-    verts = ts.geometry().vertices(n)
     want: dict = {}
-    for k in range(len(verts) + 1):
-        for S in itertools.combinations(verts, k):
-            antichain = not any(v.startswith(u) for u, v in itertools.permutations(S, 2))
-            key = (treeshifts.is_indep_tree(ts, S, n), antichain)
-            want[key] = want.get(key, 0) + 1
+    for S in _subsets(ts.geometry().vertices(n)):
+        key = (treeshifts.is_indep_tree(ts, S, n), _is_antichain(S))
+        want[key] = want.get(key, 0) + 1
     return want
 
 
@@ -308,15 +314,30 @@ class TestSubsetCensus:
         census = treeshifts.subset_census(TS_BIN_A, 3)
         assert census == {(True, True): 677, (False, False): 32091}
 
-    def test_shared_children_step_each_unordered_pair_once(self, monkeypatch):
-        # both children of a binary vertex share one table; stepping both
-        # orders of every pair of its entries took 1,192 calls
+    def test_support_steps_stay_few(self, monkeypatch):
+        # tables keyed by support hold at most three entries here, so the
+        # fold and the step make 30 + 18 calls; keying by class map took
+        # 1,192 class-map steps, and 632 once shared children paired off
         calls = []
-        step = treeshifts._node_step
-        monkeypatch.setattr(treeshifts, "_node_step", lambda *args: calls.append(1) or step(*args))
+        for name in ("_support_step", "_node_step"):
+            step = getattr(treeshifts, name)
+            monkeypatch.setattr(treeshifts, name, lambda *args, step=step: calls.append(1) or step(*args))
         census = treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
         assert census == {(True, True): 677, (False, False): 32091}
-        assert len(calls) <= 632
+        assert len(calls) <= 48
+
+    @pytest.mark.parametrize("n, independent", [(4, 458330), (5, 210066388901)])
+    def test_upper_triangular_census_follows_its_closed_form(self, n, independent):
+        # independent sets are the antichains, and their number satisfies
+        # A(n) = A(n - 1)^2 + 1 from A(3) = 677: an antichain of Delta_n is
+        # the root alone or a pair of antichains of the two subtrees
+        a = 677
+        for _ in range(n - 3):
+            a = a * a + 1
+        assert a == independent
+        census = treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), n)
+        total = 2 ** BINARY.geometry.delta_size(n)
+        assert census == {(True, True): a, (False, False): total - a}
 
     @pytest.mark.parametrize("tree, base, n", [
         (TERNARY, GOLDEN, 1),
@@ -347,22 +368,29 @@ class TestSubsetCensus:
         assert sum(census.values()) == 2 ** len(ts.geometry().vertices(2))
 
     def test_widest_table_is_capped(self, monkeypatch):
-        # the widest census table of Delta_3 has 419 entries (the two children
-        # share one table, so it holds unordered pairs); class maps stay small
-        monkeypatch.setattr(treeshifts, "CLASS_CAP", 419)
+        # the widest census table of Delta_3 has 3 entries: (support, has a
+        # pin, antichain) takes few values, and every dependent set is DEAD
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 3)
         assert treeshifts.subset_census(TS_BIN_A, 3)[True, True] == 677
-        monkeypatch.setattr(treeshifts, "CLASS_CAP", 418)
-        with pytest.raises(CapExceeded, match="CLASS_CAP = 418 entries"):
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 2)
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 2 entries"):
             treeshifts.subset_census(treeshifts.make_tree_shift(BINARY, MATRIX_A), 3)
 
-    def test_ternary_census_past_the_cap_fails_fast(self):
-        # a ternary vertex's children share one table; their product is
-        # built one child at a time and capped after each, so the census
-        # stops before it holds more than a few capped tables
+    def test_ternary_census_finishes(self):
+        # 2^40 vertex sets of Delta_3 on the ternary tree, every one counted
+        census = treeshifts.subset_census(treeshifts.make_tree_shift(TERNARY, GOLDEN), 3)
+        assert sum(census.values()) == 2 ** 40
+        assert census[True, True] == 389017001
+
+    def test_ternary_census_past_the_cap_fails_fast(self, monkeypatch):
+        # the widest table of this census has 6 entries; the fold is capped
+        # after each child, so the census stops before it holds more than a
+        # few capped tables
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 5)
         ts = treeshifts.make_tree_shift(TERNARY, GOLDEN)
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceeded, match="CLASS_CAP = 4096 entries"):
+            with pytest.raises(CapExceeded, match="CLASS_CAP = 5 entries"):
                 treeshifts.subset_census(ts, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -379,7 +407,7 @@ class TestSubsetCensus:
 class TestRestrictionMemo:
     """The memo on a base's automaton serves every later call, on any tree over that base."""
 
-    def _check_warm_calls(self, case, data):
+    def _check_warm_calls(self, case, data, walks_first):
         ts, n = case
         base = ts.base if ts.base is not None else [list(row) for row in ts.step_matrix]
         # the same base on another tree: nothing cached for one spec may leak
@@ -387,26 +415,52 @@ class TestRestrictionMemo:
         twin = treeshifts.make_tree_shift(BINARY if ts.matrix == COMB else COMB, base)
         specs = [(ts, n), (twin, _oracle_depth(twin))]
         patterns: dict = {}
-        for i in range(8):
-            spec, top = specs[i % 2]
-            m = data.draw(st.integers(0, top))
-            verts = trees.TreeGeometry(spec.matrix).vertices(m)
-            S = data.draw(st.lists(st.sampled_from(verts), unique=True, max_size=6))
-            if (i % 2, m) not in patterns:
-                patterns[i % 2, m] = naive_patterns(spec, m)
-            want = len({tuple(lab[v] for v in S) for lab in patterns[i % 2, m]})
-            assert treeshifts.distinct_restrictions(spec, S, m) == want
 
+        def oracle(i, m):
+            if (i, m) not in patterns:
+                patterns[i, m] = naive_patterns(specs[i][0], m)
+            return patterns[i, m]
+
+        def walks():
+            # the support-keyed steps share the memo with the class-map steps
+            for i, (spec, top) in enumerate(specs):
+                verts = trees.TreeGeometry(spec.matrix).vertices(top)
+                est = treeshifts.max_indep_series(spec, top)[top]
+                assert tuple(sorted(est.witness.ids)) == _lex_first_max(spec, oracle(i, top), verts)
+                want: dict = {}
+                for S in _subsets(trees.TreeGeometry(spec.matrix).vertices(1)):
+                    restrictions = len({tuple(lab[v] for v in S) for lab in oracle(i, 1)})
+                    key = (restrictions == spec.alphabet_size ** len(S), _is_antichain(S))
+                    want[key] = want.get(key, 0) + 1
+                assert treeshifts.subset_census(spec, 1) == want
+
+        def counts():
+            for i in range(8):
+                spec, top = specs[i % 2]
+                m = data.draw(st.integers(0, top))
+                geo = trees.TreeGeometry(spec.matrix)
+                S = data.draw(st.lists(st.sampled_from(geo.vertices(m)), unique=True, max_size=6))
+                want = len({tuple(lab[v] for v in S) for lab in oracle(i % 2, m)})
+                assert treeshifts.distinct_restrictions(spec, S, m) == want
+                leaves = geo.level_vertices(m)
+                want = len({tuple(lab[v] for v in leaves) for lab in oracle(i % 2, m)})
+                assert treeshifts.surface_series(spec, m)[m] == want
+
+        for check in (walks, counts) if walks_first else (counts, walks):
+            check()
+
+    @pytest.mark.parametrize("walks_first", [True, False], ids=["walks-first", "counts-first"])
     @given(case=small_tree_shifts(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_warm_memo_matches_oracle_across_specs(self, case, data):
-        self._check_warm_calls(case, data)
+    def test_warm_memo_matches_oracle_across_specs(self, walks_first, case, data):
+        self._check_warm_calls(case, data, walks_first)
 
+    @pytest.mark.parametrize("walks_first", [True, False], ids=["walks-first", "counts-first"])
     @given(case=small_tree_shifts(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_tiny_memo_bound_keeps_counts_exact(self, case, data):
+    def test_tiny_memo_bound_keeps_counts_exact(self, walks_first, case, data):
         with mock.patch.object(treeshifts, "MEMO_CAP", 2):
-            self._check_warm_calls(case, data)
+            self._check_warm_calls(case, data, walks_first)
 
     @pytest.mark.parametrize(
         "pins,message",
@@ -479,15 +533,19 @@ class TestRestrictionMemo:
             treeshifts.max_indep_est(ts, 4)
         memo = base.automaton.memo
         assert comb.automaton is binary.automaton and memo
+        shapes = set()
         for key in memo:
-            assert type(key) is int or (
-                isinstance(key, tuple) and len(key) == 2
-                and isinstance(key[0], (bool, tuple))
-                and isinstance(key[1], tuple)
-                and all(isinstance(kid, frozenset) for kid in key[1])
-            ), key
-        assert any(type(key) is int for key in memo)
-        assert any(isinstance(key, tuple) for key in memo)
+            if type(key) is int:
+                shapes.add("mask")
+            elif isinstance(key[1], tuple):  # (pinned, the children's class maps)
+                assert isinstance(key[0], (bool, tuple)) and len(key) == 2, key
+                assert all(isinstance(kid, frozenset) for kid in key[1]), key
+                shapes.add("class map")
+            else:  # (support, support) for a product, (pinned, support) for a step
+                assert isinstance(key[0], (bool, frozenset)) and len(key) == 2, key
+                assert isinstance(key[1], frozenset) and all(type(mask) is int for mask in key[1]), key
+                shapes.add("support")
+        assert shapes == {"mask", "class map", "support"}
 
 
 class TestDensity:
@@ -796,10 +854,13 @@ class TestPinSetWalk:
             assume(False)
         self._check_against_oracle(ts, n)
 
-    @given(tree=st.sampled_from([COMB, CHAIN, GOLDEN_TREE]), base=st.integers(2, 3).flatmap(_bases))
+    @given(tree=st.sampled_from([COMB, CHAIN, GOLDEN_TREE, TERNARY, TWO_OF_THREE]),
+           base=st.integers(2, 3).flatmap(_bases))
     @settings(max_examples=60, deadline=None)
     def test_matches_combinations_oracle_at_the_oracle_depth(self, tree, base):
-        # n = 3 on the comb and the golden tree over two symbols, lower elsewhere
+        # n = 3 on the comb and the golden tree over two symbols, lower
+        # elsewhere; on the ternary and two-of-three trees every child of a
+        # vertex folds into one partial support
         try:
             ts = treeshifts.make_tree_shift(tree, base)
         except EmptyBase:
@@ -851,10 +912,31 @@ class TestPinSetWalk:
             assert res.certified
             assert tuple(sorted(res.S_n.ids)) == want
 
+    @pytest.mark.parametrize("tree", [TERNARY, TWO_OF_THREE])
+    @pytest.mark.parametrize("base, members", [
+        (words.ShiftSpec1D.full(2), lambda geo, n: geo.vertices(n)),
+        (MATRIX_A, lambda geo, n: geo.level_vertices(n)),
+    ])
+    def test_products_past_the_old_class_cap_finish(self, tree, base, members):
+        # keyed by class map, these products outgrew CLASS_CAP from n = 4 or
+        # 5; the answers are known: on the full shift every vertex, and on
+        # the upper-triangular step, where the independent sets are the
+        # antichains, the leaf level, the one largest antichain
+        ts = treeshifts.make_tree_shift(tree, base)
+        geo = trees.TreeGeometry(tree)
+        series = treeshifts.max_indep_series(ts, 5)
+        for n in (4, 5):
+            assert series[n].witness.ids == frozenset(members(geo, n))
+        assert treeshifts.max_indep_sizes(ts, 5) == [est.size for est in series]
+
     def test_tree_walk_names_the_class_cap(self, monkeypatch):
-        monkeypatch.setattr(treeshifts, "CLASS_CAP", 2)
-        with pytest.raises(CapExceeded, match="CLASS_CAP = 2 entries"):
-            treeshifts.max_indep_est(TS_BIN_FULL, 2)
+        # the widest table of this walk has 5 entries
+        ts = treeshifts.make_tree_shift(TERNARY, [[0, 1, 0], [0, 1, 1], [1, 0, 0]])
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 5)
+        assert treeshifts.max_indep_est(ts, 4).size == 28
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 4)
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 4 entries"):
+            treeshifts.max_indep_est(ts, 4)
 
 
 class TestEntropyChain:

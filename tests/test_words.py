@@ -390,10 +390,12 @@ class TestMaxIndep:
         assert (res.J, res.witness) == (5, (1, 2, 5, 9, 10))
 
     def test_window_search_cap(self, monkeypatch):
+        # the widest table of the golden mean's window walk has 2 entries
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 2)
-        # on the full shift each pin count is its own class map: [1, 2] already has three
-        with pytest.raises(CapExceeded, match="CLASS_CAP = 2 entries"):
-            words.max_indep_J(FULL2, 5)
+        assert words.max_indep_J(GOLDEN, 5).J == 3
+        monkeypatch.setattr(treeshifts, "CLASS_CAP", 1)
+        with pytest.raises(CapExceeded, match="CLASS_CAP = 1 entries"):
+            words.max_indep_J(GOLDEN, 5)
 
     def test_fekete_limit_is_exact_fraction(self):
         res = words.max_indep_J(GOLDEN, 8)
