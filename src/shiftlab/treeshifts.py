@@ -198,13 +198,9 @@ def _preimages(auto: WordAutomaton, mask: int) -> tuple:
     return hit
 
 
-def _cap(size: int) -> None:
-    if size > CLASS_CAP:
-        raise CapExceeded(f"class dictionary exceeded CLASS_CAP = {CLASS_CAP} entries")
-
-
 def _capped(classes: dict) -> dict:
-    _cap(len(classes))
+    if len(classes) > CLASS_CAP:
+        raise CapExceeded(f"class dictionary exceeded CLASS_CAP = {CLASS_CAP} entries")
     return classes
 
 
