@@ -3,12 +3,15 @@
 Materializing operations (block sets, automaton tables, shattered-subset
 scans) refuse to build more objects than the cap and raise CapExceeded.
 The default is 2**24 objects; the SHIFTLAB_CAP environment variable
-overrides it process-wide and is read at call time so tests can adjust it.
+overrides it process-wide and is read at call time so tests can adjust it;
+a value that is not a positive integer raises ConfigError.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import ConfigError
 
 DEFAULT_CAP = 1 << 24
 
@@ -17,7 +20,10 @@ def enumeration_cap() -> int:
     raw = os.environ.get("SHIFTLAB_CAP")
     if raw is None:
         return DEFAULT_CAP
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise ValueError(f"SHIFTLAB_CAP must be positive, got {value}")
+        raise ConfigError(f"SHIFTLAB_CAP must be a positive integer, got {raw!r}")
     return value

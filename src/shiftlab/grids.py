@@ -13,8 +13,7 @@ Counts come from ``words.block_counts``, and independence from the
 class DP of ``treeshifts`` walked up the rows.  Symbol maxima come from
 one (max, +) pass of counts per width, which gives M(k, w) for every
 height k; ``max_symbol_block`` keeps a pass per window that also builds
-its lex-first witness.  Only ``blocks_2d`` and the shattering witness
-enumerate blocks.
+its lex-first witness.  Only ``blocks_2d`` enumerates blocks.
 
 The symbol-frequency extreme M(k1, k2) = max occurrences of a symbol
 over admissible blocks is subadditive in each index, so
@@ -23,9 +22,10 @@ over admissible blocks is subadditive in each index, so
 
 is an exact rational upper bound on the limiting frequency.  Density
 and independence mirror the 1D notions: a position set is independent
-when every assignment extends to an admissible block, and the witness
-extractor runs the shattering route (find the largest k the family
-size forces, pull a shattered set, check it).
+when every assignment extends to an admissible block.  The witness
+extractor runs the shattering route: the block count forces a shattered
+k-set, and on a binary alphabet a shattered set is an independent one,
+so a lex-order walk asking ``is_indep_2d`` finds the lex-first k-set.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from operator import and_
 
 from . import shatter, treeshifts, words
 from .caps import enumeration_cap
-from .errors import DomainError, EmptyLanguage, NoWitness
+from .errors import CapExceeded, DomainError, EmptyLanguage, NoWitness
 from .records import record
 
 Cell = tuple[int, int]
@@ -510,26 +510,25 @@ def indep_witness_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Indep2DWitness:
     """Shattering-based independence witness for binary 2D shifts.
 
     Treats B_{k1,k2} as a binary family over N = k1*k2 indices, finds the
-    largest k whose counting hypothesis |F| > sum_{j<k} C(N,j) holds,
-    extracts the lexicographically first shattered size-k index set, and
-    returns it as grid positions (row-major index order).  The result is
-    checked against is_indep_2d before returning.
+    largest k whose counting hypothesis |F| > sum_{j<k} C(N,j) holds, and
+    returns the lexicographically first shattered size-k index set as
+    grid positions (row-major index order).  On a binary alphabet the
+    blocks shatter a cell set exactly when it is independent, so the
+    lex-order walk asks ``is_indep_2d`` and lists no block.
     """
     if spec.alphabet_size != 2:
         raise DomainError("witness extraction works on binary alphabets")
-    shift, length, transposed = _window(spec, k1, k2)
-    # a row's bits in the block mask: adjacent, or k2 apart for a column
-    step, stride = (1, k2) if transposed else (k2, 1)
-    code = [sum(s << (len(row) - 1 - c) * stride for c, s in enumerate(row)) for row in shift.rows]
-    masks = frozenset(reduce(lambda mask, x: mask << step | code[x], word, 0)
-                      for word in words.blocks_1d(shift, length))
-    if len(masks) <= 1:
-        raise NoWitness(f"language has {len(masks)} block(s); no free position")
-    family = shatter.BinaryFamily(length=k1 * k2, masks=masks)
-    k = shatter.forced_shatter_size(family)
-    index_set = shatter.extract_shattered(family, k)
-    cells = tuple(( (idx - 1) // k2 + 1, (idx - 1) % k2 + 1) for idx in index_set)
-    witness = GridPositionSet.of(cells)
-    if not is_indep_2d(spec, witness, k1, k2):
-        raise AssertionError("shattered set failed the independence re-check")
-    return Indep2DWitness(J=witness, k=k)
+    count = count_blocks_2d(spec, k1, k2)
+    limit = enumeration_cap()
+    # the walk meets fewer sets below size k than there are blocks, so the cap bounds it
+    if count > limit:
+        raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} admissible {k1}x{k2} blocks")
+    if count <= 1:
+        raise NoWitness(f"language has {count} block(s); no free position")
+
+    def cells(index_set) -> GridPositionSet:
+        return GridPositionSet.of(((idx - 1) // k2 + 1, (idx - 1) % k2 + 1) for idx in index_set)
+
+    k = shatter.forced_size(k1 * k2, count)
+    index_set = shatter.first_shattered(k1 * k2, k, lambda idx: is_indep_2d(spec, cells(idx), k1, k2))
+    return Indep2DWitness(J=cells(index_set), k=k)

@@ -138,17 +138,17 @@ def is_shattered(family: BinaryFamily, positions) -> bool:
     return False
 
 
-def _shattered_sets(family: BinaryFamily):
-    """Every index set the family shatters, the empty set first, in lex order.
+def _shattered_sets(length: int, shatters):
+    """Every index set of [1, length] that ``shatters`` accepts, the empty set first, in lex order.
 
-    Shattered sets are downward closed, so the depth-first walk extends
-    only sets already shattered.
+    ``shatters`` is downward closed, as shattering is, so the depth-first
+    walk extends only sets already accepted.
     """
 
     def extend(base: tuple[int, ...]):
         yield base
-        for p in range(base[-1] + 1 if base else 1, family.length + 1):
-            if is_shattered(family, base + (p,)):
+        for p in range(base[-1] + 1 if base else 1, length + 1):
+            if shatters(base + (p,)):
                 yield from extend(base + (p,))
 
     return extend(())
@@ -166,16 +166,36 @@ def count_shattered(family: BinaryFamily) -> int:
         )
     if not family.masks:
         return 0
-    return sum(1 for _ in _shattered_sets(family))
+    return sum(1 for _ in _shattered_sets(family.length, lambda pos: is_shattered(family, pos)))
+
+
+def forced_size(length: int, count: int) -> int:
+    """The largest k with count > sum_{j<k} C(length, j): ``count`` words of this length shatter a k-set."""
+    k, below = 0, 1
+    while k <= length and count > below:
+        k += 1
+        below += math.comb(length, k)
+    return k
 
 
 def forced_shatter_size(family: BinaryFamily) -> int:
     """The largest k with |F| > sum_{j<k} C(N, j): F must shatter a k-set."""
-    k, below = 0, 1
-    while k <= family.length and len(family.masks) > below:
-        k += 1
-        below += math.comb(family.length, k)
-    return k
+    return forced_size(family.length, len(family.masks))
+
+
+def first_shattered(length: int, k: int, shatters) -> tuple[int, ...]:
+    """The lexicographically smallest k-set of [1, length] that ``shatters`` accepts.
+
+    The walk is in lex order, and a longer set comes after its k-prefix.
+    Callers check the counting hypothesis first, so a walk without a
+    k-set is an internal invariant failure, not a caller error.
+    """
+    for cand in _shattered_sets(length, shatters):
+        if len(cand) == k:
+            return cand
+    raise AssertionError(
+        f"counting hypothesis held but no shattered set of size {k} was found"
+    )
 
 
 def extract_shattered(family: BinaryFamily, k: int) -> tuple[int, ...]:
@@ -183,8 +203,7 @@ def extract_shattered(family: BinaryFamily, k: int) -> tuple[int, ...]:
 
     Requires the counting hypothesis |F| > sum_{j<k} C(N, j); under it a
     shattered size-k set must exist (the count of shattered sets is at
-    least |F|), so exhausting the walk is an internal invariant failure,
-    not a caller error.
+    least |F|).
     """
     if k < 0:
         raise DomainError("witness size must be >= 0")
@@ -194,11 +213,4 @@ def extract_shattered(family: BinaryFamily, k: int) -> tuple[int, ...]:
             f"family size {len(family.masks)} does not exceed "
             f"sum_(j<{k}) C({family.length},j) = {threshold}"
         )
-    # the walk is in lex order, so its first k-set is the lex-first one; a
-    # longer set cannot come before it, since its k-prefix would
-    for cand in _shattered_sets(family):
-        if len(cand) == k:
-            return cand
-    raise AssertionError(
-        f"counting hypothesis held but no shattered set of size {k} was found"
-    )
+    return first_shattered(family.length, k, lambda pos: is_shattered(family, pos))

@@ -273,17 +273,17 @@ def blocks_1d(spec: ShiftSpec1D, n: int) -> frozenset[Word]:
         raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} words of length {n}")
     auto = spec.automaton
     out: list[Word] = []
-
-    def extend(prefix: Word, state) -> None:
+    # (prefix, state) pairs on an explicit stack: n may pass the recursion limit
+    stack = [((), auto.initial)]
+    while stack:
+        prefix, state = stack.pop()
         if len(prefix) == n:
             out.append(prefix)
-            return
+            continue
         for s in range(auto.size):
             t = auto.step(state, s)
             if t is not None:
-                extend(prefix + (s,), t)
-
-    extend((), auto.initial)
+                stack.append((prefix + (s,), t))
     return frozenset(out)
 
 

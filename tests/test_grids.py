@@ -5,13 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import grids, words
+from shiftlab import grids, shatter, words
 from shiftlab.errors import (
     CapExceeded,
     DomainError,
@@ -566,6 +567,42 @@ class TestIndependence2D:
         wit = grids.indep_witness_2d(spec, k1, k2)
         assert grids.is_indep_2d(spec, wit.J, k1, k2)
         assert count >= 2 ** wit.k
+
+    @given(spec=random_spec(), k1=st.integers(1, 4), k2=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_the_shattered_block_family(self, spec, k1, k2):
+        # the blocks as row-major binary words: their forced size and their
+        # lex-first shattered set, cells in both orientations of the window
+        blocks = grids.blocks_2d(spec, k1, k2)
+        if len(blocks) <= 1:
+            with pytest.raises(NoWitness):
+                grids.indep_witness_2d(spec, k1, k2)
+            return
+        family = shatter.BinaryFamily.from_words(
+            "".join(map(str, itertools.chain(*block.rows))) for block in blocks
+        )
+        k = shatter.forced_shatter_size(family)
+        want = {((idx - 1) // k2 + 1, (idx - 1) % k2 + 1) for idx in shatter.extract_shattered(family, k)}
+        wit = grids.indep_witness_2d(spec, k1, k2)
+        assert (wit.k, wit.J.cells) == (k, want)
+
+    def test_witness_lists_no_block(self):
+        # the row shift already built, the walk holds a few cell sets, not
+        # the 55,447 blocks of the window
+        grids.count_blocks_2d(HARD_SQUARE, 5, 5)
+        tracemalloc.start()
+        try:
+            wit = grids.indep_witness_2d(HARD_SQUARE, 5, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wit.k == 5
+        assert peak < 1e6  # bytes
+
+    def test_witness_refuses_more_blocks_than_the_cap(self, monkeypatch):
+        monkeypatch.setenv("SHIFTLAB_CAP", "1000")
+        with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 1000"):
+            grids.indep_witness_2d(HARD_SQUARE, 5, 5)
 
 
 class TestBlockPlumbing:

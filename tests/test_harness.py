@@ -161,6 +161,14 @@ class TestReports:
         assert text.splitlines()[0] == "n,count,ratio"
         assert len(text.splitlines()) == 1 + len(rep.rows)
 
+    def test_run_config_reproduces_a_key(self):
+        rep = run({"target": "reproduce", "theorem": "thm3", "depth": 3, "seed": 2})
+        assert rep.json_bytes() == harness.reproduce("thm3", depth=3, seed=2).json_bytes()
+
+    def test_csv_joins_list_cells_with_spaces(self):
+        rep = run({"target": "indep2d", "spec": HARD_SQUARE_JSON, "k1": 2, "k2": 2})
+        assert rep.csv_text() == "k1,k2,k,witness\n2,2,2,1,1 2,2\n"
+
     def test_wall_clock_excluded_by_default(self):
         rep = run(GOLDEN_CFG)
         assert b"wall_clock" not in rep.json_bytes()
@@ -269,6 +277,25 @@ class TestCli:
             got.append(capsys.readouterr().out)
         assert got == want
         assert built == ["shiftlab run", "shiftlab reproduce"]
+
+    @pytest.mark.parametrize("cap", ["0", "abc"])
+    def test_bad_cap_exits_two(self, cap, capsys, monkeypatch):
+        monkeypatch.setenv("SHIFTLAB_CAP", cap)
+        assert cli.main(["reproduce", "thm3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shiftlab: error: SHIFTLAB_CAP must be a positive integer, got '{cap}'\n"
+
+    def test_rigid_window_past_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        # a 1000 x 1000 zeros window: rows of 1,000 cells, one block, no witness
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "target": "indep2d", "k1": 1000, "k2": 1000,
+            "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 1], "cells": "1"}]},
+        }))
+        assert cli.main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "shiftlab: error: language has 1 block(s); no free position\n"
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "r.json"

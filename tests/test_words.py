@@ -136,6 +136,12 @@ class TestCounting:
         with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 12"):
             words.blocks_1d(GOLDEN, 5)
 
+    def test_long_words_list_without_recursion(self):
+        # one admissible word of length 1,200, past the default recursion limit
+        assert words.blocks_1d(words.ShiftSpec1D.zeros_only(), 1200) == frozenset({(0,) * 1200})
+        (block,) = grids.blocks_2d(grids.ShiftSpec2D.zeros_only(), 1200, 1)
+        assert block.rows == ((0,),) * 1200
+
     @given(
         spec=small_spec(),
         m=st.integers(min_value=1, max_value=5),
