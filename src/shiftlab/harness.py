@@ -463,8 +463,8 @@ def _reproduce_thm1(depth: int) -> tuple:
     dens = treeshifts.tree_density(lift, geo, list(range(big // 2, big + 1, 2)))
     density_ok = abs(dens.upper - 0.5) <= 0.02 and abs(dens.lower - 0.5) <= 0.02
 
-    # a Delta_top labeling restricts to a Delta_m labeling, so the lifted
-    # set independent in Delta_top makes every shallower truncation so too
+    # one check covers every truncation: an assignment on the Delta_m part
+    # extends to a Delta_top labeling, which restricts to a Delta_m one
     top = min(10, depth)
     indep_ok = treeshifts.is_indep_tree(ts, lift.members_in(geo, top), top)
 
