@@ -504,6 +504,7 @@ def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int)
 class Indep2DWitness:
     J: GridPositionSet
     k: int
+    count: int  # |B_{k1,k2}|, the count the witness read
 
 
 def indep_witness_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Indep2DWitness:
@@ -531,4 +532,4 @@ def indep_witness_2d(spec: ShiftSpec2D, k1: int, k2: int) -> Indep2DWitness:
 
     k = shatter.forced_size(k1 * k2, count)
     index_set = shatter.first_shattered(k1 * k2, k, lambda idx: is_indep_2d(spec, cells(idx), k1, k2))
-    return Indep2DWitness(J=cells(index_set), k=k)
+    return Indep2DWitness(J=cells(index_set), k=k, count=count)

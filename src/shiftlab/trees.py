@@ -16,9 +16,8 @@ Beyond level counting this module classifies the matrix:
 * expanding number: the growth ratio |T_{n+1}|/|T_n| plus the spectral
   radius (exactly 1 when every strongly connected class is a simple
   cycle or a loopless singleton, the same test the sink decomposition
-  makes; vector-converged power iteration otherwise, with a windowed
-  exact-count mean when a periodic dominant class keeps the iteration
-  from settling);
+  makes; otherwise the largest Perron root over the classes, each from
+  vector-converged power iteration on the class's block plus I);
 * sink decomposition: permutation to block upper-triangular form with
   every multi-vertex diagonal class verified to be a simple cycle, and
   the classes without exits marked as sinks, made once per matrix;
@@ -29,12 +28,12 @@ Beyond level counting this module classifies the matrix:
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Iterator
 from functools import cached_property
 
-from .errors import DeadEnd, DomainError, NotUnexpandable
+from .caps import enumeration_cap
+from .errors import CapExceeded, DeadEnd, DomainError, NotUnexpandable
 from .records import record
 
 MAX_DIGIT_GENERATORS = 9
@@ -66,6 +65,11 @@ class AdjacencyMatrix:
     def geometry(self) -> "TreeGeometry":
         """The one geometry of this matrix; its level series grow as callers ask."""
         return TreeGeometry(self)
+
+    @cached_property
+    def _classes(self) -> list[frozenset[int]]:
+        """The strongly connected classes of this matrix, found once."""
+        return _strongly_connected_classes(self)
 
     @cached_property
     def _sinks(self) -> "SinkDecomposition | str":
@@ -197,11 +201,14 @@ class TreeGeometry:
         return self._children[digit - 1]
 
     def _levels(self, n: int) -> Iterator[list[str]]:
-        """The vertex ids of levels 0 .. n, each level grown from the one above."""
+        """Vertex ids of levels 0 .. n, each grown from the one above, once |Delta_n| fits the cap."""
         if self.matrix.d > MAX_DIGIT_GENERATORS:
             raise DomainError(
                 f"digit vertex ids support at most {MAX_DIGIT_GENERATORS} generators"
             )
+        limit = enumeration_cap()
+        if self.delta_size(n) > limit:
+            raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} vertices in Delta_{n}")
         current = [""]
         for level in range(n + 1):
             if level:
@@ -243,37 +250,24 @@ class ExpandingNumber:
     expandable: bool
 
 
-def _power_iteration(matrix: AdjacencyMatrix, tol: float = 1e-13, max_iter: int = 30000) -> float:
-    """Dominant growth rate of the level vectors.
+def _perron_root(matrix: AdjacencyMatrix, members: frozenset[int]) -> float:
+    """Perron root of one strongly connected class: power iteration on its block plus I.
 
-    Convergence is judged on the normalized vector, never on the scalar
-    ratio: two equal successive ratios can occur long before the mixture
-    of eigencomponents settles, and stopping there reports a wrong
-    radius.  Matrices whose dominant class is periodic never settle at
-    all, so iteration exhaustion falls through to exact counting.
+    The loops I adds make the block primitive, so root + 1 is simple and strictly
+    dominant and the normalized vector converges whatever the class's period; it is
+    judged on that vector, never on the scalar ratio, which can repeat early.
     """
-    rows = matrix.rows
-    d = matrix.d
-    vec = [1.0 / d] * d
-    for _ in range(max_iter):
-        nxt = [sum(vec[i] for i in range(d) if rows[i][j]) for j in range(d)]
+    idx = sorted(g - 1 for g in members)
+    preds = [[p for p, i in enumerate(idx) if matrix.rows[i][j]] for j in idx]
+    vec = [1.0 / len(idx)] * len(idx)
+    for _ in range(30000):
+        nxt = [vec[q] + sum(vec[p] for p in ps) for q, ps in enumerate(preds)]
         norm = sum(nxt)
         nxt = [x / norm for x in nxt]
-        if max(abs(a - b) for a, b in zip(nxt, vec)) < tol:
-            return norm
+        if max(abs(a - b) for a, b in zip(nxt, vec)) < 1e-13:
+            break
         vec = nxt
-    return _growth_from_counts(matrix)
-
-
-def _growth_from_counts(matrix: AdjacencyMatrix) -> float:
-    # windowed geometric mean of the exact level counts; 2520 = lcm(1..9)
-    # is a multiple of every period a dominant class can have, so the
-    # periodic oscillation cancels exactly
-    start, window = 64, 2520
-    geo = TreeGeometry(matrix)
-    lo = geo.level_size(start)
-    hi = geo.level_size(start + window)
-    return math.exp((math.log(hi) - math.log(lo)) / window)
+    return norm - 1.0
 
 
 def is_expandable(matrix: AdjacencyMatrix) -> bool:
@@ -287,9 +281,11 @@ def is_expandable(matrix: AdjacencyMatrix) -> bool:
 
 
 def spectral_radius(matrix: AdjacencyMatrix) -> float:
+    """The largest Perron root over the strongly connected classes, the
+    irreducible diagonal blocks of the Frobenius normal form."""
     if not is_expandable(matrix):
         return 1.0
-    return _power_iteration(matrix)
+    return max(_perron_root(matrix, members) for members in matrix._classes)
 
 
 def expanding_number(matrix: AdjacencyMatrix, n: int) -> ExpandingNumber:
@@ -298,9 +294,8 @@ def expanding_number(matrix: AdjacencyMatrix, n: int) -> ExpandingNumber:
         raise DomainError("expanding-number estimate needs n >= 2")
     geo = matrix.geometry
     ratio = geo.level_size(n + 1) / geo.level_size(n)
-    expandable = is_expandable(matrix)
-    spectral = _power_iteration(matrix) if expandable else 1.0
-    return ExpandingNumber(ratio_est=ratio, spectral=spectral, expandable=expandable)
+    return ExpandingNumber(ratio_est=ratio, spectral=spectral_radius(matrix),
+                           expandable=is_expandable(matrix))
 
 
 @record
@@ -365,9 +360,8 @@ def sink_decomposition(matrix: AdjacencyMatrix) -> SinkDecomposition:
 def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
     """The decomposition ``sink_decomposition`` describes; raises NotUnexpandable."""
     rows = matrix.rows
-    classes = _strongly_connected_classes(matrix)
     ordered_members = []
-    for cls_set in classes:
+    for cls_set in matrix._classes:
         members = tuple(sorted(cls_set))
         if len(members) == 1 and not rows[members[0] - 1][members[0] - 1]:
             ordered_members.append(members)

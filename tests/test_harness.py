@@ -217,6 +217,32 @@ class TestCli:
         assert report["summary"] == {"found": False}
         assert [(a["name"], a["pass"]) for a in report["assertions"]] == [("no-witness-no-blocks", True)]
 
+    def test_vertex_listing_past_the_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Delta_10 of the binary tree has 2,047 vertices; none is listed
+        monkeypatch.setenv("SHIFTLAB_CAP", "1000")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "target": "bip", "tree": {"d": 2, "rows": ["11", "11"]},
+            "base": {"alphabet": 2, "forbidden": ["11"]}, "l": 1, "n": 10,
+        }))
+        assert cli.main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "shiftlab: error: more than SHIFTLAB_CAP = 1000 vertices in Delta_10\n"
+
+    def test_bip_count_lower_bound_reads_the_alphabet(self, tmp_path, capsys, monkeypatch):
+        # a ternary boundary set of size s forces 3^s patterns, not 2^s
+        obj = {"target": "bip", "tree": {"d": 2, "rows": ["11", "11"]},
+               "base": {"alphabet": 3, "forbidden": []}, "l": 1, "n": 2}
+        size = run(obj).summary["size"]
+        monkeypatch.setattr(treeshifts, "count_patterns", lambda ts, n: 3 ** size - 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        assert cli.main(["run", str(cfg)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {a["name"]: a["pass"] for a in report["assertions"]} == {
+            "witness-independent": True, "count-lower-bound": False}
+
     def test_reproduce_exits_zero(self, capsys):
         assert cli.main(["reproduce", "thm3", "--depth", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
@@ -353,6 +379,19 @@ class TestOneWalkPerSeries:
         # the hard square is its own transpose, so one series per width 1..4
         # serves both orientations: once for the rows, once for fr_estimate
         assert sorted(widths) == sorted(2 * [1, 2, 3, 4])
+
+
+    def test_each_2d_window_is_counted_once(self, monkeypatch):
+        calls = []
+        count = grids.count_blocks_2d
+        monkeypatch.setattr(grids, "count_blocks_2d",
+                            lambda spec, k1, k2: calls.append((k1, k2)) or count(spec, k1, k2))
+        rep = run({"target": "indep2d", "spec": HARD_SQUARE_JSON, "k1": 3, "k2": 3})
+        assert rep.passed
+        assert calls == [(3, 3)]
+        calls.clear()
+        assert harness.reproduce("thm3", depth=3).passed
+        assert calls == [(1, 1), (2, 2), (3, 3)]
 
 
 class TestBlockSubadditivity:

@@ -16,6 +16,17 @@ SWAP = trees.AdjacencyMatrix.swap()
 GOLDEN_EDGE = trees.AdjacencyMatrix.from_rows(["11", "10"])
 
 
+# irreducible blocks and their Perron roots
+KNOWN_BLOCKS = [
+    (["1"], 1.0),
+    (["11", "11"], 2.0),
+    (["111", "111", "111"], 3.0),
+    (["11", "10"], (1 + 5 ** 0.5) / 2),
+    (["010", "001", "100"], 1.0),  # the 3-cycle
+    (["011", "100", "100"], 2 ** 0.5),  # the star, period 2
+]
+
+
 def walk_levels(matrix: trees.AdjacencyMatrix, n: int) -> list[list[str]]:
     """Brute-force vertex walk, level by level, as digit strings."""
     levels = [[""]]
@@ -139,10 +150,46 @@ class TestGrowth:
         )
 
     def test_spectral_periodic_dominant(self):
-        # bipartite with period 2: power iteration oscillates forever and
-        # the exact-count fallback must recover sqrt(2)
+        # bipartite with period 2: iteration on the matrix itself oscillates
+        # forever, while on the class plus I it settles at sqrt(2) + 1
         m = trees.AdjacencyMatrix.from_rows(["011", "100", "100"])
         assert trees.spectral_radius(m) == pytest.approx(2 ** 0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("rows, root", [
+        # two full 2 x 2 classes, the first feeding the second
+        (["1110", "1100", "0011", "0011"], 2.0),
+        # classes {1, 3, 5} and {2, 4}, both at phi, the second feeding the first
+        (["00101", "11010", "10001", "01000", "10000"], (1 + 5 ** 0.5) / 2),
+    ])
+    def test_spectral_tied_classes(self, rows, root):
+        # iteration on the whole matrix never settles when two classes tie
+        m = trees.AdjacencyMatrix.from_rows(rows)
+        assert trees.spectral_radius(m) == pytest.approx(root, abs=1e-9)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_spectral_is_the_largest_block_root(self, data):
+        # block upper-triangular matrices from blocks of known Perron root,
+        # with random forward couplings and a random relabeling
+        picked = data.draw(st.lists(st.sampled_from(KNOWN_BLOCKS), min_size=1, max_size=3))
+        d = sum(len(block) for block, _ in picked)
+        owner = [b for b, (block, _) in enumerate(picked) for _ in block]
+        rows = [[0] * d for _ in range(d)]
+        offset = 0
+        for block, _ in picked:
+            for i, row in enumerate(block):
+                for j, x in enumerate(row):
+                    rows[offset + i][offset + j] = int(x)
+            offset += len(block)
+        for i in range(d):
+            for j in range(d):
+                if owner[i] < owner[j]:
+                    rows[i][j] = data.draw(st.integers(0, 1))
+        perm = data.draw(st.permutations(range(d)))
+        relabeled = [[rows[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+        m = trees.AdjacencyMatrix(tuple(map(tuple, relabeled)))
+        want = max(root for _, root in picked)
+        assert trees.spectral_radius(m) == pytest.approx(want, abs=1e-9)
 
     def test_periodic_cycle_class_is_unexpandable(self):
         # classes {1}, {2, 4, 3} (a 3-cycle) and nothing denser: the level
