@@ -380,7 +380,6 @@ class TestOneWalkPerSeries:
         # serves both orientations: once for the rows, once for fr_estimate
         assert sorted(widths) == sorted(2 * [1, 2, 3, 4])
 
-
     def test_each_2d_window_is_counted_once(self, monkeypatch):
         calls = []
         count = grids.count_blocks_2d
