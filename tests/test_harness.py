@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -180,6 +182,14 @@ class TestReports:
         assert json.loads(out.read_text())["pass"] is True
 
 
+def _shiftlab(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m shiftlab.cli ARGV`` in a fresh interpreter, on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestCli:
     def test_run_exits_zero_on_pass(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -278,31 +288,88 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "k,count,estimate"
 
-    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch, request):
+    def test_commands_in_one_process_match_each_alone(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(GOLDEN_CFG))
         commands = [["run", str(cfg), "--format", "csv"], ["reproduce", "cor1", "--seed", "4"]]
-        want = []
-        for argv in commands:  # each with a parser of its own
-            cli._build_parser.cache_clear()
-            assert cli.main(argv) == 0
-            want.append(capsys.readouterr().out)
-
-        built = []  # a build adds the output flags to each subcommand's parser
-        flags = cli._output_flags
-        monkeypatch.setattr(cli, "_output_flags", lambda p: built.append(p.prog) or flags(p))
-        cli._build_parser.cache_clear()
-        request.addfinalizer(cli._build_parser.cache_clear)
-        with pytest.raises(SystemExit) as usage:
-            cli.main(["reproduce", "thm9"])
-        assert usage.value.code == 2
-        capsys.readouterr()
+        alone = [_shiftlab(*argv).stdout for argv in commands]
         got = []
         for argv in commands:
             assert cli.main(argv) == 0
             got.append(capsys.readouterr().out)
-        assert got == want
-        assert built == ["shiftlab run", "shiftlab reproduce"]
+        assert got == alone
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["verify", "thm3"],
+        ["reproduce", "thm9"],
+        ["reproduce", "thm3", "--depth", "abc"],
+        ["reproduce", "thm3", "--format", "xml"],
+        ["reproduce", "thm3", "--bogus"],
+        ["run"],
+        ["reproduce", "thm3", "thm4"],
+        ["run", "CONFIG", "--seed", "1"],
+    ])
+    def test_usage_error_exits_two(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(GOLDEN_CFG))
+        argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(cli.USAGE)
+        lines = captured.err[len(cli.USAGE):].splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("shiftlab: error: ")
+        assert lines[0].endswith("\n")
+
+    @pytest.mark.parametrize("argv, canonical", [
+        (["reproduce", "--depth", "3", "thm3"], ["reproduce", "thm3", "--depth", "3"]),
+        (["reproduce", "thm3", "--depth=3", "--format=csv"],
+         ["reproduce", "thm3", "--depth", "3", "--format", "csv"]),
+        (["reproduce", "thm3", "--dep", "3"], ["reproduce", "thm3", "--depth", "3"]),
+        (["reproduce", "--depth", "3", "--", "thm3"], ["reproduce", "thm3", "--depth", "3"]),
+    ])
+    def test_accepted_forms_match_the_canonical_argv(self, argv, canonical, capsys):
+        assert cli.main(canonical) == 0
+        want = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_lists_every_key(self, flag, capsys):
+        assert cli.main(["reproduce", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.USAGE and captured.err == ""
+        for key in harness.REPRODUCE_KEYS:
+            assert key in captured.out
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"shiftlab: error: {cfg}: not UTF-8 text (")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_config_nested_past_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shiftlab: error: {cfg}: JSON nested too deeply to decode\n"
+
+    def test_exit_codes_through_a_process(self):
+        helped = _shiftlab("--help")
+        assert helped.returncode == 0 and helped.stdout == cli.USAGE
+        refused = _shiftlab("reproduce", "thm9")
+        assert refused.returncode == 2 and refused.stdout == ""
+        assert refused.stderr.splitlines()[-1].startswith("shiftlab: error: ")
+        assert "Traceback" not in refused.stderr
+        replayed = _shiftlab("reproduce", "thm3", "--depth", "3")
+        assert replayed.returncode == 0
+        assert json.loads(replayed.stdout)["pass"] is True
 
     @pytest.mark.parametrize("cap", ["0", "abc"])
     def test_bad_cap_exits_two(self, cap, capsys, monkeypatch):
