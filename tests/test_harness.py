@@ -293,6 +293,8 @@ class TestCli:
         cfg.write_text(json.dumps(GOLDEN_CFG))
         commands = [["run", str(cfg), "--format", "csv"], ["reproduce", "cor1", "--seed", "4"]]
         alone = [_shiftlab(*argv).stdout for argv in commands]
+        assert cli.main(["reproduce", "thm9"]) == 2
+        capsys.readouterr()
         got = []
         for argv in commands:
             assert cli.main(argv) == 0
