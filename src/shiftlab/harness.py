@@ -158,7 +158,10 @@ def _int_field(params: dict, name: str, lo: int = 1) -> int:
 
 
 def _spec_field(params: dict, kind: type) -> object:
-    """The config's spec of class ``kind``; a spec that does not parse raises ConfigError.
+    """The config's spec of class ``kind``; a spec of malformed shape raises ConfigError.
+
+    Any other exception from a parser is left to the caller, so a fault in
+    shiftlab itself is not reported as a bad config.
 
     A line or grid spec is the "spec" field; a tree shift spreads over
     the "tree", "base" and "matrix" fields.
@@ -169,7 +172,9 @@ def _spec_field(params: dict, kind: type) -> object:
         label, obj = "spec", _require(params, "spec")
     try:
         return kind.from_json(obj)
-    except Exception as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{label}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:  # a malformed JSON shape
         raise ConfigError(f"{label}: {exc}") from exc
 
 

@@ -8,8 +8,9 @@ M) with |Delta_n| kept beside them, and ``walk_up``, the bottom-up walk
 over (vertex type, height) that every tree DP of ``treeshifts`` takes.
 Vertex ids are digit strings ("" is the root, "12" is the child 2 of
 generator 1), which keeps lexicographic order aligned with depth-first
-traversal.  Digit ids need d <= 9; the matrix operations themselves
-have no such bound.
+traversal.  The geometry alone writes them (``child_ids``), lists them
+(``levels``) and checks them (``is_vertex``, ``check_ids``).  Digit ids
+need d <= 9; the matrix operations themselves have no such bound.
 
 Beyond level counting this module classifies the matrix:
 
@@ -28,7 +29,6 @@ Beyond level counting this module classifies the matrix:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from functools import cached_property
 
@@ -133,9 +133,9 @@ class TreeGeometry:
             tuple(i for i in range(matrix.d) if matrix.rows[i][j])
             for j in range(matrix.d)
         )
-        # the id characters that may follow each digit character, "0" for the root
-        self._follows: dict[str, frozenset[str]] = {
-            str(digit): frozenset(map(str, self.children_digits(digit)))
+        # per last id character ("" for the root), its children's characters ascending
+        self._child_chars: dict[str, tuple[str, ...]] = {
+            str(digit or ""): tuple(map(str, self.children_digits(digit)))
             for digit in range(matrix.d + 1)
         }
 
@@ -183,6 +183,8 @@ class TreeGeometry:
         with the same children share one table, so each height calls
         ``node`` once per distinct children tuple.
         """
+        if n < 0:
+            raise DomainError("depth must be >= 0")
         by_digit: list = []
         for height in range(n + 1):
             kids_of = [self.children_digits(digit) if height else ()
@@ -200,40 +202,54 @@ class TreeGeometry:
             return tuple(range(1, self.matrix.d + 1))
         return self._children[digit - 1]
 
-    def _levels(self, n: int) -> Iterator[list[str]]:
-        """Vertex ids of levels 0 .. n, each grown from the one above, once |Delta_n| fits the cap."""
+    def child_ids(self, vid: str) -> list[str]:
+        """The ids of a vertex's children, ascending: the one place a child id is written."""
+        return [vid + ch for ch in self._child_chars[vid[-1:]]]
+
+    def check_digits(self) -> None:
+        """Raise DomainError when the generators outnumber the digits of an id."""
         if self.matrix.d > MAX_DIGIT_GENERATORS:
             raise DomainError(
                 f"digit vertex ids support at most {MAX_DIGIT_GENERATORS} generators"
             )
+
+    def levels(self, n: int) -> Iterator[list[str]]:
+        """Vertex ids of levels 0 .. n, each grown from the one above, once |Delta_n| fits the cap."""
+        self.check_digits()
         limit = enumeration_cap()
         if self.delta_size(n) > limit:
             raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} vertices in Delta_{n}")
         current = [""]
-        for level in range(n + 1):
-            if level:
-                current = [
-                    v + str(c)
-                    for v in current
-                    for c in self.children_digits(int(v[-1]) if v else 0)
-                ]
+        yield current
+        for _ in range(n):
+            current = [kid for vid in current for kid in self.child_ids(vid)]
             yield current
 
     def level_vertices(self, level: int) -> list[str]:
         """Vertex ids at one level, in lexicographic (= generator) order."""
-        return deque(self._levels(max(level, 0)), maxlen=1)[0]
+        for ids in self.levels(max(level, 0)):
+            pass
+        return ids
 
     def vertices(self, n: int) -> list[str]:
         """All ids of Delta_n, level by level."""
-        return [vid for level in self._levels(n) for vid in level]
+        return [vid for level in self.levels(n) for vid in level]
 
     def is_vertex(self, vid: str) -> bool:
-        prev = "0"
+        prev = ""
         for ch in vid:
-            if ch not in self._follows[prev]:
+            if ch not in self._child_chars[prev]:
                 return False
             prev = ch
         return True
+
+    def check_ids(self, ids, n: float) -> None:
+        """Raise DomainError at the first id that is no vertex or lies below depth n."""
+        for vid in ids:
+            if not self.is_vertex(vid):
+                raise DomainError(f"{vid!r} is not a vertex of this tree")
+            if len(vid) > n:
+                raise DomainError(f"vertex {vid!r} lies below depth {n}")
 
 
 def level_sizes(matrix: AdjacencyMatrix, n: int) -> list[int]:
@@ -374,13 +390,10 @@ def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
                     f"class {set(members)} is not a simple cycle; growth is exponential"
                 )
             succ[g] = inside[0]
+        # a strongly connected class with one successor per member is one cycle
         orbit = [members[0]]
-        while succ[orbit[-1]] != orbit[0]:
+        for _ in members[1:]:
             orbit.append(succ[orbit[-1]])
-            if len(orbit) > len(members):
-                raise NotUnexpandable(f"class {set(members)} is not a single cycle")
-        if len(orbit) != len(members):
-            raise NotUnexpandable(f"class {set(members)} splits into several cycles")
         ordered_members.append(tuple(orbit))
 
     index_of = {}

@@ -55,7 +55,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import or_
 
 from . import words as words_mod
@@ -74,7 +74,6 @@ from .words import ShiftSpec1D, WordAutomaton, log_per_size
 
 CLASS_CAP = 4096
 MEMO_CAP = CLASS_CAP
-ROOT = 0
 
 
 @record
@@ -149,8 +148,6 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     A vertex's table is a vector over automaton states: entry q counts
     the labelings of its subtree below a parent in state q.
     """
-    if n < 0:
-        raise DomainError("depth must be >= 0")
     auto = ts.automaton
 
     def step(kids, height) -> tuple[int, ...]:
@@ -275,9 +272,6 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     distinct leaf labelings below.  Raises CapExceeded when a class map
     outgrows CLASS_CAP.
     """
-    if n < 0:
-        raise DomainError("depth must be >= 0")
-
     auto = ts.automaton
 
     def step(kids, height) -> dict:
@@ -305,7 +299,7 @@ class VertexSet:
 
     def members_in(self, geo: TreeGeometry, n: int) -> frozenset[str]:
         """The ids within Delta_n; an id that is no vertex of the tree raises DomainError."""
-        _validate_vertices(geo, sorted(self.ids), math.inf)  # ids below Delta_n are left out
+        geo.check_ids(sorted(self.ids), math.inf)  # ids below Delta_n are left out
         return frozenset(v for v in self.ids if len(v) <= n)
 
     def to_json(self) -> list[str]:
@@ -328,11 +322,11 @@ class LevelParity:
         )
 
     def members_in(self, geo: TreeGeometry, n: int) -> frozenset[str]:
-        out: set[str] = set()
-        for k in range(n + 1):
-            if k % 2 == self.parity:
-                out.update(geo.level_vertices(k))
-        return frozenset(out)
+        last = n - (n - self.parity) % 2  # the deepest level of this parity
+        if last < 0:
+            return frozenset()
+        return frozenset(vid for k, level in enumerate(geo.levels(last)) if k % 2 == self.parity
+                         for vid in level)
 
 
 def ray_vertices(digit: int, n: int) -> VertexSet:
@@ -357,14 +351,6 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
     ratios = tuple(Fraction(c, geometry.delta_size(n)) for c, n in zip(counts, depths))
     tail = ratios[len(ratios) // 2:]
     return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail), counts=counts)
-
-
-def _validate_vertices(geo: TreeGeometry, ids, n: float) -> None:
-    for vid in ids:
-        if not geo.is_vertex(vid):
-            raise DomainError(f"{vid!r} is not a vertex of this tree")
-        if len(vid) > n:
-            raise DomainError(f"vertex {vid!r} lies below depth {n}")
 
 
 def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
@@ -427,7 +413,7 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     geo = ts.geometry()
     auto = ts.automaton
     ids = S.ids if isinstance(S, VertexSet) else tuple(S)
-    _validate_vertices(geo, ids, n)
+    geo.check_ids(ids, n)
     pins = frozenset(ids)
     # free[h] is the class map of a subtree of height h without pins.  It
     # does not depend on the subtree's vertex type: every vertex has a
@@ -441,8 +427,7 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     for vid in sorted({""} | {vid[:i] for vid in pins for i in range(len(vid) + 1)},
                       key=len, reverse=True):
         height = n - len(vid)
-        kids = tuple([done.pop(vid + str(c), free[height - 1])
-                      for c in geo.children_digits(int(vid[-1]) if vid else ROOT)]) if height else ()
+        kids = tuple([done.pop(kid, free[height - 1]) for kid in geo.child_ids(vid)]) if height else ()
         done[vid] = _node_step(auto, vid in pins, kids)
     return _root_count(done[""])
 
@@ -470,8 +455,6 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     ``is_indep_tree`` asks of the root class map.  A table past
     CLASS_CAP entries raises CapExceeded.
     """
-    if n < 0:
-        raise DomainError("depth must be >= 0")
     auto = ts.automaton
 
     def step(children, height) -> dict:
@@ -526,13 +509,13 @@ def _pin_table(auto: WordAutomaton, children, pinnable: bool) -> list:
 def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
     """The sorted ids of a table entry's pin set, read down the paths to its pins."""
     ids = []
-    stack = [("", ROOT, entry)] if entry else []
+    stack = [("", entry)] if entry else []
     while stack:  # preorder, children by ascending digit: sorted ids
-        prefix, digit, (_, _, pinned, kids) = stack.pop()
+        vid, (_, _, pinned, kids) = stack.pop()
         if pinned:
-            ids.append(prefix)
-        stack.extend((prefix + str(c), c, kid) for c, kid
-                     in zip(reversed(geo.children_digits(digit)), reversed(kids)) if kid[1])
+            ids.append(vid)
+        stack.extend((kid_id, kid) for kid_id, kid
+                     in zip(reversed(geo.child_ids(vid)), reversed(kids)) if kid[1])
     return tuple(ids)
 
 
@@ -557,7 +540,7 @@ def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int, pin_levels: in
     of the largest whose masks all hold the initial state.  ``_pin_ids``
     reads its ids.  A table past CLASS_CAP entries raises CapExceeded.
     """
-    geo.level_vertices(0)  # ids are digit strings; raises past MAX_DIGIT_GENERATORS
+    geo.check_digits()  # ids are digit strings
     return [max((entry for entry in root if _tolerates_root(entry[0])), key=lambda e: e[1], default=None)
             for root in geo.walk_up(n, lambda kids, height: _pin_table(auto, kids, height < pin_levels))]
 
@@ -639,12 +622,8 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
         )
     geo = ts.geometry()
     delta = geo.delta_size(n)
-    leaves = geo.level_vertices(n)
-    upper = [vid for level in range(n - 1, max(n - boundary_levels, -1), -1)
-             for vid in geo.level_vertices(level)]
-    boundary = leaves + upper
-
-    if len(boundary) <= 20:
+    top = max(n - boundary_levels + 1, 0)  # the boundary is levels top .. n
+    if delta - (geo.delta_size(top - 1) if top else 0) <= 20:
         best = _pin_ids(geo, _max_pin_sets(ts.automaton, geo, n, boundary_levels)[n])
         if not best:
             return None
@@ -652,6 +631,9 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
             S_n=VertexSet.of(best), ratio=Fraction(len(best), delta), certified=True
         )
 
+    kept = list(islice(geo.levels(n), top, None))
+    leaves = kept[-1]
+    boundary = [vid for level in reversed(kept) for vid in level]
     chosen = list(leaves) if is_indep_tree(ts, leaves, n) else []
     for vid in boundary[len(chosen):]:
         if is_indep_tree(ts, chosen + [vid], n):
@@ -677,8 +659,6 @@ def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
     Each witness is the lex-first maximum set over sorted vertex ids, so
     every answer is certified.
     """
-    if n < 0:
-        raise DomainError("depth must be >= 0")
     geo = ts.geometry()
     return [
         MaxIndepEstimate(size=len(pins), witness=VertexSet.of(pins),
@@ -689,8 +669,6 @@ def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
 
 def max_indep_sizes(ts: TreeShiftSpec, n: int) -> list[int]:
     """The sizes of ``max_indep_series``, exact, from the same walk without building a witness."""
-    if n < 0:
-        raise DomainError("depth must be >= 0")
     return [top[1] if top else 0 for top in _max_pin_sets(ts.automaton, ts.geometry(), n, n + 1)]
 
 

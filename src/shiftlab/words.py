@@ -158,7 +158,14 @@ class ShiftSpec1D:
         if kind == FULL:
             return cls.full(r)
         if kind == FORBIDDEN:
-            return cls.with_forbidden(r, obj.get("forbidden", ()))
+            forbidden = obj.get("forbidden", [])
+            if not isinstance(forbidden, list):
+                raise DomainError(f"forbidden must be a list of words, got {forbidden!r}")
+            for w in forbidden:
+                if not (isinstance(w, str) and all(ch in "0123456789" for ch in w)
+                        or isinstance(w, list) and all(type(s) is int for s in w)):
+                    raise DomainError(f"forbidden entry {w!r} is neither a digit string nor a list of ints")
+            return cls.with_forbidden(r, forbidden)
         if kind == AT_MOST_K:
             return cls.at_most_k(r, obj["symbol"], obj["count"])
         raise DomainError(f"unknown spec kind {kind!r}")

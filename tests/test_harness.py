@@ -191,6 +191,34 @@ def _shiftlab(*argv: str) -> subprocess.CompletedProcess:
 
 
 class TestCli:
+    @pytest.mark.parametrize("cfg,message", [
+        ({**GOLDEN_CFG, "spec": {"kind": "forbidden", "alphabet": 2, "forbidden": [[[1]], "11"]}},
+         "spec: forbidden entry [[1]] is neither a digit string nor a list of ints"),
+        ({**GOLDEN_CFG, "spec": {"kind": "forbidden", "alphabet": 2, "forbidden": "11"}},
+         "spec: forbidden must be a list of words, got '11'"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 2]}]}, "k_range": [1, 2]},
+         "spec: missing field 'cells'"),
+    ], ids=["nested-entry", "not-a-list", "missing-cells"])
+    def test_malformed_spec_names_its_field(self, cfg, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shiftlab: error: {message}\n"
+
+    def test_fault_in_a_spec_parser_is_internal(self, tmp_path, capsys, monkeypatch):
+        def broken(obj):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(words.ShiftSpec1D, "from_json", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(GOLDEN_CFG))
+        assert cli.main(["run", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["shiftlab: internal error: ZeroDivisionError('division by zero')"]
+
     def test_run_exits_zero_on_pass(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(GOLDEN_CFG))

@@ -1,0 +1,39 @@
+"""Every name a shiftlab module imports is used in that module."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+import shiftlab
+
+MODULES = sorted(p for p in pathlib.Path(shiftlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]:
+            for alias in node.names:
+                if alias.name != "annotations":  # from __future__
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    # names quoted in annotations ("TreeGeometry") count as used
+    used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_caught():
+    assert _unused_imports("from collections import deque\nimport os\nos.sep\n") == ["deque (line 1)"]
+    assert _unused_imports("from x import y  # noqa: F401\n") == []

@@ -111,6 +111,14 @@ class TestGeometry:
         assert not geo.is_vertex("21")  # comb has no edge 2 -> 1
         assert not geo.is_vertex("3")
 
+    def test_vertex_ids_start_at_the_root_and_use_generator_digits(self):
+        geo = trees.TreeGeometry(BINARY)
+        assert geo.is_vertex("")
+        assert geo.is_vertex("12") and geo.child_ids("12") == ["121", "122"]
+        assert geo.child_ids("") == ["1", "2"]
+        for vid in ("0", "10", "3", "13", "9"):
+            assert not geo.is_vertex(vid)
+
     def test_dead_end_rejected(self):
         with pytest.raises(DeadEnd):
             trees.AdjacencyMatrix.from_rows(["10", "00"])

@@ -984,3 +984,58 @@ class TestEntropyChain:
             treeshifts.entropy_chain_series(treeshifts.make_tree_shift(COMB, MATRIX_A), 3)
         with pytest.raises(NotUnexpandable):
             treeshifts.entropy_chain_series(TS_BIN_GOLDEN, 3)
+
+
+GOLDEN_TREE_MATRIX = trees.AdjacencyMatrix.from_rows(["11", "10"])
+TEN_GENERATORS = trees.AdjacencyMatrix.from_rows(["1" * 10] * 10)
+
+
+def _greedy_over_delta(ts: treeshifts.TreeShiftSpec, n: int) -> frozenset[str] | None:
+    """The greedy pass over all of Delta_n, leaves first, each level in lex order."""
+    geo = ts.geometry()
+    leaves = geo.level_vertices(n)
+    boundary = [vid for k in range(n, -1, -1) for vid in geo.level_vertices(k)]
+    chosen = list(leaves) if treeshifts.is_indep_tree(ts, leaves, n) else []
+    for vid in boundary[len(chosen):]:
+        if treeshifts.is_indep_tree(ts, chosen + [vid], n):
+            chosen.append(vid)
+    return frozenset(chosen) or None
+
+
+class TestGeometryOwnsIds:
+    @pytest.mark.parametrize("walker", [
+        treeshifts.count_series, treeshifts.surface_series, treeshifts.subset_census,
+        treeshifts.max_indep_series, treeshifts.max_indep_sizes,
+    ])
+    def test_walkers_refuse_negative_depth(self, walker):
+        with pytest.raises(DomainError) as err:
+            walker(TS_BIN_GOLDEN, -1)
+        assert str(err.value) == "depth must be >= 0"
+
+    def test_ten_generators_count_but_list_no_ids(self):
+        ts = treeshifts.make_tree_shift(TEN_GENERATORS, GOLDEN)
+        assert treeshifts.count_series(ts, 1) == [2, 2 ** 10 + 1]  # root 0 frees every child
+        message = "digit vertex ids support at most 9 generators"
+        for query in (lambda: ts.geometry().level_vertices(1), lambda: treeshifts.max_indep_sizes(ts, 1)):
+            with pytest.raises(DomainError) as err:
+                query()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("ts", [TS_BIN_A, TS_BIN_GOLDEN, treeshifts.make_tree_shift(GOLDEN_TREE_MATRIX, GOLDEN)])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_boundary_deeper_than_the_tree_is_all_of_delta(self, ts, n):
+        whole = treeshifts.bip_search(ts, n + 1, n)
+        for extra in (2, 5):
+            assert treeshifts.bip_search(ts, n + extra, n) == whole
+        if whole.certified:
+            assert len(whole.S_n) == treeshifts.max_indep_est(ts, n).size
+        else:
+            assert whole.S_n.ids == _greedy_over_delta(ts, n)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("matrix", [COMB, BINARY, GOLDEN_TREE_MATRIX])
+    def test_level_parity_members_filter_the_vertices(self, matrix, parity):
+        geo = matrix.geometry
+        for n in range(6):
+            want = frozenset(vid for vid in geo.vertices(n) if len(vid) % 2 == parity)
+            assert treeshifts.LevelParity(parity).members_in(geo, n) == want
