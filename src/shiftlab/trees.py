@@ -38,6 +38,18 @@ from .records import record
 
 MAX_DIGIT_GENERATORS = 9
 
+_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
+def read_bit_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of 0/1 digit strings or ints; any other entry, bools too, names ``field`` and its row."""
+    out = []
+    for row in rows:
+        out.append(tuple(_BITS.get(x) if type(x) in (str, int) else None for x in row))
+        if None in out[-1]:
+            raise DomainError(f"{field} row {row!r}: entries must be 0 or 1")
+    return tuple(out)
+
 
 @record
 class AdjacencyMatrix:
@@ -81,7 +93,7 @@ class AdjacencyMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "AdjacencyMatrix":
-        return cls(tuple(tuple(int(ch) for ch in row) for row in rows))
+        return cls(read_bit_rows(rows, "tree"))
 
     @classmethod
     def comb(cls) -> "AdjacencyMatrix":

@@ -1,23 +1,24 @@
 """Labelings of Markov-Cayley trees constrained along rays.
 
-A tree-shift spec pairs a tree geometry with a base constraint: either a
-1D shift spec (every root-to-vertex word must be admissible for it) or a
-one-step symbol matrix A (label t may follow label s when A[s][t] = 1).
+A tree-shift spec pairs a tree geometry with a 1D shift spec, its base:
+every root-to-vertex word must be admissible for it.  ``make_tree_shift``
+also takes a one-step symbol matrix A (label t may follow label s when
+A[s][t] = 1) and reads it once into the base forbidding each 2-word st
+with A[s][t] = 0, so a matrix and its word base give equal specs, and
+whether the base is hereditary is a property of that shift alone.
 Patterns live on the truncated tree Delta_n.
 
-Both kinds of base compile once per spec into one ``WordAutomaton``
-(a matrix base is the 1D shift forbidding each 2-word st with
-A[s][t] = 0), with integer states and the initial state 0.  Counting is
-bottom-up dynamic programming along the geometry's ``walk_up``: a
-subtree's shape depends only on its vertex type (the last generator)
-and height, so each height keeps one table per vertex type, here a
-count per automaton state, and the DP is polynomial in depth even when
-the pattern counts have thousands of digits.  Surface counting and
-independence checking refine the same idea: instead of a single count
-per state they carry a map from "set of incoming states this partial
-labeling tolerates", an int bitmask over the states, to the number of
-distinct restrictions achieving it.  That stays exact while collapsing
-unpinned subtrees to one class.
+The base compiles once into one ``WordAutomaton``, with integer states
+and the initial state 0.  Counting is bottom-up dynamic programming
+along the geometry's ``walk_up``: a subtree's shape depends only on its
+vertex type (the last generator) and height, so each height keeps one
+table per vertex type, here a count per automaton state, and the DP is
+polynomial in depth even when the pattern counts have thousands of
+digits.  Surface counting and independence checking refine the same
+idea: instead of a single count per state they carry a map from "set of
+incoming states this partial labeling tolerates", an int bitmask over
+the states, to the number of distinct restrictions achieving it.  That
+stays exact while collapsing unpinned subtrees to one class.
 
 Independence of a vertex set S: every assignment S -> alphabet extends
 to a full admissible labeling of Delta_n.  The check compares the exact
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, islice
 from operator import or_
 
@@ -68,7 +69,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .records import record
-from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, sink_decomposition, sink_level_counts
+from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, read_bit_rows
+from .trees import sink_decomposition, sink_level_counts
 from .trees import entering_counts  # noqa: F401  the a_l of the chain's W, re-exported
 from .words import ShiftSpec1D, WordAutomaton, log_per_size
 
@@ -78,63 +80,49 @@ MEMO_CAP = CLASS_CAP
 
 @record
 class TreeShiftSpec:
-    """Tree geometry plus the ray constraint (1D spec or one-step matrix)."""
+    """Tree geometry plus the 1D spec every root-to-vertex word must obey."""
 
     matrix: AdjacencyMatrix
-    base: ShiftSpec1D | None
-    step_matrix: tuple[tuple[int, ...], ...] | None
+    base: ShiftSpec1D
 
     @property
     def alphabet_size(self) -> int:
-        if self.base is not None:
-            return self.base.alphabet.size
-        return len(self.step_matrix)
+        return self.base.alphabet.size
 
     def geometry(self) -> TreeGeometry:
         return self.matrix.geometry
 
-    @cached_property
+    @property
     def automaton(self) -> WordAutomaton:
-        """The base compiled once; a matrix base forbids each 2-word st with A[s][t] = 0."""
-        if self.base is not None:
-            return self.base.automaton
-        r = len(self.step_matrix)
-        return ShiftSpec1D.with_forbidden(
-            r, [(s, t) for s in range(r) for t in range(r) if not self.step_matrix[s][t]]
-        ).automaton
+        return self.base.automaton
 
     def to_json(self) -> dict:
-        obj: dict = {"tree": self.matrix.to_json()}
-        if self.base is not None:
-            obj["base"] = self.base.to_json()
-        else:
-            obj["matrix"] = ["".join(str(x) for x in row) for row in self.step_matrix]
-        return obj
+        return {"tree": self.matrix.to_json(), "base": self.base.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreeShiftSpec":
+        if "base" in obj and "matrix" in obj:
+            raise DomainError("base and matrix: give one of the two, not both")
         tree = AdjacencyMatrix.from_json(obj["tree"])
-        if "base" in obj:
-            return make_tree_shift(tree, ShiftSpec1D.from_json(obj["base"]))
-        return make_tree_shift(tree, [tuple(int(ch) for ch in row) for row in obj["matrix"]])
+        return make_tree_shift(tree, ShiftSpec1D.from_json(obj["base"]) if "base" in obj else obj["matrix"])
 
 
-def make_tree_shift(geometry, base) -> TreeShiftSpec:
-    """Validated spec; raises EmptyBase / DeadSymbol on unusable bases."""
-    matrix = geometry.matrix if isinstance(geometry, TreeGeometry) else geometry
-    if isinstance(base, ShiftSpec1D):
-        ts = TreeShiftSpec(matrix=matrix, base=base, step_matrix=None)
-        if not ts.automaton.is_viable():
-            raise EmptyBase("base language has no arbitrarily long words")
-        return ts
-    step = tuple(tuple(int(x) for x in row) for row in base)
-    r = len(step)
-    if r < 2 or any(len(row) != r for row in step):
-        raise DomainError("step matrix must be square with size >= 2")
-    for s, row in enumerate(step):
-        if not any(row):
-            raise DeadSymbol(f"symbol {s} has no successor; rays cannot continue")
-    return TreeShiftSpec(matrix=matrix, base=None, step_matrix=step)
+def make_tree_shift(matrix: AdjacencyMatrix, base) -> TreeShiftSpec:
+    """Validated spec over a 1D spec or a one-step matrix A (label t may follow s
+    when A[s][t] = 1), which is read into the 1D spec forbidding each 2-word st
+    with A[s][t] = 0; raises DomainError / DeadSymbol / EmptyBase on unusable bases."""
+    if not isinstance(base, ShiftSpec1D):
+        step = read_bit_rows(base, "matrix")
+        r = len(step)
+        if r < 2 or any(len(row) != r for row in step):
+            raise DomainError("step matrix must be square with size >= 2")
+        for s, row in enumerate(step):
+            if not any(row):
+                raise DeadSymbol(f"symbol {s} has no successor; rays cannot continue")
+        base = ShiftSpec1D.with_forbidden(r, [(s, t) for s in range(r) for t in range(r) if not step[s][t]])
+    if not base.automaton.is_viable():
+        raise EmptyBase("base language has no arbitrarily long words")
+    return TreeShiftSpec(matrix=matrix, base=base)
 
 
 def count_patterns(ts: TreeShiftSpec, n: int) -> int:
@@ -583,8 +571,6 @@ def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
     stays admissible.
     """
     decomp = sink_decomposition(ts.matrix)  # raises NotUnexpandable
-    if ts.base is None:
-        raise NotHereditary("one-step matrix bases carry no hereditary order")
     if not words_mod.is_hereditary_upto(ts.base, math.inf):
         raise NotHereditary("base is not hereditary: lowering a symbol breaks an admissible word")
     positions = tuple(sorted({int(p) for p in s1d}))
@@ -705,8 +691,6 @@ def entropy_chain_series(ts: TreeShiftSpec, n: int) -> list[EntropyChain]:
     """
     if n < 0:
         raise DomainError("depth must be >= 0")
-    if ts.base is None:
-        raise DomainError("chain check needs a 1D base spec")
     geo = ts.geometry()
     blocks = words_mod.block_counts(ts.base, n)
     # at depth m: the Fekete bound over lengths 1 .. m and W = S(0) + ... + S(m - 1)

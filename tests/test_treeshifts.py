@@ -48,17 +48,15 @@ TS_BIN_ZEROS = treeshifts.make_tree_shift(BINARY, words.ShiftSpec1D.zeros_only()
 
 
 def _word_ok(ts: treeshifts.TreeShiftSpec, word: tuple[int, ...]) -> bool:
-    if ts.base is not None:
-        spec = ts.base
-        if spec.kind == words.FORBIDDEN:
-            text = "".join(str(s) for s in word)
-            return not any(
-                words.word_to_str(f) in text for f in spec.forbidden
-            )
-        if spec.kind == words.AT_MOST_K:
-            return word.count(spec.symbol) <= spec.count
-        return True
-    return all(ts.step_matrix[a][b] for a, b in zip(word, word[1:]))
+    spec = ts.base
+    if spec.kind == words.FORBIDDEN:
+        text = "".join(str(s) for s in word)
+        return not any(
+            words.word_to_str(f) in text for f in spec.forbidden
+        )
+    if spec.kind == words.AT_MOST_K:
+        return word.count(spec.symbol) <= spec.count
+    return True
 
 
 def naive_patterns(ts: treeshifts.TreeShiftSpec, n: int) -> list[dict]:
@@ -173,6 +171,39 @@ class TestCounting:
         for ts in (TS_COMB_GOLDEN, TS_BIN_A):
             again = treeshifts.TreeShiftSpec.from_json(ts.to_json())
             assert again == ts
+
+    def test_matrix_spec_reads_as_its_old_json_form(self):
+        # the matrix form still parses, into the word base it stands for
+        again = treeshifts.TreeShiftSpec.from_json({"tree": COMB.to_json(), "matrix": ["11", "01"]})
+        assert again == treeshifts.make_tree_shift(COMB, words.ShiftSpec1D.with_forbidden(2, ["10"]))
+        assert TS_BIN_A.to_json()["base"] == {"alphabet": 2, "kind": "forbidden", "forbidden": ["10"]}
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [1, 1]], [[1, True], [1, 1]], ["1x", "11"], [[1, 1.0], [1, 1]]])
+    def test_non_bit_matrix_entry_rejected(self, rows):
+        with pytest.raises(DomainError, match="matrix row"):
+            treeshifts.make_tree_shift(BINARY, rows)
+
+
+class TestMatrixBase:
+    """A step matrix is read once into the word base forbidding its non-edges."""
+
+    @given(r=st.integers(2, 3), bits=st.integers(0, 2 ** 9 - 1), tree=st.sampled_from([COMB, BINARY]))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_equals_its_word_base(self, r, bits, tree):
+        rows = [[bits >> (r * s + t) & 1 for t in range(r)] for s in range(r)]
+        assume(all(any(row) for row in rows))
+        non_edges = [f"{s}{t}" for s in range(r) for t in range(r) if not rows[s][t]]
+        from_matrix = treeshifts.make_tree_shift(tree, rows)
+        from_words = treeshifts.make_tree_shift(tree, words.ShiftSpec1D.with_forbidden(r, non_edges))
+        assert from_matrix == from_words
+        assert treeshifts.count_series(from_matrix, 5) == treeshifts.count_series(from_words, 5)
+
+    def test_golden_matrix_is_the_golden_mean(self):
+        ts = treeshifts.make_tree_shift(COMB, [[1, 1], [1, 0]])
+        assert ts == TS_COMB_GOLDEN
+        positions = range(1, 40, 2)
+        assert treeshifts.sink_lift(ts, positions) == treeshifts.sink_lift(TS_COMB_GOLDEN, positions)
+        assert treeshifts.entropy_chain_series(ts, 20) == treeshifts.entropy_chain_series(TS_COMB_GOLDEN, 20)
 
 
 class TestTreeEntropy:
@@ -408,7 +439,7 @@ class TestRestrictionMemo:
 
     def _check_warm_calls(self, case, data, walks_first):
         ts, n = case
-        base = ts.base if ts.base is not None else [list(row) for row in ts.step_matrix]
+        base = ts.base
         # the same base on another tree: nothing cached for one spec may leak
         # into the other's answers
         twin = treeshifts.make_tree_shift(BINARY if ts.matrix == COMB else COMB, base)
@@ -706,6 +737,14 @@ class TestSinkLift:
             lift = treeshifts.sink_lift(treeshifts.make_tree_shift(COMB, base), [1, 3])
             assert lift.positions == (1, 3)
 
+    def test_staircase_matrix_lifts(self):
+        # 111/110/100 forbids 12, 21 and 22: lowering any label keeps a word admissible
+        ts = treeshifts.make_tree_shift(COMB, [[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+        lift = treeshifts.sink_lift(ts, [1, 3])
+        assert lift.positions == (1, 3)
+        geo = ts.geometry()
+        assert treeshifts.is_indep_tree(ts, lift.members_in(geo, 6), 6)
+
 
 class TestBipSearch:
     def test_catalog_at_depth_six(self):
@@ -980,8 +1019,6 @@ class TestEntropyChain:
     def test_series_rejects_what_the_chain_rejects(self):
         with pytest.raises(DomainError):
             treeshifts.entropy_chain_series(TS_COMB_GOLDEN, -1)
-        with pytest.raises(DomainError, match="1D base"):
-            treeshifts.entropy_chain_series(treeshifts.make_tree_shift(COMB, MATRIX_A), 3)
         with pytest.raises(NotUnexpandable):
             treeshifts.entropy_chain_series(TS_BIN_GOLDEN, 3)
 
