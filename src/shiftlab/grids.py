@@ -84,8 +84,7 @@ class ShiftSpec2D:
     forbidden: tuple[Pattern, ...]
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise DomainError(f"alphabet needs at least 2 symbols, got {self.alphabet_size}")
+        words.Alphabet(self.alphabet_size)  # a line's refusals: an int of at least 2
         for pat in self.forbidden:
             for row in pat:
                 for s in row:
@@ -135,6 +134,8 @@ class ShiftSpec2D:
             cells = entry["cells"]
             if len(cells) != p1 * p2:
                 raise DomainError(f"cells length {len(cells)} does not match dims {p1}x{p2}")
+            if isinstance(cells, str) and not all(ch in "0123456789" for ch in cells):
+                raise DomainError(f"pattern {p1}x{p2} cells {cells!r}: expected digits")
             pats.append([cells[i * p2:(i + 1) * p2] for i in range(p1)])
         return cls.from_patterns(obj["alphabet"], pats)
 
@@ -331,9 +332,14 @@ def block_count_windows(spec: ShiftSpec2D, k1: int, k2: int) -> list[tuple[int, 
                                words.block_counts(_row_shift(base, width, enumeration_cap()), length)))
 
 
+def min_fill_ratio(windows) -> Fraction:
+    """min of M(k1, k2) / (k1 k2) over (k1, k2, M(k1, k2)) triples, exact."""
+    return min(Fraction(top, k1 * k2) for k1, k2, top in windows)
+
+
 def fr_estimate(spec: ShiftSpec2D, symbol: int, kmax: int) -> Fraction:
     """min over 1 <= k1, k2 <= kmax of M(k1, k2) / (k1 k2), exact."""
-    return min(Fraction(top, k1 * k2) for k1, k2, top in max_symbol_windows(spec, symbol, kmax))
+    return min_fill_ratio(max_symbol_windows(spec, symbol, kmax))
 
 
 @record

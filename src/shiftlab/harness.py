@@ -133,15 +133,10 @@ class ExperimentConfig:
                 f"target: expected one of {', '.join(TARGETS)}, got {target!r}"
             )
         seed = obj.get("seed", 0)
-        if not _is_int(seed):
+        if not words.is_int(seed):
             raise ConfigError("seed: expected an integer")
         params = {k: v for k, v in obj.items() if k not in ("target", "seed")}
         return cls(target=target, params=params, seed=seed)
-
-
-def _is_int(v: object) -> bool:
-    """JSON integers only: bool is an int subclass, but true is not 1 here."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _require(params: dict, name: str) -> object:
@@ -152,7 +147,7 @@ def _require(params: dict, name: str) -> object:
 
 def _int_field(params: dict, name: str, lo: int = 1) -> int:
     v = _require(params, name)
-    if not _is_int(v) or v < lo:
+    if not words.is_int(v) or v < lo:
         raise ConfigError(f"{name}: expected an integer >= {lo}")
     return v
 
@@ -236,7 +231,8 @@ def _run_fr(params: dict) -> tuple:
     kmax = _int_field(params, "kmax")
     rows = []
     ratio_at = {}
-    for a, b, top in grids.max_symbol_windows(spec, symbol, kmax):
+    windows = grids.max_symbol_windows(spec, symbol, kmax)
+    for a, b, top in windows:
         ratio = Fraction(top, a * b)
         ratio_at[(a, b)] = ratio
         rows.append({"k1": a, "k2": b, "max_count": top, "ratio": ratio})
@@ -244,7 +240,7 @@ def _run_fr(params: dict) -> tuple:
         min(ratio_at[(a, b)] for a in range(1, k + 1) for b in range(1, k + 1))
         for k in range(1, kmax + 1)
     ]
-    value = grids.fr_estimate(spec, symbol, kmax)
+    value = grids.min_fill_ratio(windows)
     noninc = all(
         best_by_k[i + 1] <= best_by_k[i] for i in range(len(best_by_k) - 1)
     )
@@ -335,13 +331,13 @@ def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> object:
         return treeshifts.VertexSet.from_json(obj)
     if isinstance(obj, dict) and obj.get("generator") == "level_parity":
         parity = obj.get("parity")
-        if not _is_int(parity) or parity not in (0, 1):
+        if not words.is_int(parity) or parity not in (0, 1):
             raise ConfigError("set.parity: expected 0 or 1")
         return treeshifts.LevelParity(parity)
     if isinstance(obj, dict) and obj.get("generator") == "sink_lift":
         positions = obj.get("positions")
         if not isinstance(positions, list) or not all(
-            _is_int(p) and p >= 1 for p in positions
+            words.is_int(p) and p >= 1 for p in positions
         ):
             raise ConfigError("set.positions: expected a list of positive integers")
         return treeshifts.sink_lift(ts, positions)
@@ -359,7 +355,7 @@ def _run_density(params: dict) -> tuple:
     if (
         not isinstance(rng, list)
         or len(rng) != 3
-        or not all(_is_int(x) for x in rng)
+        or not all(words.is_int(x) for x in rng)
         or rng[0] < 1
         or rng[1] < rng[0]
         or rng[2] < 1
@@ -734,7 +730,7 @@ def reproduce(key: str, depth: int | None = None, seed: int = 0) -> Report:
     reproducer, default_depth = _REPRODUCERS[key]
     if depth is None:
         depth = default_depth
-    if not _is_int(depth) or depth < 2:
+    if not words.is_int(depth) or depth < 2:
         raise ConfigError("depth: expected an integer >= 2")
     columns, rows, summary, assertions = reproducer(depth)
     cfg_obj = {"target": "reproduce", "theorem": key, "depth": depth, "seed": seed}
@@ -771,7 +767,7 @@ def run_config(cfg: ExperimentConfig) -> Report:
     if cfg.target == "reproduce":
         key = cfg.params.get("theorem")
         depth = cfg.params.get("depth")
-        if depth is not None and not _is_int(depth):
+        if depth is not None and not words.is_int(depth):
             raise ConfigError("depth: expected an integer")
         return reproduce(key, depth=depth, seed=cfg.seed)
     runner = _RUNNERS.get(cfg.target)

@@ -59,6 +59,16 @@ def word_to_str(word: Word) -> str:
     return "".join(str(s) for s in word)
 
 
+def is_int(value: object) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, field: str) -> None:
+    if not is_int(value):
+        raise DomainError(f"{field} must be an integer, got {value!r}")
+
+
 @record
 class Alphabet:
     """Symbols 0..size-1 in their natural order."""
@@ -66,6 +76,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self) -> None:
+        _require_int(self.size, "alphabet size")
         if self.size < 2:
             raise DomainError(f"alphabet needs at least 2 symbols, got {self.size}")
 
@@ -99,6 +110,8 @@ class ShiftSpec1D:
                 if any(not (0 <= s < self.alphabet.size) for s in w):
                     raise DomainError(f"forbidden word {w} uses symbols outside the alphabet")
         if self.kind == AT_MOST_K:
+            _require_int(self.symbol, "at_most_k symbol")
+            _require_int(self.count, "at_most_k count")
             if not (0 <= self.symbol < self.alphabet.size):
                 raise DomainError(f"tracked symbol {self.symbol} outside the alphabet")
             if self.count < 0:

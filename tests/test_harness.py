@@ -24,6 +24,7 @@ DENSITY_CFG = {
     "set": {"generator": "level_parity", "parity": 1},
     "n_range": [2, 8, 2],
 }
+TREE_CFG = {"target": "tree-entropy", "tree": {"d": 2, "rows": ["11", "11"]}, "matrix": ["11", "10"], "n": 3}
 HARD_SQUARE_JSON = {
     "alphabet": 2,
     "forbidden": [
@@ -198,7 +199,28 @@ class TestCli:
          "spec: forbidden must be a list of words, got '11'"),
         ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 2]}]}, "k_range": [1, 2]},
          "spec: missing field 'cells'"),
-    ], ids=["nested-entry", "not-a-list", "missing-cells"])
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 2], "cells": "1x"}]},
+          "k1": 2, "k2": 2}, "spec: pattern 1x2 cells '1x': expected digits"),
+        ({**GOLDEN_CFG, "spec": {"kind": "forbidden", "alphabet": 2.5, "forbidden": ["11"]}},
+         "spec: alphabet size must be an integer, got 2.5"),
+        ({**GOLDEN_CFG, "spec": {"kind": "forbidden", "alphabet": "2", "forbidden": ["11"]}},
+         "spec: alphabet size must be an integer, got '2'"),
+        ({"target": "entropy2d", "spec": {**HARD_SQUARE_JSON, "alphabet": 2.5}, "k1": 2, "k2": 2},
+         "spec: alphabet size must be an integer, got 2.5"),
+        ({"target": "entropy2d", "spec": {**HARD_SQUARE_JSON, "alphabet": "2"}, "k1": 2, "k2": 2},
+         "spec: alphabet size must be an integer, got '2'"),
+        ({**GOLDEN_CFG, "spec": {"kind": "at_most_k", "alphabet": 2, "symbol": True, "count": 1}},
+         "spec: at_most_k symbol must be an integer, got True"),
+        ({**GOLDEN_CFG, "spec": {"kind": "at_most_k", "alphabet": 2, "symbol": 1, "count": 1.5}},
+         "spec: at_most_k count must be an integer, got 1.5"),
+        ({**TREE_CFG, "tree": {"d": 2, "rows": ["11", "1x"]}},
+         "tree shift: tree row '1x': entries must be 0 or 1"),
+        ({**TREE_CFG, "matrix": ["12", "11"]}, "tree shift: matrix row '12': entries must be 0 or 1"),
+        ({**TREE_CFG, "matrix": ["1x", "11"]}, "tree shift: matrix row '1x': entries must be 0 or 1"),
+        ({**TREE_CFG, "base": GOLDEN_CFG["spec"]}, "tree shift: base and matrix: give one of the two, not both"),
+    ], ids=["nested-entry", "not-a-list", "missing-cells", "cells-letter", "alphabet-float-1d",
+            "alphabet-string-1d", "alphabet-float-2d", "alphabet-string-2d", "symbol-bool", "count-float",
+            "tree-row-letter", "matrix-entry-2", "matrix-row-letter", "base-and-matrix"])
     def test_malformed_spec_names_its_field(self, cfg, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -474,8 +496,8 @@ class TestOneWalkPerSeries:
         assert rep.passed
         assert [row["max_count"] for row in rep.rows] == want
         # the hard square is its own transpose, so one series per width 1..4
-        # serves both orientations: once for the rows, once for fr_estimate
-        assert sorted(widths) == sorted(2 * [1, 2, 3, 4])
+        # serves both orientations, and the minimum reads the same windows
+        assert widths == [1, 2, 3, 4]
 
     def test_each_2d_window_is_counted_once(self, monkeypatch):
         calls = []
