@@ -178,7 +178,7 @@ class TestCounting:
         assert again == treeshifts.make_tree_shift(COMB, words.ShiftSpec1D.with_forbidden(2, ["10"]))
         assert TS_BIN_A.to_json()["base"] == {"alphabet": 2, "kind": "forbidden", "forbidden": ["10"]}
 
-    @pytest.mark.parametrize("rows", [[[1, 2], [1, 1]], [[1, True], [1, 1]], ["1x", "11"], [[1, 1.0], [1, 1]]])
+    @pytest.mark.parametrize("rows", [[[1, True], [1, 1]], [[1, 1.0], [1, 1]]], ids=["bool", "float"])
     def test_non_bit_matrix_entry_rejected(self, rows):
         with pytest.raises(DomainError, match="matrix row"):
             treeshifts.make_tree_shift(BINARY, rows)
@@ -742,8 +742,7 @@ class TestSinkLift:
         ts = treeshifts.make_tree_shift(COMB, [[1, 1, 1], [1, 1, 0], [1, 0, 0]])
         lift = treeshifts.sink_lift(ts, [1, 3])
         assert lift.positions == (1, 3)
-        geo = ts.geometry()
-        assert treeshifts.is_indep_tree(ts, lift.members_in(geo, 6), 6)
+        assert treeshifts.is_indep_tree(ts, lift.members_in(ts.geometry(), 6), 6)
 
 
 class TestBipSearch:
