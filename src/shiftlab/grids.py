@@ -129,13 +129,23 @@ class ShiftSpec2D:
     @classmethod
     def from_json(cls, obj: dict) -> "ShiftSpec2D":
         pats = []
-        for entry in obj.get("forbidden", ()):
-            p1, p2 = entry["dims"]
+        forbidden = obj.get("forbidden", [])
+        if not isinstance(forbidden, list):
+            raise DomainError(f"forbidden must be a list of patterns, got {forbidden!r}")
+        for entry in forbidden:
+            if not isinstance(entry, dict):
+                raise DomainError(f"forbidden entry {entry!r} is not an object with dims and cells")
+            dims = entry["dims"]
+            if not (isinstance(dims, list) and len(dims) == 2
+                    and all(words.is_int(p) and p >= 1 for p in dims)):
+                raise DomainError(f"pattern dims {dims!r}: expected two integers >= 1")
+            p1, p2 = dims
             cells = entry["cells"]
+            if not (isinstance(cells, str) and all(ch in "0123456789" for ch in cells)
+                    or isinstance(cells, list) and all(map(words.is_int, cells))):
+                raise DomainError(f"pattern {p1}x{p2} cells {cells!r}: expected digits")
             if len(cells) != p1 * p2:
                 raise DomainError(f"cells length {len(cells)} does not match dims {p1}x{p2}")
-            if isinstance(cells, str) and not all(ch in "0123456789" for ch in cells):
-                raise DomainError(f"pattern {p1}x{p2} cells {cells!r}: expected digits")
             pats.append([cells[i * p2:(i + 1) * p2] for i in range(p1)])
         return cls.from_patterns(obj["alphabet"], pats)
 

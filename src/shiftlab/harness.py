@@ -163,8 +163,13 @@ def _spec_field(params: dict, kind: type) -> object:
     """
     if kind is treeshifts.TreeShiftSpec:
         label, obj = "tree shift", {k: params[k] for k in ("tree", "base", "matrix") if k in params}
+        objects = {k: obj[k] for k in ("tree", "base") if k in obj}
     else:
         label, obj = "spec", _require(params, "spec")
+        objects = {"spec": obj}
+    for name, value in objects.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: expected a JSON object, got {value!r}")
     try:
         return kind.from_json(obj)
     except KeyError as exc:

@@ -42,10 +42,13 @@ _BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
 
 
 def read_bit_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:
-    """Rows of 0/1 digit strings or ints; any other entry, bools too, names ``field`` and its row."""
+    """A list of rows of 0/1 digit strings or ints; anything else, bools too, names ``field``."""
+    if not isinstance(rows, list | tuple):
+        raise DomainError(f"{field} rows must be a list, got {rows!r}")
     out = []
     for row in rows:
-        out.append(tuple(_BITS.get(x) if type(x) in (str, int) else None for x in row))
+        out.append(tuple(_BITS.get(x) if type(x) in (str, int) else None for x in row)
+                   if isinstance(row, str | list | tuple) else (None,))
         if None in out[-1]:
             raise DomainError(f"{field} row {row!r}: entries must be 0 or 1")
     return tuple(out)
@@ -64,7 +67,7 @@ class AdjacencyMatrix:
         for row in self.rows:
             if len(row) != d:
                 raise DomainError("matrix must be square")
-            if any(x not in (0, 1) for x in row):
+            if any(type(x) is not int or x not in (0, 1) for x in row):  # no floats, no bools
                 raise DomainError("matrix entries must be 0 or 1")
             if not any(row):
                 raise DeadEnd("every generator needs a successor (no all-zero rows)")
@@ -118,7 +121,10 @@ class AdjacencyMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "AdjacencyMatrix":
         mat = cls.from_rows(obj["rows"])
-        if mat.d != obj.get("d", mat.d):
+        d = obj.get("d", mat.d)
+        if type(d) is not int:
+            raise DomainError(f"tree d must be an integer, got {d!r}")
+        if mat.d != d:
             raise DomainError("row count does not match d")
         return mat
 

@@ -37,17 +37,18 @@ from one pattern-count series, one block-count series and one series of
 sink level counts.
 
 The class DP's memo is a dict on the ``WordAutomaton``.  It has three
-kinds of keys.  A tolerated-state mask maps to its compiled lift: its
-per-symbol preimages, their union (a free vertex's class) and the
-nonzero ones (a pinned vertex's classes).  (pinned, the children's class
-maps, a tuple) maps to the class map of a node step; class maps are
-frozensets of (mask, multiplicity) pairs.  (step, a support) maps to the
-support after a step of the two walks; supports are frozensets of
-masks, so these keys never equal a node step's.  No key depends on the
-tree or on where a vertex sits, so every spec compiled to one automaton
-(lines, grid rows, and trees of any shape over one base) shares the
-memo and its steps.  The memo is cleared whenever it reaches MEMO_CAP
-entries, which bounds it and never changes a result.
+kinds of keys.  A pin labels the symbols: True gives each its own label,
+False gives all one label, and a tuple gives symbol s the label pin[s].
+(a tolerated-state mask, a pin) maps to the mask's compiled lift: per
+label, the incoming states it tolerates, 0 where none.  (pin, the
+children's class maps, a tuple) maps to the class map of a node step;
+class maps are frozensets of (mask, multiplicity) pairs.  (step, a
+support) maps to the support after a step of the two walks; supports
+are frozensets of masks, and no other key has a frozenset second.  No
+key depends on the tree or on where a vertex sits, so every spec
+compiled to one automaton (lines, grid rows, and trees of any shape over
+one base) shares the memo and its steps.  The memo is cleared whenever
+it reaches MEMO_CAP entries, which bounds it and never changes a result.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, islice
-from operator import or_
 
 from . import words as words_mod
 from .errors import (
@@ -170,16 +169,23 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def _preimages(auto: WordAutomaton, mask: int) -> tuple:
-    """The lift of ``mask``, compiled once: (per symbol s, the states whose
-    s-successor lies in ``mask``; their union, the free vertex's class;
-    the nonzero ones, the pinned vertex's classes)."""
-    hit = auto.memo.get(mask)
+def _preimages(auto: WordAutomaton, mask: int, pinned) -> tuple:
+    """The lift of ``mask`` under a pin, compiled once: per label, the states
+    whose successor on a symbol of that label lies in ``mask``, 0 where none.
+    True's is read off the table; every other pin merges True's by label."""
+    key = (mask, pinned)
+    hit = auto.memo.get(key)
     if hit is None:
-        per_symbol = tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
-                               and mask >> row[s] & 1) for s in range(auto.size))
-        hit = _remember(auto.memo, mask, (per_symbol, reduce(or_, per_symbol, 0),
-                                          tuple(compat for compat in per_symbol if compat)))
+        if pinned is True:
+            hit = tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
+                            and mask >> row[s] & 1) for s in range(auto.size))
+        else:
+            labels = (0,) * auto.size if pinned is False else pinned
+            merged = dict.fromkeys(labels, 0)
+            for label, compat in zip(labels, _preimages(auto, mask, True)):
+                merged[label] |= compat
+            hit = tuple(merged.values())
+        hit = _remember(auto.memo, key, hit)
     return hit
 
 
@@ -212,25 +218,16 @@ def _combine_children(children, auto: WordAutomaton) -> dict:
 def _lift(classes: dict, auto: WordAutomaton, pinned) -> dict:
     """Label this vertex and map each class to the incoming states it tolerates.
 
-    A pinned vertex (True) keeps one class per symbol, since its label is
-    part of the restriction; a free vertex (False) only needs some symbol
-    to work.  A tuple pins part of a symbol: symbols s with one label
-    ``pinned[s]`` share a class.
+    Symbols that share a label of the pin (see ``_preimages``) share a
+    class, since only the label is part of the restriction: a pinned
+    vertex (True) keeps one class per symbol, and a free vertex (False)
+    one class in all.  A label without preimages keeps no class.
     """
     out: dict = {}
     for inter, mult in classes.items():
-        per_symbol, union, nonzero = _preimages(auto, inter)
-        if pinned is True:
-            lifted = nonzero
-        elif not pinned:
-            lifted = (union,) if union else ()
-        else:
-            merged: dict = {}
-            for label, compat in zip(pinned, per_symbol):
-                merged[label] = merged.get(label, 0) | compat
-            lifted = [compat for compat in merged.values() if compat]
-        for compat in lifted:
-            out[compat] = out.get(compat, 0) + mult
+        for compat in _preimages(auto, inter, pinned):
+            if compat:
+                out[compat] = out.get(compat, 0) + mult
     return _capped(out)
 
 
@@ -351,23 +348,21 @@ def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
 
 
 # A pin set loses a restriction exactly where a mask 0 enters the support
-# of its class map (its set of masks): an empty product, union preimage or
-# symbol preimage.  DEAD, the support {0}, stands for every such pin set.
+# of its class map (its set of masks): an empty product, or a label of a
+# pin without preimages.  DEAD, the support {0}, stands for every such pin set.
 DEAD = frozenset({0})
 
 
 def _support_step(auto: WordAutomaton, step, support: frozenset) -> frozenset:
     """The support after one step: ``step`` is the support of a pin set
-    to take the product with, or whether the vertex is pinned."""
+    to take the product with, or the vertex's pin (see ``_preimages``)."""
     key = (step, support)  # a frozenset second: no (pinned, kids) key of ``_node_step``
     hit = auto.memo.get(key)
     if hit is None:
         if isinstance(step, frozenset):
             hit = frozenset(x & y for x in step for y in support)
-        elif step:
-            hit = frozenset(compat for mask in support for compat in _preimages(auto, mask)[0])
         else:
-            hit = frozenset(_preimages(auto, mask)[1] for mask in support)
+            hit = frozenset(compat for mask in support for compat in _preimages(auto, mask, step))
         hit = _remember(auto.memo, key, DEAD if 0 in hit else hit)
     return hit
 
@@ -380,8 +375,8 @@ def _tolerates_root(support: frozenset) -> bool:
 def _walk(auto: WordAutomaton, pins) -> int:
     """Restrictions to a path read from its far end, one pin per position.
 
-    A pin is True, False or a label tuple, as in ``_lift``; the path is a
-    window of a line (``words``) or a stack of rows (``grids``).
+    A pin labels the symbols, as in ``_preimages``; the path is a window of
+    a line (``words``) or a stack of rows (``grids``).
     """
     classes = frozenset({(auto.all_states, 1)})  # past the far end
     for pinned in pins:

@@ -218,9 +218,29 @@ class TestCli:
         ({**TREE_CFG, "matrix": ["12", "11"]}, "tree shift: matrix row '12': entries must be 0 or 1"),
         ({**TREE_CFG, "matrix": ["1x", "11"]}, "tree shift: matrix row '1x': entries must be 0 or 1"),
         ({**TREE_CFG, "base": GOLDEN_CFG["spec"]}, "tree shift: base and matrix: give one of the two, not both"),
+        ({**TREE_CFG, "tree": {"d": 2.0, "rows": ["11", "11"]}}, "tree shift: tree d must be an integer, got 2.0"),
+        ({**TREE_CFG, "tree": {"d": True, "rows": ["1"]}}, "tree shift: tree d must be an integer, got True"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1], "cells": "1"}]},
+          "k1": 2, "k2": 2}, "spec: pattern dims [1]: expected two integers >= 1"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 2.0], "cells": "11"}]},
+          "k1": 2, "k2": 2}, "spec: pattern dims [1, 2.0]: expected two integers >= 1"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 2], "cells": 11}]},
+          "k1": 2, "k2": 2}, "spec: pattern 1x2 cells 11: expected digits"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": 5}, "k1": 2, "k2": 2},
+         "spec: forbidden must be a list of patterns, got 5"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [5]}, "k1": 2, "k2": 2},
+         "spec: forbidden entry 5 is not an object with dims and cells"),
+        ({**GOLDEN_CFG, "spec": [1]}, "spec: expected a JSON object, got [1]"),
+        ({**DENSITY_CFG, "base": [1]}, "base: expected a JSON object, got [1]"),
+        ({**TREE_CFG, "tree": ["11", "11"]}, "tree: expected a JSON object, got ['11', '11']"),
+        ({**TREE_CFG, "tree": {"rows": 11}}, "tree shift: tree rows must be a list, got 11"),
+        ({**TREE_CFG, "matrix": 11}, "tree shift: matrix rows must be a list, got 11"),
+        ({**TREE_CFG, "matrix": [11, 10]}, "tree shift: matrix row 11: entries must be 0 or 1"),
     ], ids=["nested-entry", "not-a-list", "missing-cells", "cells-letter", "alphabet-float-1d",
             "alphabet-string-1d", "alphabet-float-2d", "alphabet-string-2d", "symbol-bool", "count-float",
-            "tree-row-letter", "matrix-entry-2", "matrix-row-letter", "base-and-matrix"])
+            "tree-row-letter", "matrix-entry-2", "matrix-row-letter", "base-and-matrix", "d-float", "d-bool",
+            "dims-one", "dims-float", "cells-int", "forbidden-int", "pattern-int", "spec-list", "base-list",
+            "tree-list", "tree-rows-int", "matrix-int", "matrix-row-int"])
     def test_malformed_spec_names_its_field(self, cfg, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -127,6 +127,17 @@ class TestGeometry:
         for m in (COMB, BINARY, IDENTITY, SWAP):
             assert trees.AdjacencyMatrix.from_json(m.to_json()) == m
 
+    @pytest.mark.parametrize("rows", [((1.0, 1), (1, 1)), ((1, 1), (1, True))], ids=["float", "bool"])
+    def test_entries_are_ints(self, rows):
+        # 1.0 and True equal 1, but would write rows "1.01" and "1True"
+        with pytest.raises(DomainError, match="matrix entries must be 0 or 1"):
+            trees.AdjacencyMatrix(rows)
+
+    @pytest.mark.parametrize("d", [2.0, True, "2"])
+    def test_json_d_is_an_int(self, d):
+        with pytest.raises(DomainError, match=f"tree d must be an integer, got {d!r}"):
+            trees.AdjacencyMatrix.from_json({"d": d, "rows": ["1"] if d is True else ["11", "11"]})
+
 
 class TestGrowth:
     def test_spectral_radii(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import trees, treeshifts, words
+from shiftlab import grids, trees, treeshifts, words
 from shiftlab.errors import (
     CapExceeded,
     DeadSymbol,
@@ -563,19 +563,61 @@ class TestRestrictionMemo:
             treeshifts.max_indep_est(ts, 4)
         memo = base.automaton.memo
         assert comb.automaton is binary.automaton and memo
-        shapes = set()
-        for key in memo:
-            if type(key) is int:
-                shapes.add("mask")
-            elif isinstance(key[1], tuple):  # (pinned, the children's class maps)
-                assert isinstance(key[0], (bool, tuple)) and len(key) == 2, key
-                assert all(isinstance(kid, frozenset) for kid in key[1]), key
-                shapes.add("class map")
-            else:  # (support, support) for a product, (pinned, support) for a step
-                assert isinstance(key[0], (bool, frozenset)) and len(key) == 2, key
-                assert isinstance(key[1], frozenset) and all(type(mask) is int for mask in key[1]), key
-                shapes.add("support")
-        assert shapes == {"mask", "class map", "support"}
+        assert _memo_shapes(memo) == {"lift", "class map", "support"}
+        # a grid row shift's memo, after is_indep_2d, holds label-tuple pins too
+        spec = grids.ShiftSpec2D.hard_square()
+        grids.is_indep_2d(spec, grids.GridPositionSet.of([(1, 1), (2, 3), (3, 2)]), 3, 3)
+        memo = grids._window(spec, 3, 3)[0].automaton.memo
+        assert _memo_shapes(memo) == {"lift", "class map"}
+        assert any(type(key[0]) is int and isinstance(key[1], tuple) for key in memo)
+
+
+def _is_pin(pin) -> bool:
+    """True, False or a nonempty tuple of labels, none of them a class map or a support."""
+    return type(pin) is bool or isinstance(pin, tuple) and pin != () and not any(
+        isinstance(label, frozenset) for label in pin)
+
+
+def _memo_shapes(memo: dict) -> set:
+    """The kinds of key in a class DP memo, each key checked for its shape."""
+    shapes = set()
+    for key in memo:
+        assert type(key) is tuple and len(key) == 2, key
+        first, second = key
+        if type(first) is int:  # (a tolerated-state mask, a pin)
+            assert first >= 0 and _is_pin(second), key
+            shapes.add("lift")
+        elif isinstance(second, tuple):  # (pin, the children's class maps)
+            assert _is_pin(first) and all(isinstance(kid, frozenset) for kid in second), key
+            shapes.add("class map")
+        else:  # (support, support) for a product, (pin, support) for a step
+            assert isinstance(first, frozenset) or _is_pin(first), key
+            assert isinstance(second, frozenset) and all(type(mask) is int for mask in second), key
+            shapes.add("support")
+    return shapes
+
+
+class TestPinLabels:
+    """A pin labels the symbols: True and False are the tuples of all labels distinct and all equal."""
+
+    @given(base=st.integers(2, 3).flatmap(_bases), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_label_tuples_step_as_true_and_false(self, base, data):
+        try:
+            auto = treeshifts.make_tree_shift(COMB, base).automaton
+        except EmptyBase:
+            assume(False)
+        r = auto.size
+        masks = st.integers(1, auto.all_states)
+        classes = data.draw(st.dictionaries(masks, st.integers(1, 5), min_size=1, max_size=4))
+        support = data.draw(st.frozensets(masks, min_size=1, max_size=4))
+        path = data.draw(st.lists(st.booleans(), max_size=6))
+        labels = {True: tuple(range(r)), False: (0,) * r}
+        for pinned in (True, False):
+            assert treeshifts._lift(classes, auto, labels[pinned]) == treeshifts._lift(classes, auto, pinned)
+            assert (treeshifts._support_step(auto, labels[pinned], support)
+                    == treeshifts._support_step(auto, pinned, support))
+        assert treeshifts._walk(auto, [labels[p] for p in path]) == treeshifts._walk(auto, path)
 
 
 class TestDensity:
