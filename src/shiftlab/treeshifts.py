@@ -356,7 +356,7 @@ DEAD = frozenset({0})
 def _support_step(auto: WordAutomaton, step, support: frozenset) -> frozenset:
     """The support after one step: ``step`` is the support of a pin set
     to take the product with, or the vertex's pin (see ``_preimages``)."""
-    key = (step, support)  # a frozenset second: no (pinned, kids) key of ``_node_step``
+    key = (step, support)  # a frozenset second: no lift or ``_node_step`` key has one
     hit = auto.memo.get(key)
     if hit is None:
         if isinstance(step, frozenset):
