@@ -3,8 +3,9 @@
 Every run produces a Report whose JSON serialization is byte-identical
 across repeated invocations with the same config: counts are emitted as
 decimal strings (no float rounding of big integers), floating estimates
-are rounded to 12 significant digits, keys are sorted, and wall-clock
-data is attached only when explicitly requested.
+are rounded to 12 significant digits (an infinite one is the string "-inf",
+so a report is strict JSON), keys are sorted, and wall-clock data is
+attached only when explicitly requested.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _fmt_value(v: object) -> object:
     if isinstance(v, int):
         return _int_text(v)
     if isinstance(v, float):
-        return _fmt_float(v)
+        return _fmt_float(v) if math.isfinite(v) else str(v)
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (list, tuple)):
@@ -95,7 +96,7 @@ class Report:
 
     def json_bytes(self) -> bytes:
         return (
-            json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+            json.dumps(self.to_json_obj(), sort_keys=True, indent=2, allow_nan=False) + "\n"
         ).encode("utf-8")
 
     def csv_text(self) -> str:

@@ -383,7 +383,10 @@ def sink_decomposition(matrix: AdjacencyMatrix) -> SinkDecomposition:
     class.  Anything denser forces exponential growth and raises
     NotUnexpandable.  Loopless singleton classes are transient stopovers
     and are allowed; they can never be sinks because their one edge
-    leaves the class.  Made once per matrix and kept on it.
+    leaves the class.  The order takes, from the classes sorted by smallest
+    member, each time the first class that no remaining class has an edge
+    into: Kahn's order with the smallest ready member first.  A sink is a
+    class with no edge to another class.  Made once per matrix and kept on it.
     """
     found = matrix._sinks
     if isinstance(found, str):
@@ -414,41 +417,20 @@ def _decompose(matrix: AdjacencyMatrix) -> SinkDecomposition:
             orbit.append(succ[orbit[-1]])
         ordered_members.append(tuple(orbit))
 
-    index_of = {}
-    for ci, members in enumerate(ordered_members):
-        for g in members:
-            index_of[g] = ci
-    n_cls = len(ordered_members)
-    out_edges: list[set[int]] = [set() for _ in range(n_cls)]
-    indegree = [0] * n_cls
-    for i in range(matrix.d):
-        for j in range(matrix.d):
-            if rows[i][j]:
-                a, b = index_of[i + 1], index_of[j + 1]
-                if a != b and b not in out_edges[a]:
-                    out_edges[a].add(b)
-                    indegree[b] += 1
+    def enters(a, b):
+        return a != b and any(rows[i - 1][j - 1] for i in a for j in b)
 
-    # Kahn order with smallest-member tie-breaking, sources first
-    ready = sorted(
-        (min(ordered_members[c]), c) for c in range(n_cls) if indegree[c] == 0
-    )
-    topo: list[int] = []
-    while ready:
-        _, c = ready.pop(0)
-        topo.append(c)
-        for b in sorted(out_edges[c]):
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                ready.append((min(ordered_members[b]), b))
-                ready.sort()
-
-    blocks = tuple(ordered_members[c] for c in topo)
+    remaining = sorted(ordered_members)  # each block starts at its smallest member
+    blocks = []
+    while remaining:
+        c = next(c for c in remaining if not any(enters(o, c) for o in remaining))
+        remaining.remove(c)
+        blocks.append(c)
     order = tuple(g for members in blocks for g in members)
     sinks = tuple(
-        pos for pos, c in enumerate(topo) if not out_edges[c]
+        pos for pos, c in enumerate(blocks) if not any(enters(c, o) for o in blocks)
     )
-    return SinkDecomposition(order=order, blocks=blocks, sinks=sinks)
+    return SinkDecomposition(order=order, blocks=tuple(blocks), sinks=sinks)
 
 
 def sink_level_counts(matrix: AdjacencyMatrix, n: int) -> list[int]:

@@ -44,7 +44,6 @@ from .errors import CapExceeded, DomainError
 from .records import record
 from .trees import AdjacencyMatrix, TreeGeometry
 
-FULL = "full"
 FORBIDDEN = "forbidden"
 AT_MOST_K = "at_most_k"
 
@@ -89,8 +88,8 @@ class Alphabet:
 class ShiftSpec1D:
     """A 1D shift presentation.
 
-    kind "forbidden" lists the forbidden words, kind "full" forbids
-    nothing, kind "at_most_k" allows at most ``count`` occurrences of
+    kind "forbidden" lists the forbidden words (none for the full shift),
+    kind "at_most_k" allows at most ``count`` occurrences of
     ``symbol`` in any window.
     """
 
@@ -101,7 +100,7 @@ class ShiftSpec1D:
     count: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (FULL, FORBIDDEN, AT_MOST_K):
+        if self.kind not in (FORBIDDEN, AT_MOST_K):
             raise DomainError(f"unknown spec kind {self.kind!r}")
         if self.kind == FORBIDDEN:
             for w in self.forbidden:
@@ -119,7 +118,7 @@ class ShiftSpec1D:
 
     @classmethod
     def full(cls, r: int = 2) -> "ShiftSpec1D":
-        return cls(Alphabet(r), FULL)
+        return cls.with_forbidden(r, ())
 
     @classmethod
     def with_forbidden(cls, r: int, words) -> "ShiftSpec1D":
@@ -168,7 +167,7 @@ class ShiftSpec1D:
     def from_json(cls, obj: dict) -> "ShiftSpec1D":
         kind = obj.get("kind", FORBIDDEN)
         r = obj["alphabet"]
-        if kind == FULL:
+        if kind == "full":
             return cls.full(r)
         if kind == FORBIDDEN:
             forbidden = obj.get("forbidden", [])
@@ -240,11 +239,9 @@ class WordAutomaton:
 def _next_history(spec: ShiftSpec1D, history, symbol: int):
     """The history after appending ``symbol``, or None if a window breaks.
 
-    A history is the last ``max_forbidden_len - 1`` symbols, the running
-    occurrence count for AtMostK, or nothing for the full shift.
+    A history is the last ``max_forbidden_len - 1`` symbols (none when
+    nothing is forbidden), or the running occurrence count for AtMostK.
     """
-    if spec.kind == FULL:
-        return ()
     if spec.kind == AT_MOST_K:
         seen = history + (1 if symbol == spec.symbol else 0)
         return seen if seen <= spec.count else None

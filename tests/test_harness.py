@@ -108,6 +108,33 @@ class TestReports:
         obj = json.loads(rep.json_bytes())
         assert obj["rows"][-1]["estimate"] == 0.536479304145  # log(5)/3 to 12 digits
 
+    @pytest.mark.parametrize("cfg,csv", [
+        ({"target": "entropy1d", "n": 2,
+          "spec": {"alphabet": 2, "kind": "forbidden", "forbidden": ["0", "1"]}},
+         "n,count,estimate,fekete_upper\n1,0,-inf,-inf\n2,0,-inf,-inf\n"),
+        ({"target": "entropy2d", "k1": 1, "k2": 2,
+          "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 1], "cells": "0"},
+                                                {"dims": [1, 1], "cells": "1"}]}},
+         "k1,k2,count,estimate\n1,1,0,-inf\n1,2,0,-inf\n"),
+    ], ids=["entropy1d", "entropy2d"])
+    def test_empty_language_report_is_strict_json(self, cfg, csv, tmp_path, capsys):
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert obj["summary"]["estimate"] == "-inf"
+        assert cli.main(["run", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == csv
+
+    def test_a_non_finite_float_past_the_formatter_is_refused(self):
+        rep = run(GOLDEN_CFG)
+        rep.summary["nested"] = {"x": float("nan")}
+        with pytest.raises(ValueError, match="JSON compliant"):
+            rep.json_bytes()
+
     def test_counts_past_the_str_digit_limit_are_exact(self):
         # the binary tree over the golden mean has a 7,242-digit count at n = 14
         cfg = {

@@ -1,15 +1,18 @@
-"""Every name a shiftlab module imports is used in that module."""
+"""Every name a shiftlab module imports is used in that module, and every
+module it imports is in the standard library or the package itself."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
 import shiftlab
 
-MODULES = sorted(p for p in pathlib.Path(shiftlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE_FILES = sorted(pathlib.Path(shiftlab.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE_FILES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +40,23 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught():
     assert _unused_imports("from collections import deque\nimport os\nos.sep\n") == ["deque (line 1)"]
     assert _unused_imports("from x import y  # noqa: F401\n") == []
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return sorted(name for name in names if name.split(".")[0] not in sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_imports_are_stdlib_only(path):
+    assert _non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_non_stdlib_import_is_caught():
+    source = "import numpy.linalg\nimport os.path\nfrom scipy import sparse\nfrom . import words\n"
+    assert _non_stdlib_imports(source) == ["numpy.linalg", "scipy"]

@@ -23,7 +23,7 @@ MUTABLE = {harness.Report, harness.Assertion}
 # field of the second may replace the first's
 SAMPLES = {
     words.Alphabet: ((2,), (3,)),
-    words.ShiftSpec1D: ((words.Alphabet(2), words.FULL, (), 0, 0),
+    words.ShiftSpec1D: ((words.Alphabet(2), words.FORBIDDEN, (), 0, 0),
                         (words.Alphabet(3), words.AT_MOST_K, ((1,),), 1, 1)),
     trees.AdjacencyMatrix: ((((1,),),), (((1, 1), (1, 0)),)),
     grids.ShiftSpec2D: ((2, ()), (3, (((1,),),))),
@@ -108,7 +108,7 @@ def test_post_init_runs():
     with pytest.raises(DomainError, match="unknown spec kind"):
         words.ShiftSpec1D(words.Alphabet(2), "bogus")
     with pytest.raises(DomainError, match="at least 2 symbols"):
-        words.ShiftSpec1D(alphabet=words.Alphabet(1), kind=words.FULL)
+        words.ShiftSpec1D(alphabet=words.Alphabet(1), kind=words.FORBIDDEN)
     with pytest.raises(DomainError):
         grids.ShiftSpec2D(2, (((2,),),))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +48,48 @@ def walk_levels(matrix: trees.AdjacencyMatrix, n: int) -> list[list[str]]:
             nxt.extend(vid + str(c) for c in allowed)
         levels.append(nxt)
     return levels
+
+
+def decomposition_oracle(rows) -> tuple:
+    """(order, blocks, sinks) of a 0/1 matrix, or ("refused", class) naming
+    the first class, by smallest member, that is neither a loopless
+    singleton nor a cycle.  Classes come from BFS reachability, and the
+    order is the lexicographically smallest, by smallest member, of all
+    class orders in which every edge points weakly forward."""
+    d = len(rows)
+    reach = []
+    for i in range(d):
+        seen, frontier = {i}, [i]
+        while frontier:
+            frontier = [j for k in frontier for j in range(d) if rows[k][j] and j not in seen]
+            seen.update(frontier)
+        reach.append(seen)
+    classes = []
+    for i in range(d):
+        members = sorted(j for j in reach[i] if i in reach[j])
+        if members[0] == i:
+            classes.append(members)
+    blocks = []
+    for members in classes:
+        if members == [members[0]] and not rows[members[0]][members[0]]:
+            blocks.append((members[0] + 1,))
+            continue
+        inside = {g: [j for j in members if rows[g][j]] for g in members}
+        if any(len(succ) != 1 for succ in inside.values()):
+            return ("refused", {g + 1 for g in members})
+        cycle = [members[0]]
+        while len(cycle) < len(members):
+            cycle.append(inside[cycle[-1]][0])
+        blocks.append(tuple(g + 1 for g in cycle))
+
+    def edge(a, b):
+        return any(rows[i - 1][j - 1] for i in a for j in b)
+
+    # permutations of the list sorted by smallest member come in lex order
+    ordered = next(p for p in itertools.permutations(blocks)
+                   if not any(edge(p[b], p[a]) for a in range(len(p)) for b in range(a + 1, len(p))))
+    sinks = tuple(k for k, a in enumerate(ordered) if not any(edge(a, b) for b in ordered if b != a))
+    return tuple(g for block in ordered for g in block), ordered, sinks
 
 
 def small_matrices() -> st.SearchStrategy[trees.AdjacencyMatrix]:
@@ -257,6 +302,33 @@ class TestSinkStructure:
         d = trees.sink_decomposition(SWAP)
         assert d.blocks == ((1, 2),)
         assert d.sinks == (0,)
+
+    @staticmethod
+    def _check_against_oracle(rows):
+        want = decomposition_oracle(rows)
+        m = trees.AdjacencyMatrix(rows)
+        if want[0] == "refused":
+            with pytest.raises(NotUnexpandable, match=re.escape(f"class {want[1]} is not a simple cycle")):
+                trees.sink_decomposition(m)
+        else:
+            d = trees.sink_decomposition(m)
+            assert (d.order, d.blocks, d.sinks) == want
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_small_matrix_matches_the_oracle(self, d):
+        # every 0/1 matrix with no zero row: 1, 9 and 343 of them
+        nonzero = [row for row in itertools.product((0, 1), repeat=d) if any(row)]
+        for rows in itertools.product(nonzero, repeat=d):
+            self._check_against_oracle(rows)
+
+    @given(data=st.data(), d=st.integers(4, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_larger_matrices_match_the_oracle(self, data, d):
+        # rows of one or two edges keep about half the draws unexpandable
+        cols = st.sets(st.integers(0, d - 1), min_size=1, max_size=2)
+        picked = [data.draw(cols) for _ in range(d)]
+        rows = tuple(tuple(int(j in row) for j in range(d)) for row in picked)
+        self._check_against_oracle(rows)
 
     def test_expandable_matrix_rejected(self):
         with pytest.raises(NotUnexpandable):

@@ -421,6 +421,13 @@ class TestSpecPlumbing:
         spec = words.ShiftSpec1D.with_forbidden(12, forbidden)
         assert words.ShiftSpec1D.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_full_shift_has_one_form(self, r):
+        forms = (words.ShiftSpec1D.full(r), words.ShiftSpec1D.with_forbidden(r, []),
+                 words.ShiftSpec1D.from_json({"alphabet": r, "kind": "full"}))
+        assert all(spec == forms[0] for spec in forms)
+        assert [spec.automaton.n_states for spec in forms] == [1, 1, 1]
+
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     def test_word_string_round_trip(self, w):
         tup = tuple(w)
