@@ -427,6 +427,7 @@ class TestSpecPlumbing:
                  words.ShiftSpec1D.from_json({"alphabet": r, "kind": "full"}))
         assert all(spec == forms[0] for spec in forms)
         assert [spec.automaton.n_states for spec in forms] == [1, 1, 1]
+        assert forms[0].to_json() == {"alphabet": r, "kind": "forbidden", "forbidden": []}
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     def test_word_string_round_trip(self, w):
