@@ -4,8 +4,8 @@ A 2D spec forbids a finite set of rectangular patterns; a block is
 locally admissible when no forbidden pattern occurs at any placement.
 
 A k1 x k2 window is a word of k1 rows over the admissible width-k2
-rows (Calkin and Wilf's row transfer), read by the automaton of a
-``RowShift``.  A process keeps one row shift per (spec value, width),
+rows (Calkin and Wilf's row transfer), read by the automaton that
+``words.pattern_automaton`` compiles for a ``RowShift``.  A process keeps one row shift per (spec value, width),
 so equal specs parsed from different configs share it and its class-DP
 memo.  A window wider than it is tall is read as the columns of the
 transposed spec instead, so the rows always run along the shorter side.
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from operator import and_
+from functools import cached_property, lru_cache
 
 from . import shatter, treeshifts, words
 from .caps import enumeration_cap
@@ -154,8 +153,8 @@ class RowShift:
     """The windows of one width as words of rows, read by ``automaton``.
 
     The symbols are the admissible rows, sorted, so row order is block
-    order.  A history is the last h - 1 rows, h the tallest pattern; a
-    step is refused when a pattern ends on the new row.
+    order: the one-row patterns refuse rows.  Each taller pattern no wider
+    than the rows is a pattern of lines for ``words.pattern_automaton``.
     """
 
     def __init__(self, spec: ShiftSpec2D, width: int) -> None:
@@ -163,22 +162,11 @@ class RowShift:
             spec.alphabet_size, [pat[0] for pat in spec.forbidden if len(pat) == 1]
         )
         self.rows = tuple(sorted(words.blocks_1d(flat, width)))
-        tall = [pat for pat in spec.forbidden if len(pat) > 1 and len(pat[0]) <= width]
-        memory = max((len(pat) for pat in tall), default=1) - 1
-        # marks[t][x][a]: the offsets where line a of tall pattern t lies in row x, as bits
+        # marks[t][a][x]: the offsets where line a of tall pattern t lies in row x, as bits
         marks = [[tuple(sum(1 << j for j in range(width - len(line) + 1)
-                            if row[j:j + len(line)] == line) for line in pat)
-                  for row in self.rows] for pat in tall]
-
-        def next_history(history: tuple, x: int):
-            grown = history + (x,)
-            for hits in marks:
-                p = len(hits[0])
-                if p <= len(grown) and reduce(and_, (hits[y][a] for a, y in enumerate(grown[-p:]))):
-                    return None
-            return grown[-memory:] if memory > 0 else ()
-
-        self.automaton = words.WordAutomaton(len(self.rows), (), next_history)
+                            if row[j:j + len(line)] == line) for row in self.rows) for line in pat]
+                 for pat in spec.forbidden if len(pat) > 1 and len(pat[0]) <= width]
+        self.automaton = words.pattern_automaton(len(self.rows), marks)
 
 
 @lru_cache(maxsize=32)

@@ -1,15 +1,15 @@
 """One-dimensional shift languages over a finite ordered alphabet.
 
-A spec presents a shift in one of three ways: a finite list of forbidden
-words, the full shift, or the AtMostK family (at most ``count`` occurrences
-of one tracked symbol in every window).  The operations here work on the
-locally admissible window language: the length-n words containing no
-forbidden factor.  For the built-in catalog (golden mean, full shift,
-AtMostK, single-letter erasures) this coincides with the true block
-language of the shift.
+A spec takes one of two forms: forbidden words (none for the full shift),
+or AtMostK (at most ``count`` occurrences of one tracked symbol in every
+window).  The operations here work on the locally admissible window
+language: the length-n words containing no forbidden factor.  For the
+built-in catalog (golden mean, full shift, AtMostK, single-letter
+erasures) this coincides with the true block language of the shift.
 
 Every spec compiles once into a ``WordAutomaton``: integer states and a
-``table[state][symbol]`` successor lookup.  Provided quantities:
+``table[state][symbol]`` successor lookup; forbidden words compile through
+``pattern_automaton``, as 2D row shifts do.  Provided quantities:
 
 * exact block counts by a state DP over that table, never materializing
   beyond the cap;
@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import and_, getitem
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
@@ -143,12 +144,12 @@ class ShiftSpec1D:
 
     @cached_property
     def automaton(self) -> "WordAutomaton":
-        start = 0 if self.kind == AT_MOST_K else ()
-        return WordAutomaton(self.alphabet.size, start, partial(_next_history, self))
-
-    @property
-    def max_forbidden_len(self) -> int:
-        return max((len(w) for w in self.forbidden), default=0)
+        r = self.alphabet.size
+        if self.kind == AT_MOST_K:  # the history is how often the tracked symbol occurred
+            return WordAutomaton(r, 0, lambda seen, s: seen if s != self.symbol
+                                 else seen + 1 if seen < self.count else None)
+        return pattern_automaton(r, [[tuple(int(x == s) for x in range(r)) for s in w]
+                                     for w in self.forbidden])
 
     def to_json(self) -> dict:
         obj: dict = {"alphabet": self.alphabet.size, "kind": self.kind}
@@ -236,21 +237,24 @@ class WordAutomaton:
             live -= dead
 
 
-def _next_history(spec: ShiftSpec1D, history, symbol: int):
-    """The history after appending ``symbol``, or None if a window breaks.
+def pattern_automaton(size: int, patterns) -> WordAutomaton:
+    """The words over ``0 .. size - 1`` in which no pattern occurs.
 
-    A history is the last ``max_forbidden_len - 1`` symbols (none when
-    nothing is forbidden), or the running occurrence count for AtMostK.
-    """
-    if spec.kind == AT_MOST_K:
-        seen = history + (1 if symbol == spec.symbol else 0)
-        return seen if seen <= spec.count else None
-    grown = history + (symbol,)
-    for f in spec.forbidden:
-        if len(f) <= len(grown) and grown[-len(f):] == f:
-            return None
-    memory = spec.max_forbidden_len - 1
-    return grown[-memory:] if memory > 0 else ()
+    ``patterns[t][a][x]`` marks as bits the offsets where line a of pattern
+    t lies in symbol x.  A history is the last h - 1 symbols, h the most
+    lines of a pattern; a symbol is refused when a pattern's line marks
+    there share an offset, its last line's mark in the new symbol first."""
+    memory = max(map(len, patterns), default=1) - 1
+
+    def next_history(history: tuple, x: int):
+        grown = history + (x,)
+        for lines in patterns:
+            p = len(lines)
+            if lines[-1][x] and p <= len(grown) and reduce(and_, map(getitem, lines, grown[-p:])):
+                return None
+        return grown[-memory:] if memory > 0 else ()
+
+    return WordAutomaton(size, (), next_history)
 
 
 def block_counts(spec: ShiftSpec1D, n: int) -> list[int]:
