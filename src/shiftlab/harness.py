@@ -11,6 +11,7 @@ attached only when explicitly requested.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -100,17 +101,16 @@ class Report:
         ).encode("utf-8")
 
     def csv_text(self) -> str:
-        """Lossy tabular view: header plus the row fields, nothing else."""
-        lines = [",".join(self.columns)]
+        """Lossy tabular view: header plus the row fields, nothing else.  A list
+        cell joins its items with spaces; a comma or a quote gets RFC 4180 quotes."""
+        import csv  # here, so a JSON report does not pay for the import
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
         for row in self.rows:
-            cells = []
-            for col in self.columns:
-                v = _fmt_value(row.get(col, ""))
-                if isinstance(v, list):
-                    v = " ".join(str(x) for x in v)
-                cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            cells = (_fmt_value(row.get(col, "")) for col in self.columns)
+            writer.writerow(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in cells)
+        return out.getvalue()
 
 
 def _config_hash(obj: object) -> str:

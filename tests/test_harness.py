@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -197,7 +199,9 @@ class TestReports:
 
     def test_csv_joins_list_cells_with_spaces(self):
         rep = run({"target": "indep2d", "spec": HARD_SQUARE_JSON, "k1": 2, "k2": 2})
-        assert rep.csv_text() == "k1,k2,k,witness\n2,2,2,1,1 2,2\n"
+        text = rep.csv_text()
+        assert text == 'k1,k2,k,witness\n2,2,2,"1,1 2,2"\n'
+        assert all(len(row) == len(rep.columns) for row in csv.reader(io.StringIO(text)))
 
     def test_wall_clock_excluded_by_default(self):
         rep = run(GOLDEN_CFG)
@@ -275,6 +279,43 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shiftlab: error: {message}\n"
+
+    @pytest.mark.parametrize("case,message", [
+        (["reproduce", "thm1", "--depth", "1"], "depth: expected an integer >= 2"),
+        ({**DENSITY_CFG, "set": 5}, "set: expected a list of vertex ids, a level_parity generator, "
+                                    "or a sink_lift generator"),
+        ({**DENSITY_CFG, "set": {"generator": "nope"}}, "set: expected a list of vertex ids, "
+                                                        "a level_parity generator, or a sink_lift generator"),
+        ({"target": "entropy2d", "spec": {"alphabet": 2, "forbidden": [{"dims": [1, 2], "cells": "111"}]},
+          "k1": 2, "k2": 2}, "spec: cells length 3 does not match dims 1x2"),
+        ({**TREE_CFG, "tree": {"d": 2, "rows": ["11", "1"]}}, "tree shift: matrix must be square"),
+        ({**TREE_CFG, "tree": {"d": 3, "rows": ["11", "11"]}}, "tree shift: row count does not match d"),
+        ({**TREE_CFG, "tree": {"rows": []}}, "tree shift: matrix must have at least one generator"),
+        ({**TREE_CFG, "matrix": ["11", "1"]}, "tree shift: step matrix must be square with size >= 2"),
+        ({**GOLDEN_CFG, "spec": {"kind": "forbidden", "alphabet": 2, "forbidden": [""]}},
+         "spec: forbidden words must be nonempty"),
+        ({**GOLDEN_CFG, "spec": {"kind": "forbidden", "alphabet": 2, "forbidden": ["12"]}},
+         "spec: forbidden word (1, 2) uses symbols outside the alphabet"),
+        ({**GOLDEN_CFG, "spec": {"kind": "at_most_k", "alphabet": 2, "symbol": 2, "count": 1}},
+         "spec: tracked symbol 2 outside the alphabet"),
+        ({**GOLDEN_CFG, "spec": {"kind": "at_most_k", "alphabet": 2, "symbol": 1, "count": -1}},
+         "spec: occurrence bound must be >= 0"),
+        ({**GOLDEN_CFG, "spec": {"kind": "sofic", "alphabet": 2}}, "spec: unknown spec kind 'sofic'"),
+        ({"target": "indep2d", "spec": {"alphabet": 3, "forbidden": []}, "k1": 2, "k2": 2},
+         "witness extraction works on binary alphabets"),
+    ], ids=["depth-one", "set-int", "set-generator", "cells-length", "tree-not-square", "tree-d",
+            "tree-empty", "step-not-square", "word-empty", "word-symbol", "tracked-symbol",
+            "bound-negative", "kind-unknown", "witness-ternary"])
+    def test_refusal_exits_two_with_its_text(self, case, message, tmp_path, capsys):
+        argv = case
+        if isinstance(case, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(case))
+            argv = ["run", str(path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"shiftlab: error: {message}\n")
 
     def test_fault_in_a_spec_parser_is_internal(self, tmp_path, capsys, monkeypatch):
         def broken(obj):

@@ -1,11 +1,13 @@
-"""Every name a shiftlab module imports is used in that module, and every
-module it imports is in the standard library or the package itself."""
+"""Every name a shiftlab module imports is used in that module, every
+module it imports is in the standard library or the package itself, and
+the package's ``__all__`` lists exactly the public names it binds."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
 import sys
+import types
 
 import pytest
 
@@ -60,3 +62,12 @@ def test_imports_are_stdlib_only(path):
 def test_a_non_stdlib_import_is_caught():
     source = "import numpy.linalg\nimport os.path\nfrom scipy import sparse\nfrom . import words\n"
     assert _non_stdlib_imports(source) == ["numpy.linalg", "scipy"]
+
+
+def test_export_lists_agree():
+    exported = shiftlab.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(shiftlab, name) for name in exported)
+    bound = {name for name, value in vars(shiftlab).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == bound

@@ -409,6 +409,51 @@ class TestMaxIndep:
         assert 0 <= res.fekete_limit_est <= 1
 
 
+def accepted_words(auto: words.WordAutomaton, n: int) -> set[tuple[int, ...]]:
+    """The words of length n that the automaton's table reads to the end."""
+    out = set()
+    for w in itertools.product(range(auto.size), repeat=n):
+        state = auto.initial
+        for s in w:
+            state = auto.table[state][s]
+            if state is None:
+                break
+        else:
+            out.add(w)
+    return out
+
+
+class TestPatternAutomaton:
+    @given(r=st.integers(2, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_symbol_lines_forbid_the_words(self, r, data):
+        word = st.lists(st.integers(0, r - 1), min_size=1, max_size=3).map(tuple)
+        forbidden = data.draw(st.lists(word, max_size=3))
+        lines = [[tuple(int(x == s) for x in range(r)) for s in f] for f in forbidden]
+        auto = words.pattern_automaton(r, lines)
+        for n in range(7):
+            brute = {w for w in itertools.product(range(r), repeat=n)
+                     if not any(w[i:i + len(f)] == f for f in forbidden for i in range(n - len(f) + 1))}
+            assert accepted_words(auto, n) == brute
+
+    def test_wide_marks_refuse_rows_sharing_an_offset(self):
+        # the 2x2 pattern 11 over 01 on width-3 rows: a line can lie at offset 0 or 1
+        rows = list(itertools.product((0, 1), repeat=3))
+        top, bottom = (1, 1), (0, 1)
+        marks = [[tuple(sum(1 << j for j in range(2) if row[j:j + 2] == line) for row in rows)
+                  for line in (top, bottom)]]
+        auto = words.pattern_automaton(len(rows), marks)
+        refused = {(x, y) for x, y in itertools.product(range(len(rows)), repeat=2)
+                   if any(rows[x][j:j + 2] == top and rows[y][j:j + 2] == bottom for j in range(2))}
+        assert marks[0][0][-1] == 0b11  # row 111 holds the top line at both offsets
+        assert accepted_words(auto, 2) == set(itertools.product(range(len(rows)), repeat=2)) - refused
+        assert auto.n_states == 1 + len(rows)
+
+    def test_no_pattern_gives_one_state(self):
+        auto = words.pattern_automaton(3, [])
+        assert auto.table == ((0, 0, 0),)
+
+
 class TestSpecPlumbing:
     @given(spec=small_spec())
     @settings(max_examples=40, deadline=None)
