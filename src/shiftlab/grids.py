@@ -4,16 +4,17 @@ A 2D spec forbids a finite set of rectangular patterns; a block is
 locally admissible when no forbidden pattern occurs at any placement.
 
 A k1 x k2 window is a word of k1 rows over the admissible width-k2
-rows (Calkin and Wilf's row transfer), read by the automaton that
-``words.pattern_automaton`` compiles for a ``RowShift``.  A process keeps one row shift per (spec value, width),
+rows (Calkin and Wilf's row transfer), read by the automaton of a
+``RowShift``.  A process keeps one row shift per (spec value, width),
 so equal specs parsed from different configs share it and its class-DP
 memo.  A window wider than it is tall is read as the columns of the
 transposed spec instead, so the rows always run along the shorter side.
-Counts come from ``words.block_counts``, and independence from the
-class DP of ``treeshifts`` walked up the rows.  Symbol maxima come from
-one (max, +) pass of counts per width, which gives M(k, w) for every
-height k; ``max_symbol_block`` keeps a pass per window that also builds
-its lex-first witness.  Only ``blocks_2d`` enumerates blocks.
+The row automaton comes from ``words.pattern_automaton``, counts from
+``words.block_counts``, and independence from the class DP of
+``treeshifts`` walked up the rows.  Symbol maxima come from one (max, +)
+pass of counts per width, which gives M(k, w) for every height k;
+``max_symbol_block`` keeps a pass per window that also builds its
+lex-first witness.  Only ``blocks_2d`` enumerates blocks.
 
 The symbol-frequency extreme M(k1, k2) = max occurrences of a symbol
 over admissible blocks is subadditive in each index, so
