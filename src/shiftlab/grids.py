@@ -39,22 +39,23 @@ from . import shatter, treeshifts, words
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError, EmptyLanguage, NoWitness
 from .records import record
+from .trees import read_digits
 
 Cell = tuple[int, int]
 Pattern = tuple[tuple[int, ...], ...]
 
 
 def pattern_from_rows(rows) -> Pattern:
+    """A pattern from its rows, each a digit string or a list of ints (``trees.read_digits``)."""
     out = []
-    width = None
     for row in rows:
-        cells = tuple(int(ch) for ch in row) if isinstance(row, str) else tuple(row)
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        cells = read_digits(row)
+        if cells is None:
+            raise DomainError(f"pattern row {row!r}: expected digits")
+        if out and len(cells) != len(out[0]):
             raise DomainError("pattern rows must share one width")
         out.append(cells)
-    if not out or width == 0:
+    if not out or not out[0]:
         raise DomainError("patterns must be nonempty")
     return tuple(out)
 
@@ -84,7 +85,7 @@ class ShiftSpec2D:
     forbidden: tuple[Pattern, ...]
 
     def __post_init__(self) -> None:
-        words.Alphabet(self.alphabet_size)  # a line's refusals: an int of at least 2
+        words.check_alphabet(self.alphabet_size)
         for pat in self.forbidden:
             for row in pat:
                 for s in row:
@@ -115,15 +116,11 @@ class ShiftSpec2D:
         return cls.from_patterns(2, (("1",),))
 
     def to_json(self) -> dict:
+        cells = words.words_to_json([sum(pat, ()) for pat in self.forbidden])
         return {
             "alphabet": self.alphabet_size,
-            "forbidden": [
-                {
-                    "dims": [len(pat), len(pat[0])],
-                    "cells": "".join(str(s) for row in pat for s in row),
-                }
-                for pat in self.forbidden
-            ],
+            "forbidden": [{"dims": [len(pat), len(pat[0])], "cells": flat}
+                          for pat, flat in zip(self.forbidden, cells)],
         }
 
     @classmethod
@@ -140,10 +137,9 @@ class ShiftSpec2D:
                     and all(words.is_int(p) and p >= 1 for p in dims)):
                 raise DomainError(f"pattern dims {dims!r}: expected two integers >= 1")
             p1, p2 = dims
-            cells = entry["cells"]
-            if not (isinstance(cells, str) and all(ch in "0123456789" for ch in cells)
-                    or isinstance(cells, list) and all(map(words.is_int, cells))):
-                raise DomainError(f"pattern {p1}x{p2} cells {cells!r}: expected digits")
+            cells = read_digits(entry["cells"])
+            if cells is None:
+                raise DomainError(f"pattern {p1}x{p2} cells {entry['cells']!r}: expected digits")
             if len(cells) != p1 * p2:
                 raise DomainError(f"cells length {len(cells)} does not match dims {p1}x{p2}")
             pats.append([cells[i * p2:(i + 1) * p2] for i in range(p1)])

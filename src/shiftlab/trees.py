@@ -38,20 +38,26 @@ from .records import record
 
 MAX_DIGIT_GENERATORS = 9
 
-_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+def read_digits(value) -> tuple[int, ...] | None:
+    """The symbols a digit string or a list or tuple of ints spells; None for
+    anything else.  Only ASCII digits count, and a bool is no int here."""
+    if isinstance(value, str):
+        symbols = tuple(map("0123456789".find, value))
+        return None if -1 in symbols else symbols
+    if isinstance(value, list | tuple) and all(type(s) is int for s in value):
+        return tuple(value)
+    return None
 
 
 def read_bit_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:
-    """A list of rows of 0/1 digit strings or ints; anything else, bools too, names ``field``."""
+    """A list of 0/1 rows (``read_digits``); anything else, bools too, names ``field``."""
     if not isinstance(rows, list | tuple):
         raise DomainError(f"{field} rows must be a list, got {rows!r}")
-    out = []
-    for row in rows:
-        out.append(tuple(_BITS.get(x) if type(x) in (str, int) else None for x in row)
-                   if isinstance(row, str | list | tuple) else (None,))
-        if None in out[-1]:
+    out = tuple(map(read_digits, rows))
+    for row, bits in zip(rows, out):
+        if bits is None or not set(bits) <= {0, 1}:
             raise DomainError(f"{field} row {row!r}: entries must be 0 or 1")
-    return tuple(out)
+    return out
 
 
 @record

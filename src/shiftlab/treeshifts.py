@@ -86,7 +86,7 @@ class TreeShiftSpec:
 
     @property
     def alphabet_size(self) -> int:
-        return self.base.alphabet.size
+        return self.base.alphabet_size
 
     def geometry(self) -> TreeGeometry:
         return self.matrix.geometry

@@ -43,7 +43,7 @@ from operator import and_, getitem
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
 from .records import record
-from .trees import AdjacencyMatrix, TreeGeometry
+from .trees import AdjacencyMatrix, TreeGeometry, read_digits
 
 FORBIDDEN = "forbidden"
 AT_MOST_K = "at_most_k"
@@ -51,12 +51,17 @@ AT_MOST_K = "at_most_k"
 Word = tuple[int, ...]
 
 
-def word_from_str(text: str) -> Word:
-    return tuple(int(ch) for ch in text)
+word_from_str = read_digits  # a digit string or int list as a word; None for anything else
 
 
 def word_to_str(word: Word) -> str:
     return "".join(str(s) for s in word)
+
+
+def words_to_json(ws) -> list:
+    """Words as digit strings, or as int lists once a symbol passes 9, which no digit spells."""
+    big = any(s > 9 for w in ws for s in w)
+    return [list(w) if big else word_to_str(w) for w in ws]
 
 
 def is_int(value: object) -> bool:
@@ -69,20 +74,11 @@ def _require_int(value, field: str) -> None:
         raise DomainError(f"{field} must be an integer, got {value!r}")
 
 
-@record
-class Alphabet:
-    """Symbols 0..size-1 in their natural order."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        _require_int(self.size, "alphabet size")
-        if self.size < 2:
-            raise DomainError(f"alphabet needs at least 2 symbols, got {self.size}")
-
-    @property
-    def symbols(self) -> range:
-        return range(self.size)
+def check_alphabet(size) -> None:
+    """Refuse an alphabet size that is not an integer of at least 2: symbols run 0 .. size - 1."""
+    _require_int(size, "alphabet size")
+    if size < 2:
+        raise DomainError(f"alphabet needs at least 2 symbols, got {size}")
 
 
 @record
@@ -94,25 +90,26 @@ class ShiftSpec1D:
     ``symbol`` in any window.
     """
 
-    alphabet: Alphabet
+    alphabet_size: int
     kind: str
     forbidden: tuple[Word, ...] = ()
     symbol: int = 0
     count: int = 0
 
     def __post_init__(self) -> None:
+        check_alphabet(self.alphabet_size)
         if self.kind not in (FORBIDDEN, AT_MOST_K):
             raise DomainError(f"unknown spec kind {self.kind!r}")
         if self.kind == FORBIDDEN:
             for w in self.forbidden:
                 if len(w) == 0:
                     raise DomainError("forbidden words must be nonempty")
-                if any(not (0 <= s < self.alphabet.size) for s in w):
+                if any(not (0 <= s < self.alphabet_size) for s in w):
                     raise DomainError(f"forbidden word {w} uses symbols outside the alphabet")
         if self.kind == AT_MOST_K:
             _require_int(self.symbol, "at_most_k symbol")
             _require_int(self.count, "at_most_k count")
-            if not (0 <= self.symbol < self.alphabet.size):
+            if not (0 <= self.symbol < self.alphabet_size):
                 raise DomainError(f"tracked symbol {self.symbol} outside the alphabet")
             if self.count < 0:
                 raise DomainError("occurrence bound must be >= 0")
@@ -123,14 +120,16 @@ class ShiftSpec1D:
 
     @classmethod
     def with_forbidden(cls, r: int, words) -> "ShiftSpec1D":
-        packed = tuple(
-            sorted(word_from_str(w) if isinstance(w, str) else tuple(w) for w in words)
-        )
-        return cls(Alphabet(r), FORBIDDEN, forbidden=packed)
+        packed = []
+        for w in words:
+            packed.append(read_digits(w))
+            if packed[-1] is None:
+                raise DomainError(f"forbidden entry {w!r} is neither a digit string nor a list of ints")
+        return cls(r, FORBIDDEN, forbidden=tuple(sorted(packed)))
 
     @classmethod
     def at_most_k(cls, r: int, symbol: int, count: int) -> "ShiftSpec1D":
-        return cls(Alphabet(r), AT_MOST_K, symbol=symbol, count=count)
+        return cls(r, AT_MOST_K, symbol=symbol, count=count)
 
     @classmethod
     def golden_mean(cls) -> "ShiftSpec1D":
@@ -144,7 +143,7 @@ class ShiftSpec1D:
 
     @cached_property
     def automaton(self) -> "WordAutomaton":
-        r = self.alphabet.size
+        r = self.alphabet_size
         if self.kind == AT_MOST_K:  # the history is how often the tracked symbol occurred
             return WordAutomaton(r, 0, lambda seen, s: seen if s != self.symbol
                                  else seen + 1 if seen < self.count else None)
@@ -152,17 +151,10 @@ class ShiftSpec1D:
                                      for w in self.forbidden])
 
     def to_json(self) -> dict:
-        obj: dict = {"alphabet": self.alphabet.size, "kind": self.kind}
+        obj = {"alphabet": self.alphabet_size, "kind": self.kind}
         if self.kind == FORBIDDEN:
-            # digit strings cannot spell symbols above 9
-            if any(s > 9 for w in self.forbidden for s in w):
-                obj["forbidden"] = [list(w) for w in self.forbidden]
-            else:
-                obj["forbidden"] = [word_to_str(w) for w in self.forbidden]
-        elif self.kind == AT_MOST_K:
-            obj["symbol"] = self.symbol
-            obj["count"] = self.count
-        return obj
+            return {**obj, "forbidden": words_to_json(self.forbidden)}
+        return {**obj, "symbol": self.symbol, "count": self.count}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShiftSpec1D":
@@ -174,10 +166,6 @@ class ShiftSpec1D:
             forbidden = obj.get("forbidden", [])
             if not isinstance(forbidden, list):
                 raise DomainError(f"forbidden must be a list of words, got {forbidden!r}")
-            for w in forbidden:
-                if not (isinstance(w, str) and all(ch in "0123456789" for ch in w)
-                        or isinstance(w, list) and all(type(s) is int for s in w)):
-                    raise DomainError(f"forbidden entry {w!r} is neither a digit string nor a list of ints")
             return cls.with_forbidden(r, forbidden)
         if kind == AT_MOST_K:
             return cls.at_most_k(r, obj["symbol"], obj["count"])
@@ -372,7 +360,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
             raise DomainError(f"position {p} outside the window [1, {length}]")
     if length < 0:
         raise DomainError("length must be >= 0")
-    return _walk(spec.automaton, (p in pos for p in range(length, 0, -1))) == spec.alphabet.size ** len(pos)
+    return _walk(spec.automaton, (p in pos for p in range(length, 0, -1))) == spec.alphabet_size ** len(pos)
 
 
 @record

@@ -22,9 +22,8 @@ MUTABLE = {harness.Report, harness.Assertion}
 # two valid field tuples for the records that check their fields; any one
 # field of the second may replace the first's
 SAMPLES = {
-    words.Alphabet: ((2,), (3,)),
-    words.ShiftSpec1D: ((words.Alphabet(2), words.FORBIDDEN, (), 0, 0),
-                        (words.Alphabet(3), words.AT_MOST_K, ((1,),), 1, 1)),
+    words.ShiftSpec1D: ((2, words.FORBIDDEN, (), 0, 0),
+                        (3, words.AT_MOST_K, ((1,),), 1, 1)),
     trees.AdjacencyMatrix: ((((1,),),), (((1, 1), (1, 0)),)),
     grids.ShiftSpec2D: ((2, ()), (3, (((1,),),))),
 }
@@ -37,7 +36,7 @@ def _samples(cls) -> tuple:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 28
     assert not [cls for cls in RECORDS if hasattr(cls, "__post_init__") and cls not in SAMPLES]
 
 
@@ -106,9 +105,9 @@ class TestRecordSemantics:
 
 def test_post_init_runs():
     with pytest.raises(DomainError, match="unknown spec kind"):
-        words.ShiftSpec1D(words.Alphabet(2), "bogus")
+        words.ShiftSpec1D(2, "bogus")
     with pytest.raises(DomainError, match="at least 2 symbols"):
-        words.ShiftSpec1D(alphabet=words.Alphabet(1), kind=words.FORBIDDEN)
+        words.ShiftSpec1D(alphabet_size=1, kind=words.FORBIDDEN)
     with pytest.raises(DomainError):
         grids.ShiftSpec2D(2, (((2,),),))
 

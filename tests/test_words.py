@@ -20,7 +20,7 @@ from shiftlab.errors import CapExceeded, DomainError
 
 def naive_blocks(spec: words.ShiftSpec1D, n: int) -> list[tuple[int, ...]]:
     out = []
-    for w in itertools.product(range(spec.alphabet.size), repeat=n):
+    for w in itertools.product(range(spec.alphabet_size), repeat=n):
         if spec.kind == words.FORBIDDEN:
             s = "".join(str(x) for x in w)
             if any(f in s for f in (words.word_to_str(f) for f in spec.forbidden)):
@@ -355,7 +355,7 @@ class TestMaxIndep:
     @settings(max_examples=60, deadline=None)
     def test_window_engine_matches_brute_force(self, spec, length):
         # oracle: project every admissible word onto every position set
-        r = spec.alphabet.size
+        r = spec.alphabet_size
         js = []
         for m in range(1, length + 1):
             blocks = naive_blocks(spec, m)
