@@ -201,7 +201,7 @@ class TreeGeometry:
         """The root's tables for Delta_0 .. Delta_n, built from the leaves up.
 
         ``node(kids, height)`` gives the table of a vertex at ``height``
-        above the leaves from its children's (digit, table) pairs.  A
+        above the leaves from its children's tables, in digit order.  A
         subtree's shape depends only on its root's type (its last
         generator, digit 0 for the root) and height, and vertex types
         with the same children share one table, so each height calls
@@ -216,7 +216,7 @@ class TreeGeometry:
             shared: dict = {}
             for kids in kids_of:
                 if kids not in shared:
-                    shared[kids] = node(tuple((c, by_digit[c]) for c in kids), height)
+                    shared[kids] = node(tuple(by_digit[c] for c in kids), height)
             by_digit = [shared[kids] for kids in kids_of]
             yield by_digit[0]
 

@@ -102,6 +102,8 @@ class TreeShiftSpec:
     def from_json(cls, obj: dict) -> "TreeShiftSpec":
         if "base" in obj and "matrix" in obj:
             raise DomainError("base and matrix: give one of the two, not both")
+        if "base" not in obj and "matrix" not in obj:
+            raise DomainError("base or matrix: give one of the two")
         tree = AdjacencyMatrix.from_json(obj["tree"])
         return make_tree_shift(tree, ShiftSpec1D.from_json(obj["base"]) if "base" in obj else obj["matrix"])
 
@@ -110,6 +112,8 @@ def make_tree_shift(matrix: AdjacencyMatrix, base) -> TreeShiftSpec:
     """Validated spec over a 1D spec or a one-step matrix A (label t may follow s
     when A[s][t] = 1), which is read into the 1D spec forbidding each 2-word st
     with A[s][t] = 0; raises DomainError / DeadSymbol / EmptyBase on unusable bases."""
+    if not isinstance(matrix, AdjacencyMatrix):
+        raise DomainError(f"tree matrix must be an AdjacencyMatrix, got {type(matrix).__name__}")
     if not isinstance(base, ShiftSpec1D):
         step = read_bit_rows(base, "matrix")
         r = len(step)
@@ -138,7 +142,7 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     auto = ts.automaton
 
     def step(kids, height) -> tuple[int, ...]:
-        below = [math.prod(table[q] for _, table in kids) for q in range(auto.n_states)]
+        below = [math.prod(table[q] for table in kids) for q in range(auto.n_states)]
         return tuple(sum(below[q] for q in row if q is not None) for row in auto.table)
 
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
@@ -260,8 +264,7 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     auto = ts.automaton
 
     def step(kids, height) -> dict:
-        children = (table.items() for _, table in kids)
-        return _lift(_combine_children(children, auto), auto, height == 0)
+        return _lift(_combine_children((table.items() for table in kids), auto), auto, height == 0)
 
     return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]
 
@@ -442,7 +445,7 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
 
     def step(children, height) -> dict:
         acc = {(frozenset({auto.all_states}), False, True): 1}
-        for _, table in children:
+        for table in children:
             nxt: dict = {}
             for (part, below, anti), m1 in acc.items():
                 for (support, below2, anti2), m2 in table.items():
@@ -464,9 +467,8 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     return census
 
 
-def _pin_table(auto: WordAutomaton, children, pinnable: bool) -> list:
-    """One vertex's table from its children's (digit, table) pairs; see ``_max_pin_sets``."""
-    tables = [table for _, table in children]
+def _pin_table(auto: WordAutomaton, tables, pinnable: bool) -> list:
+    """One vertex's table from its children's tables, in digit order; see ``_max_pin_sets``."""
     # partial support -> (-size, the children's ranks) of the best pin set folded so far
     acc = {frozenset({auto.all_states}): (0, ())}
     for table in tables:
@@ -510,9 +512,10 @@ def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int, pin_levels: in
     the future of any other depends only on its support.  So a vertex
     keeps one entry per support: the largest pin set of its subtree
     reaching it and, among equal sizes, the lex-first one (ids relative
-    to the subtree root, sorted).  Its children fold into a partial
-    support one at a time, which is then stepped free and, where
-    allowed, pinned.
+    to the subtree root, sorted).  Its children's tables, which
+    ``walk_up`` hands over in digit order, the order of their ids, fold
+    into a partial support one at a time, which is then stepped free
+    and, where allowed, pinned.
 
     An entry is (support, size, pinned, the children's entries), so no
     ids are built while the tables are.  A table lists its entries in

@@ -160,6 +160,8 @@ class ShiftSpec1D:
     def from_json(cls, obj: dict) -> "ShiftSpec1D":
         kind = obj.get("kind", FORBIDDEN)
         r = obj["alphabet"]
+        if kind in ("full", AT_MOST_K) and "forbidden" in obj:
+            raise DomainError(f"forbidden: kind {kind!r} reads no forbidden words")
         if kind == "full":
             return cls.full(r)
         if kind == FORBIDDEN:

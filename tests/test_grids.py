@@ -615,6 +615,26 @@ class TestBlockPlumbing:
     def test_spec_json_round_trip(self):
         assert grids.ShiftSpec2D.from_json(HARD_SQUARE.to_json()) == HARD_SQUARE
 
+    @given(data=st.data(), r=st.integers(min_value=2, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_spec_json_round_trip_any_alphabet(self, data, r):
+        shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))
+        patterns = [data.draw(st.lists(st.lists(st.integers(0, r - 1), min_size=b, max_size=b),
+                                       min_size=a, max_size=a))
+                    for a, b in data.draw(st.lists(shapes, max_size=3))]
+        spec = grids.ShiftSpec2D.from_patterns(r, patterns)
+        assert grids.ShiftSpec2D.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+    def test_symbols_past_nine_travel_as_int_lists(self):
+        spec = grids.ShiftSpec2D.from_patterns(12, [[[11, 0]]])
+        assert spec.to_json()["forbidden"] == [{"dims": [1, 2], "cells": [11, 0]}]
+        assert grids.ShiftSpec2D.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("row", [[1.5, 0], [True, 0], "1x", "\u0661", 10])
+    def test_row_of_no_symbols_is_refused(self, row):
+        with pytest.raises(DomainError, match="expected digits"):
+            grids.pattern_from_rows([row])
+
     def test_forbidden_dims_encode_shape(self):
         obj = HARD_SQUARE.to_json()
         dims = sorted(tuple(f["dims"]) for f in obj["forbidden"])

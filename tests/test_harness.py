@@ -267,11 +267,17 @@ class TestCli:
         ({**TREE_CFG, "tree": {"rows": 11}}, "tree shift: tree rows must be a list, got 11"),
         ({**TREE_CFG, "matrix": 11}, "tree shift: matrix rows must be a list, got 11"),
         ({**TREE_CFG, "matrix": [11, 10]}, "tree shift: matrix row 11: entries must be 0 or 1"),
+        ({k: v for k, v in TREE_CFG.items() if k != "matrix"}, "tree shift: base or matrix: give one of the two"),
+        ({**GOLDEN_CFG, "spec": {"alphabet": 2, "kind": "full", "forbidden": ["11"]}},
+         "spec: forbidden: kind 'full' reads no forbidden words"),
+        ({**GOLDEN_CFG, "spec": {"alphabet": 2, "kind": "at_most_k", "symbol": 1, "count": 1, "forbidden": ["00"]}},
+         "spec: forbidden: kind 'at_most_k' reads no forbidden words"),
     ], ids=["nested-entry", "not-a-list", "missing-cells", "cells-letter", "alphabet-float-1d",
             "alphabet-string-1d", "alphabet-float-2d", "alphabet-string-2d", "symbol-bool", "count-float",
             "tree-row-letter", "matrix-entry-2", "matrix-row-letter", "base-and-matrix", "d-float", "d-bool",
             "dims-one", "dims-float", "cells-int", "forbidden-int", "pattern-int", "spec-list", "base-list",
-            "tree-list", "tree-rows-int", "matrix-int", "matrix-row-int"])
+            "tree-list", "tree-rows-int", "matrix-int", "matrix-row-int", "neither-base-nor-matrix",
+            "full-with-words", "at-most-k-with-words"])
     def test_malformed_spec_names_its_field(self, cfg, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -164,6 +164,25 @@ class TestGeometry:
         for vid in ("0", "10", "3", "13", "9"):
             assert not geo.is_vertex(vid)
 
+    def test_walk_up_hands_each_step_its_childrens_tables(self):
+        # a table is (height, the children's tables): child 1 of the comb's root is a spine vertex
+        *_, root = COMB.geometry.walk_up(2, lambda kids, height: (height, kids))
+        spine = (1, ((0, ()), (0, ())))
+        assert root == (2, (spine, (1, ((0, ()),))))
+
+    @pytest.mark.parametrize("value,symbols", [
+        ("", ()), ("0912", (0, 9, 1, 2)), ([11, 0], (11, 0)), ((3,), (3,)), ([-1], (-1,)),
+        ("1x", None), ("\u0661", None), ("1 ", None), ([1.5], None), ([True], None), (["1"], None),
+        (7, None), (None, None), ({1: 1}, None),
+    ])
+    def test_read_digits(self, value, symbols):
+        assert trees.read_digits(value) == symbols
+
+    @pytest.mark.parametrize("rows", [["11", "12"], [[1, 1], [1, -1]], [["1", "1"], ["1", "1"]]])
+    def test_bit_rows_hold_only_zeros_and_ones(self, rows):
+        with pytest.raises(DomainError, match=r"tree row .*: entries must be 0 or 1"):
+            trees.AdjacencyMatrix.from_rows(rows)
+
     def test_dead_end_rejected(self):
         with pytest.raises(DeadEnd):
             trees.AdjacencyMatrix.from_rows(["10", "00"])

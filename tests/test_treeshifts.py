@@ -205,6 +205,12 @@ class TestMatrixBase:
         assert treeshifts.sink_lift(ts, positions) == treeshifts.sink_lift(TS_COMB_GOLDEN, positions)
         assert treeshifts.entropy_chain_series(ts, 20) == treeshifts.entropy_chain_series(TS_COMB_GOLDEN, 20)
 
+    @pytest.mark.parametrize("tree", [COMB.geometry, COMB.rows, None])
+    def test_tree_must_be_a_matrix(self, tree):
+        # a geometry used to pass here and fail later with an AttributeError
+        with pytest.raises(DomainError, match=f"tree matrix must be an AdjacencyMatrix, got {type(tree).__name__}"):
+            treeshifts.make_tree_shift(tree, GOLDEN)
+
 
 class TestTreeEntropy:
     def test_comb_golden_pinned(self):

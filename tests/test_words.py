@@ -482,3 +482,15 @@ class TestSpecPlumbing:
     def test_alphabet_must_have_two_symbols(self):
         with pytest.raises(DomainError):
             words.ShiftSpec1D.full(1)
+
+    @pytest.mark.parametrize("word", [[1.5], [True], ["1"], "1x", "\u0661", 11, None])
+    def test_forbidden_word_of_no_symbols_is_refused(self, word):
+        # a float, a bool, a non-ASCII digit: none spells a symbol
+        with pytest.raises(DomainError, match="is neither a digit string nor a list of ints"):
+            words.ShiftSpec1D.with_forbidden(2, [word])
+
+    @pytest.mark.parametrize("kind", ["full", words.AT_MOST_K])
+    def test_forbidden_words_on_another_kind_are_refused(self, kind):
+        obj = {"alphabet": 2, "kind": kind, "symbol": 1, "count": 1, "forbidden": ["11"]}
+        with pytest.raises(DomainError, match=f"forbidden: kind '{kind}' reads no forbidden words"):
+            words.ShiftSpec1D.from_json(obj)
