@@ -2,6 +2,8 @@
 
 A 2D spec forbids a finite set of rectangular patterns; a block is
 locally admissible when no forbidden pattern occurs at any placement.
+Its alphabet is checked as a 1D spec's is, and its cells are read by
+``trees.read_digits`` and written by ``words.words_to_json``.
 
 A k1 x k2 window is a word of k1 rows over the admissible width-k2
 rows (Calkin and Wilf's row transfer), read by the automaton of a
@@ -86,11 +88,9 @@ class ShiftSpec2D:
 
     def __post_init__(self) -> None:
         words.check_alphabet(self.alphabet_size)
-        for pat in self.forbidden:
-            for row in pat:
-                for s in row:
-                    if not (0 <= s < self.alphabet_size):
-                        raise DomainError(f"pattern symbol {s} outside the alphabet")
+        outside = [s for pat in self.forbidden for row in pat for s in row if not 0 <= s < self.alphabet_size]
+        if outside:
+            raise DomainError(f"pattern symbol {outside[0]} outside the alphabet")
 
     @cached_property
     def _transposed(self) -> "ShiftSpec2D":

@@ -11,6 +11,8 @@ generator 1), which keeps lexicographic order aligned with depth-first
 traversal.  The geometry alone writes them (``child_ids``), lists them
 (``levels``) and checks them (``is_vertex``, ``check_ids``).  Digit ids
 need d <= 9; the matrix operations themselves have no such bound.
+``read_digits``, the one reader of symbols, reads the matrices here and
+the words and patterns of 1D and 2D specs.
 
 Beyond level counting this module classifies the matrix:
 

@@ -6,6 +6,8 @@ window).  The operations here work on the locally admissible window
 language: the length-n words containing no forbidden factor.  For the
 built-in catalog (golden mean, full shift, AtMostK, single-letter
 erasures) this coincides with the true block language of the shift.
+A spec's alphabet is the int ``alphabet_size``; its words are read by
+``trees.read_digits`` and written by ``words_to_json``, as 2D cells are.
 
 Every spec compiles once into a ``WordAutomaton``: integer states and a
 ``table[state][symbol]`` successor lookup; forbidden words compile through
@@ -162,9 +164,7 @@ class ShiftSpec1D:
         r = obj["alphabet"]
         if kind in ("full", AT_MOST_K) and "forbidden" in obj:
             raise DomainError(f"forbidden: kind {kind!r} reads no forbidden words")
-        if kind == "full":
-            return cls.full(r)
-        if kind == FORBIDDEN:
+        if kind in ("full", FORBIDDEN):
             forbidden = obj.get("forbidden", [])
             if not isinstance(forbidden, list):
                 raise DomainError(f"forbidden must be a list of words, got {forbidden!r}")
