@@ -88,9 +88,11 @@ class ShiftSpec2D:
 
     def __post_init__(self) -> None:
         words.check_alphabet(self.alphabet_size)
-        outside = [s for pat in self.forbidden for row in pat for s in row if not 0 <= s < self.alphabet_size]
-        if outside:
-            raise DomainError(f"pattern symbol {outside[0]} outside the alphabet")
+        for pat in self.forbidden:
+            for row in pat:
+                for s in row:
+                    if not (0 <= s < self.alphabet_size):
+                        raise DomainError(f"pattern symbol {s} outside the alphabet")
 
     @cached_property
     def _transposed(self) -> "ShiftSpec2D":

@@ -40,6 +40,7 @@ from .records import record
 
 MAX_DIGIT_GENERATORS = 9
 
+
 def read_digits(value) -> tuple[int, ...] | None:
     """The symbols a digit string or a list or tuple of ints spells; None for
     anything else.  Only ASCII digits count, and a bool is no int here."""

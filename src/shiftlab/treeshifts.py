@@ -264,7 +264,8 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     auto = ts.automaton
 
     def step(kids, height) -> dict:
-        return _lift(_combine_children((table.items() for table in kids), auto), auto, height == 0)
+        children = (table.items() for table in kids)
+        return _lift(_combine_children(children, auto), auto, height == 0)
 
     return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]
 
