@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from operator import and_, getitem
 
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
@@ -146,7 +145,7 @@ class ShiftSpec1D:
     @cached_property
     def automaton(self) -> "WordAutomaton":
         r = self.alphabet_size
-        if self.kind == AT_MOST_K:  # the history is how often the tracked symbol occurred
+        if self.kind == AT_MOST_K:  # the state is how often the tracked symbol occurred
             return WordAutomaton(r, 0, lambda seen, s: seen if s != self.symbol
                                  else seen + 1 if seen < self.count else None)
         return pattern_automaton(r, [[tuple(int(x == s) for x in range(r)) for s in w]
@@ -177,30 +176,32 @@ class ShiftSpec1D:
 class WordAutomaton:
     """Compiled recognizer of words over the symbols ``0 .. size - 1``.
 
-    A breadth-first search from the history ``start``, where
-    ``next_history(history, s)`` appends s or returns None when that is
-    inadmissible, numbers each reachable history as a state (0 initial);
-    ``table[q][s]`` is the successor of q under s, or None.  A table over
-    ``SHIFTLAB_CAP`` entries (states times symbols) raises CapExceeded.
-    ``memo`` is the class DP's memo (see ``treeshifts``), shared by every
-    spec compiled to this automaton.
+    A breadth-first search from the state ``start``, where
+    ``next_state(state, s)`` gives the state after s or None when s is
+    inadmissible there, numbers each reachable state (0 initial);
+    ``table[q][s]`` is the successor of q under s, or None.  A forbidden
+    pattern spec's state is its live partial matches
+    (``pattern_automaton``), an at-most-k spec's the count so far.  A
+    table over ``SHIFTLAB_CAP`` entries (states times symbols) raises
+    CapExceeded.  ``memo`` is the class DP's memo (see ``treeshifts``),
+    shared by every spec compiled to this automaton.
     """
 
     initial = 0
 
-    def __init__(self, size: int, start, next_history) -> None:
+    def __init__(self, size: int, start, next_state) -> None:
         self.size = size
         limit = enumeration_cap()
-        histories: list = [start]
+        states: list = [start]
         index = {start: 0}
         table = []
-        for history in histories:  # grows while the search runs
+        for state in states:  # grows while the search runs
             row = []
             for s in range(size):
-                nxt = next_history(history, s)
+                nxt = next_state(state, s)
                 if nxt is not None and nxt not in index:
-                    index[nxt] = len(histories)
-                    histories.append(nxt)
+                    index[nxt] = len(states)
+                    states.append(nxt)
                 row.append(None if nxt is None else index[nxt])
             table.append(tuple(row))
             if len(table) * size > limit:
@@ -231,20 +232,28 @@ def pattern_automaton(size: int, patterns) -> WordAutomaton:
     """The words over ``0 .. size - 1`` in which no pattern occurs.
 
     ``patterns[t][a][x]`` marks as bits the offsets where line a of pattern
-    t lies in symbol x.  A history is the last h - 1 symbols, h the most
-    lines of a pattern; a symbol is refused when a pattern's line marks
-    there share an offset, its last line's mark in the new symbol first."""
-    memory = max(map(len, patterns), default=1) - 1
+    t lies in symbol x.  A state is the live partial matches (Aho and
+    Corasick's automaton): per pattern and per proper prefix of its lines,
+    the offsets where that prefix ends at the last symbol, the empty prefix
+    ending at every offset.  The state packs these masks into one int, a
+    field of ``bits`` bits per line, so on symbol x the prefix of a + 1
+    lines ends where the prefix of a lines ended and line a lies in x, one
+    ``&`` for every prefix at once; x is refused where a whole pattern
+    would end, and a shift moves each prefix one line on."""
+    lines = [line for pattern in patterns for line in pattern]
+    bits = max((m.bit_length() for line in lines for m in line), default=0) or 1
+    starts = ends = at = 0
+    for pattern in patterns:
+        starts |= (1 << bits) - 1 << at
+        at += bits * len(pattern)
+        ends |= (1 << bits) - 1 << at - bits
+    marks = [sum(line[x] << bits * a for a, line in enumerate(lines)) for x in range(size)]
 
-    def next_history(history: tuple, x: int):
-        grown = history + (x,)
-        for lines in patterns:
-            p = len(lines)
-            if lines[-1][x] and p <= len(grown) and reduce(and_, map(getitem, lines, grown[-p:])):
-                return None
-        return grown[-memory:] if memory > 0 else ()
+    def next_state(state: int, x: int) -> int | None:
+        grown = state & marks[x]
+        return None if grown & ends else grown << bits | starts
 
-    return WordAutomaton(size, (), next_history)
+    return WordAutomaton(size, starts, next_state)
 
 
 def block_counts(spec: ShiftSpec1D, n: int) -> list[int]:

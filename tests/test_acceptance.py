@@ -30,7 +30,7 @@ def test_criterion_01_golden_mean_counts_and_entropy():
         fib.append(fib[-1] + fib[-2])
     for n in range(1, 21):
         exhaustive = sum(1 for m in range(1 << n) if m & (m << 1) == 0)
-        assert words.count_blocks_1d(GOLDEN, n) == exhaustive == fib[n - 1]
+        assert words.block_counts(GOLDEN, n)[n] == exhaustive == fib[n - 1]
     raw = words.entropy_est_1d(GOLDEN, 24).raw
     assert abs(raw - LOG_PHI) <= 0.02
 

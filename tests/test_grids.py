@@ -198,7 +198,7 @@ class TestCounting:
         assert_engine_matches_naive(*case)
 
     def test_three_row_pattern_over_three_symbols(self):
-        # a 3x1 pattern needs a history of two rows; 3^6 blocks per window
+        # a 3x1 pattern keeps partial matches of one and two rows live; 3^6 blocks per window
         spec = grids.ShiftSpec2D.from_patterns(
             3, [["0", "1", "2"], ["12"], ["2", "2"]]
         )
@@ -245,9 +245,7 @@ class TestCounting:
 class TestSymbolCounts:
     def test_count_symbol_partition(self):
         for block in grids.blocks_2d(HARD_SQUARE, 2, 3):
-            total = sum(
-                grids.count_symbol(block, a) for a in range(2)
-            )
+            total = sum(row.count(a) for a in range(2) for row in block.rows)
             assert total == 6
 
     def test_max_symbol_block_two_by_two(self):
@@ -329,7 +327,7 @@ class TestSymbolSeries:
             assert top == grids.max_symbol_block(spec, k1, k2, symbol).M
             if grids.count_blocks_2d(spec, k1, k2) <= 4096:
                 blocks = grids.blocks_2d(spec, k1, k2)
-                assert top == max(grids.count_symbol(b, symbol) for b in blocks)
+                assert top == max(sum(row.count(symbol) for row in b.rows) for b in blocks)
 
     def test_hard_square_windows_are_half_full(self):
         # no two adjacent ones: the checkerboard's ceil(k1 k2 / 2) is the top

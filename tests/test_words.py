@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import grids, treeshifts, words
+from shiftlab import grids, trees, treeshifts, words
 from shiftlab.errors import CapExceeded, DomainError
 
 
@@ -82,16 +82,16 @@ class TestCounting:
         # 2, 3, 5, 8, 13, ...
         a, b = 2, 3
         for n in range(1, 21):
-            assert words.count_blocks_1d(GOLDEN, n) == a
+            assert words.block_counts(GOLDEN, n)[n] == a
             a, b = b, a + b
 
     def test_full_shift_powers(self):
         for n in range(1, 12):
-            assert words.count_blocks_1d(FULL2, n) == 2 ** n
+            assert words.block_counts(FULL2, n)[n] == 2 ** n
 
     def test_single_symbol_budget_linear(self):
         for n in range(1, 15):
-            assert words.count_blocks_1d(ATMOST, n) == n + 1
+            assert words.block_counts(ATMOST, n)[n] == n + 1
 
     def test_block_counts_prefix(self):
         counts = words.block_counts(GOLDEN, 6)
@@ -100,7 +100,7 @@ class TestCounting:
     @given(spec=small_spec(), n=st.integers(min_value=1, max_value=7))
     @settings(max_examples=60, deadline=None)
     def test_count_matches_naive_filter(self, spec, n):
-        assert words.count_blocks_1d(spec, n) == len(naive_blocks(spec, n))
+        assert words.block_counts(spec, n)[n] == len(naive_blocks(spec, n))
 
     @given(spec=small_spec(), n=st.integers(min_value=1, max_value=6))
     @settings(max_examples=40, deadline=None)
@@ -173,7 +173,7 @@ class TestEntropy:
     @given(spec=small_spec(), n=st.integers(min_value=2, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_fekete_never_increases(self, spec, n):
-        if words.count_blocks_1d(spec, n) == 0:
+        if words.block_counts(spec, n)[n] == 0:
             return
         uppers = [words.entropy_est_1d(spec, m).fekete_upper for m in range(1, n + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))
@@ -181,7 +181,7 @@ class TestEntropy:
     @given(spec=small_spec(), n=st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_raw_below_fekete(self, spec, n):
-        if words.count_blocks_1d(spec, n) == 0:
+        if words.block_counts(spec, n)[n] == 0:
             return
         est = words.entropy_est_1d(spec, n)
         assert est.raw <= est.fekete_upper + 1e-12
@@ -447,7 +447,8 @@ class TestPatternAutomaton:
                    if any(rows[x][j:j + 2] == top and rows[y][j:j + 2] == bottom for j in range(2))}
         assert marks[0][0][-1] == 0b11  # row 111 holds the top line at both offsets
         assert accepted_words(auto, 2) == set(itertools.product(range(len(rows)), repeat=2)) - refused
-        assert auto.n_states == 1 + len(rows)
+        # one state per distinct top-line mark (no offset, 0, 1, both): where the top line is live
+        assert auto.n_states == 4
 
     def test_no_pattern_gives_one_state(self):
         auto = words.pattern_automaton(3, [])
@@ -477,7 +478,7 @@ class TestSpecPlumbing:
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     def test_word_string_round_trip(self, w):
         tup = tuple(w)
-        assert words.word_from_str(words.word_to_str(tup)) == tup
+        assert trees.read_digits(words.word_to_str(tup)) == tup
 
     def test_alphabet_must_have_two_symbols(self):
         with pytest.raises(DomainError):
