@@ -211,10 +211,6 @@ def count_blocks_2d(spec: ShiftSpec2D, k1: int, k2: int) -> int:
     return words.block_counts(shift, length)[length]
 
 
-def count_symbol(block: GridBlock, symbol: int) -> int:
-    return sum(row.count(symbol) for row in block.rows)
-
-
 @record
 class MaxSymbolBlock:
     M: int

@@ -279,13 +279,6 @@ class TreeGeometry:
                 raise DomainError(f"vertex {vid!r} lies below depth {n}")
 
 
-def level_sizes(matrix: AdjacencyMatrix, n: int) -> list[int]:
-    """Exact [|T_0|, ..., |T_n|] as big integers."""
-    if n < 0:
-        raise DomainError("depth must be >= 0")
-    return [matrix.geometry.level_size(k) for k in range(n + 1)]
-
-
 @record
 class ExpandingNumber:
     ratio_est: float

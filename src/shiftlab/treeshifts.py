@@ -318,11 +318,6 @@ class LevelParity:
                          for vid in level)
 
 
-def ray_vertices(digit: int, n: int) -> VertexSet:
-    """The ray {digit, digit digit, ...} down to level n (self-loop rays)."""
-    return VertexSet.of(str(digit) * k for k in range(1, n + 1))
-
-
 @record
 class TreeDensity:
     ratios: tuple[Fraction, ...]

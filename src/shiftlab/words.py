@@ -52,9 +52,6 @@ AT_MOST_K = "at_most_k"
 Word = tuple[int, ...]
 
 
-word_from_str = read_digits  # a digit string or int list as a word; None for anything else
-
-
 def word_to_str(word: Word) -> str:
     return "".join(str(s) for s in word)
 
@@ -274,10 +271,6 @@ def block_counts(spec: ShiftSpec1D, n: int) -> list[int]:
         dist = nxt
         out.append(sum(dist))
     return out
-
-
-def count_blocks_1d(spec: ShiftSpec1D, n: int) -> int:
-    return block_counts(spec, n)[n]
 
 
 def blocks_1d(spec: ShiftSpec1D, n: int) -> frozenset[Word]:

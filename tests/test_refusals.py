@@ -43,7 +43,6 @@ DOMAIN_ERRORS = {
     "shatter-witness-size": (lambda: shatter.extract_shattered(FAMILY, -1), "witness size must be >= 0"),
     "trees-type-counts": (lambda: BINARY.geometry.type_counts({1}, -1), "depth must be >= 0"),
     "trees-delta-size": (lambda: BINARY.geometry.delta_size(-1), "depth must be >= 0"),
-    "trees-level-sizes": (lambda: trees.level_sizes(BINARY, -1), "depth must be >= 0"),
     "trees-sink-levels": (lambda: trees.sink_level_counts(COMB, -1), "depth must be >= 0"),
     "trees-entering": (lambda: trees.entering_counts(COMB, -1), "depth must be >= 0"),
     "trees-level-size": (lambda: BINARY.geometry.level_size(-1), "level must be >= 0"),

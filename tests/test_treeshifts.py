@@ -657,10 +657,6 @@ class TestDensity:
             assert dens.ratios == tuple(
                 Fraction(c, geo.delta_size(n)) for c, n in zip(dens.counts, depths))
 
-    def test_ray_vertices(self):
-        vs = treeshifts.ray_vertices(2, 3)
-        assert vs.ids == frozenset({"2", "22", "222"})
-
     @pytest.mark.parametrize(
         "ids,name", [(["21", "3", "x"], "21"), (["1", "x"], "x"), (["12", "1a"], "1a")]
     )
