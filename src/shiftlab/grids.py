@@ -41,7 +41,7 @@ from . import shatter, treeshifts, words
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError, EmptyLanguage, NoWitness
 from .records import record
-from .trees import read_digits
+from .trees import read_digits, read_ints
 
 Cell = tuple[int, int]
 Pattern = tuple[tuple[int, ...], ...]
@@ -388,7 +388,12 @@ class GridPositionSet:
 
     @classmethod
     def of(cls, cells) -> "GridPositionSet":
-        return cls(kind="explicit", cells=frozenset((int(a), int(b)) for a, b in cells))
+        """The cells as (row, column) pairs of ints (``trees.read_ints``)."""
+        pairs = frozenset(read_ints(cell, "grid cell") for cell in cells)
+        for cell in pairs:
+            if len(cell) != 2:
+                raise DomainError(f"grid cell {cell}: expected a row and a column")
+        return cls(kind="explicit", cells=pairs)
 
     @classmethod
     def checkerboard(cls) -> "GridPositionSet":

@@ -16,7 +16,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .records import record
 from . import words
 from . import grids
@@ -341,12 +341,10 @@ def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> object:
             raise ConfigError("set.parity: expected 0 or 1")
         return treeshifts.LevelParity(parity)
     if isinstance(obj, dict) and obj.get("generator") == "sink_lift":
-        positions = obj.get("positions")
-        if not isinstance(positions, list) or not all(
-            words.is_int(p) and p >= 1 for p in positions
-        ):
-            raise ConfigError("set.positions: expected a list of positive integers")
-        return treeshifts.sink_lift(ts, positions)
+        try:
+            return treeshifts.sink_lift(ts, obj.get("positions"))
+        except DomainError as exc:  # sink_lift reads and checks the positions
+            raise ConfigError(f"set.positions: {exc}") from exc
     raise ConfigError(
         "set: expected a list of vertex ids, a level_parity generator, "
         "or a sink_lift generator"

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, DomainError, PreconditionViolated
 from .records import record
+from .trees import read_ints
 
 APRIORI_LIMIT = 20
 
@@ -109,7 +110,7 @@ def entropy_tail_bound(n: int, eps) -> TailBound:
 
 
 def _check_index_set(positions, length: int) -> tuple[int, ...]:
-    pos = tuple(sorted(set(positions)))
+    pos = tuple(sorted(set(read_ints(positions, "index"))))
     for p in pos:
         if not (1 <= p <= length):
             raise DomainError(f"index {p} outside [1, {length}]")

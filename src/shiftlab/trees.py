@@ -12,7 +12,9 @@ traversal.  The geometry alone writes them (``child_ids``), lists them
 (``levels``) and checks them (``is_vertex``, ``check_ids``).  Digit ids
 need d <= 9; the matrix operations themselves have no such bound.
 ``read_digits``, the one reader of symbols, reads the matrices here and
-the words and patterns of 1D and 2D specs.
+the words and patterns of 1D and 2D specs; ``read_ints``, the one reader
+of positions, reads the position sets of lines, grids, sink lifts and
+binary families.
 
 Beyond level counting this module classifies the matrix:
 
@@ -50,6 +52,19 @@ def read_digits(value) -> tuple[int, ...] | None:
     if isinstance(value, list | tuple) and all(type(s) is int for s in value):
         return tuple(value)
     return None
+
+
+def read_ints(values, field: str) -> tuple[int, ...]:
+    """The ints of a position list (or other iterable), in order; a value
+    that is no int, a bool too, raises DomainError naming it and ``field``."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise DomainError(f"{field}: expected a list of integers, got {values!r}") from None
+    for value in out:
+        if type(value) is not int:
+            raise DomainError(f"{field} {value!r} is not an integer")
+    return out
 
 
 def read_bit_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:

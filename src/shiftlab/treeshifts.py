@@ -68,7 +68,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .records import record
-from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, read_bit_rows
+from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, read_bit_rows, read_ints
 from .trees import sink_decomposition, sink_level_counts
 from .trees import entering_counts  # noqa: F401  the a_l of the chain's W, re-exported
 from .words import ShiftSpec1D, WordAutomaton, log_per_size
@@ -564,12 +564,12 @@ def sink_lift(ts: TreeShiftSpec, s1d) -> SinkLiftSet:
     shift base so the all-low filler used by the independence argument
     stays admissible.
     """
+    positions = tuple(sorted(set(read_ints(s1d, "ray position"))))
+    if positions and positions[0] < 1:
+        raise DomainError("ray positions are 1-based")
     decomp = sink_decomposition(ts.matrix)  # raises NotUnexpandable
     if not words_mod.is_hereditary_upto(ts.base, math.inf):
         raise NotHereditary("base is not hereditary: lowering a symbol breaks an admissible word")
-    positions = tuple(sorted({int(p) for p in s1d}))
-    if positions and positions[0] < 1:
-        raise DomainError("ray positions are 1-based")
     return SinkLiftSet(positions=positions, sink_gens=decomp.sink_generators())
 
 

@@ -44,7 +44,7 @@ from itertools import accumulate
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
 from .records import record
-from .trees import AdjacencyMatrix, TreeGeometry, read_digits
+from .trees import AdjacencyMatrix, TreeGeometry, read_digits, read_ints
 
 FORBIDDEN = "forbidden"
 AT_MOST_K = "at_most_k"
@@ -358,7 +358,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
     """
     from .treeshifts import _walk
 
-    pos = frozenset(positions)
+    pos = frozenset(read_ints(positions, "position"))
     for p in sorted(pos):
         if not (1 <= p <= length):
             raise DomainError(f"position {p} outside the window [1, {length}]")

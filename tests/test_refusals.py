@@ -22,6 +22,12 @@ def _golden_report() -> harness.Report:
     return harness.run_config(harness.ExperimentConfig("entropy1d", {"spec": GOLDEN.to_json(), "n": 2}))
 
 
+def _sink_lift_density(positions) -> harness.Report:
+    params = {"tree": {"d": 2, "rows": ["11", "01"]}, "base": GOLDEN.to_json(),
+              "set": {"generator": "sink_lift", "positions": positions}, "n_range": [2, 4, 2]}
+    return harness.run_config(harness.ExperimentConfig("density", params))
+
+
 # id -> (the call, the text of the DomainError it raises)
 DOMAIN_ERRORS = {
     "grids-row-widths": (lambda: grids.pattern_from_rows(["11", "1"]), "pattern rows must share one width"),
@@ -36,10 +42,17 @@ DOMAIN_ERRORS = {
                         "unknown position generator 'spiral'"),
     "grids-no-windows": (lambda: grids.upper_density_grid(CHECKERBOARD, []), "window list must be nonempty"),
     "grids-window-side": (lambda: grids.upper_density_grid(CHECKERBOARD, [(0, 2)]), "window sides must be >= 1"),
+    # positions are read by trees.read_ints: ints only, never truncated, and no bool
+    "grids-cell-float": (lambda: grids.GridPositionSet.of([(1.5, 2.9)]), "grid cell 1.5 is not an integer"),
+    "grids-cell-bool": (lambda: grids.GridPositionSet.from_json({"cells": [[True, "2"]]}),
+                        "grid cell True is not an integer"),
+    "grids-cell-arity": (lambda: grids.GridPositionSet.of([(1, 2, 3)]),
+                         "grid cell (1, 2, 3): expected a row and a column"),
     "shatter-not-binary": (lambda: shatter.BinaryFamily.from_words(["012"]), "word '012' is not binary"),
     "shatter-no-words": (lambda: shatter.BinaryFamily.from_words([]), "family needs words of positive length"),
     "shatter-tail-n": (lambda: shatter.entropy_tail_bound(0, Fraction(1, 4)), "tail bound needs n >= 1"),
     "shatter-index": (lambda: shatter.is_shattered(FAMILY, [4]), "index 4 outside [1, 3]"),
+    "shatter-index-float": (lambda: shatter.is_shattered(FAMILY, [1.5]), "index 1.5 is not an integer"),
     "shatter-witness-size": (lambda: shatter.extract_shattered(FAMILY, -1), "witness size must be >= 0"),
     "trees-type-counts": (lambda: BINARY.geometry.type_counts({1}, -1), "depth must be >= 0"),
     "trees-delta-size": (lambda: BINARY.geometry.delta_size(-1), "depth must be >= 0"),
@@ -54,12 +67,19 @@ DOMAIN_ERRORS = {
                              "depth range must be nonempty"),
     "treeshifts-pin-depth": (lambda: treeshifts.distinct_restrictions(COMB_GOLDEN, [], -1), "depth must be >= 0"),
     "treeshifts-ray-position": (lambda: treeshifts.sink_lift(COMB_GOLDEN, [0, 1]), "ray positions are 1-based"),
+    "treeshifts-ray-float": (lambda: treeshifts.sink_lift(COMB_GOLDEN, [1.7, 3]), "ray position 1.7 is not an integer"),
+    "treeshifts-ray-list": (lambda: treeshifts.sink_lift(COMB_GOLDEN, None),
+                            "ray position: expected a list of integers, got None"),
     "treeshifts-boundary": (lambda: treeshifts.bip_search(COMB_GOLDEN, 0, 3), "boundary depth must be >= 1"),
     "treeshifts-scan-n": (lambda: treeshifts.max_indep_est(COMB_GOLDEN, 0), "scan needs n >= 1"),
     "treeshifts-chain-n": (lambda: treeshifts.entropy_chain(COMB_GOLDEN, 0), "chain check needs n >= 1"),
     "words-counts-length": (lambda: words.block_counts(GOLDEN, -1), "length must be >= 0"),
     "words-blocks-length": (lambda: words.blocks_1d(GOLDEN, -1), "length must be >= 0"),
     "words-indep-length": (lambda: words.is_indep_1d(GOLDEN, [], -1), "length must be >= 0"),
+    "words-indep-float": (lambda: words.is_indep_1d(words.ShiftSpec1D.full(2), [1.5], 3),
+                          "position 1.5 is not an integer"),
+    "words-indep-bool": (lambda: words.is_indep_1d(words.ShiftSpec1D.full(2), [True], 3),
+                         "position True is not an integer"),
     "words-entropy-n": (lambda: words.entropy_est_1d(GOLDEN, 0), "entropy estimate needs n >= 1"),
     "words-hereditary-n": (lambda: words.is_hereditary_upto(GOLDEN, 0), "hereditary check needs n >= 1"),
 }
@@ -68,6 +88,8 @@ CONFIG_ERRORS = {
                        "target: unknown target 'nope'"),
     "harness-format": (lambda: harness.emit_report(_golden_report(), "xml"),
                        "format: expected json or csv, got 'xml'"),
+    "harness-ray-bool": (lambda: _sink_lift_density([1, True]), "set.positions: ray position True is not an integer"),
+    "harness-ray-zero": (lambda: _sink_lift_density([0]), "set.positions: ray positions are 1-based"),
 }
 CASES = [pytest.param(call, error, text, id=name)
          for error, cases in ((DomainError, DOMAIN_ERRORS), (ConfigError, CONFIG_ERRORS))
