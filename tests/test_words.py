@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import and_, getitem
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -423,7 +426,72 @@ def accepted_words(auto: words.WordAutomaton, n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def history_automaton(size: int, patterns) -> words.WordAutomaton:
+    """The compiler's former form, kept as an oracle: a state is the last h - 1
+    symbols, h the most lines of a pattern, and a symbol is refused when the
+    marks of a pattern's lines in the last symbols share an offset."""
+    memory = max(map(len, patterns), default=1) - 1
+
+    def next_history(history: tuple, x: int):
+        grown = history + (x,)
+        for lines in patterns:
+            p = len(lines)
+            if p <= len(grown) and reduce(and_, map(getitem, lines, grown[-p:])):
+                return None
+        return grown[-memory:] if memory > 0 else ()
+
+    return words.WordAutomaton(size, (), next_history)
+
+
+def row_marks(spec: grids.ShiftSpec2D, rows, width: int) -> list:
+    """marks[t][a][x]: the offsets where line a of tall pattern t lies in row x, as bits."""
+    return [[tuple(sum(1 << j for j in range(width - len(line) + 1) if row[j:j + len(line)] == line)
+                   for row in rows) for line in pat]
+            for pat in spec.forbidden if len(pat) > 1 and len(pat[0]) <= width]
+
+
+def assert_matches_history(auto: words.WordAutomaton, oracle: words.WordAutomaton) -> None:
+    counts = [words.block_counts(SimpleNamespace(automaton=a), 8) for a in (auto, oracle)]
+    assert counts[0] == counts[1]
+    assert auto.n_states <= oracle.n_states
+
+
 class TestPatternAutomaton:
+    @given(r=st.integers(2, 4), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_words_match_the_history_oracle(self, r, data):
+        word = st.lists(st.integers(0, r - 1), min_size=1, max_size=4).map(tuple)
+        spec = words.ShiftSpec1D.with_forbidden(r, data.draw(st.lists(word, max_size=4)))
+        lines = [[tuple(int(x == s) for x in range(r)) for s in w] for w in spec.forbidden]
+        assert_matches_history(spec.automaton, history_automaton(r, lines))
+
+    @given(r=st.sampled_from([2, 3]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_shifts_match_the_history_oracle(self, r, data):
+        shapes = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+        pats = []
+        for p1, p2 in data.draw(st.lists(shapes, max_size=3)):
+            cells = data.draw(st.lists(st.integers(0, r - 1), min_size=p1 * p2, max_size=p1 * p2))
+            pats.append([cells[i * p2:(i + 1) * p2] for i in range(p1)])
+        spec = grids.ShiftSpec2D.from_patterns(r, pats)
+        width = data.draw(st.integers(1, 4 if r == 2 else 3))
+        shift = grids.RowShift(spec, width)
+        oracle = history_automaton(len(shift.rows), row_marks(spec, shift.rows, width))
+        assert_matches_history(shift.automaton, oracle)
+
+    def test_forty_symbols_keep_four_states(self, monkeypatch):
+        # the history form keeps the last four of 40 symbols and refuses at this cap
+        monkeypatch.setenv("SHIFTLAB_CAP", "4096")
+        forbidden = [(0, 0), (0, 1), (1, 0, 0, 1, 0)]
+        spec = words.ShiftSpec1D.with_forbidden(40, forbidden)
+        assert spec.automaton.n_states == 4
+        for n in range(4):
+            brute = {w for w in itertools.product(range(40), repeat=n)
+                     if not any(w[i:i + len(f)] == f for f in forbidden for i in range(n - len(f) + 1))}
+            assert accepted_words(spec.automaton, n) == brute
+        with pytest.raises(CapExceeded, match="SHIFTLAB_CAP = 4096"):
+            history_automaton(40, [[tuple(int(x == s) for x in range(40)) for s in w] for w in forbidden])
+
     @given(r=st.integers(2, 3), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_one_symbol_lines_forbid_the_words(self, r, data):
