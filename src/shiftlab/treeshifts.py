@@ -59,6 +59,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 
 from . import words as words_mod
+from .caps import enumeration_cap
 from .errors import (
     CapExceeded,
     DeadSymbol,
@@ -137,13 +138,17 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one walk.
 
     A vertex's table is a vector over automaton states: entry q counts
-    the labelings of its subtree below a parent in state q.
+    the labelings of its subtree below a parent in state q.  A count over
+    ``SHIFTLAB_CAP`` bits raises CapExceeded.
     """
     auto = ts.automaton
+    limit = enumeration_cap()
 
     def step(kids, height) -> tuple[int, ...]:
         below = [math.prod(table[q] for table in kids) for q in range(auto.n_states)]
-        return tuple(sum(below[q] for q in row if q is not None) for row in auto.table)
+        table = tuple(sum(below[q] for q in row if q is not None) for row in auto.table)
+        _check_bits(table, limit)
+        return table
 
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
 
@@ -191,6 +196,13 @@ def _preimages(auto: WordAutomaton, mask: int, pinned) -> tuple:
             hit = tuple(merged.values())
         hit = _remember(auto.memo, key, hit)
     return hit
+
+
+def _check_bits(counts, limit: int) -> None:
+    """Refuse a count of more than ``limit`` bits: a tree count is a product
+    over children at every level, so its bits grow with the level sizes."""
+    if max(counts, default=0).bit_length() > limit:
+        raise CapExceeded(f"a count over SHIFTLAB_CAP = {limit} bits")
 
 
 def _capped(classes: dict) -> dict:
@@ -259,13 +271,16 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
 
     A vertex's table maps tolerated incoming-state sets to the number of
     distinct leaf labelings below.  Raises CapExceeded when a class map
-    outgrows CLASS_CAP.
+    outgrows CLASS_CAP or a count ``SHIFTLAB_CAP`` bits.
     """
     auto = ts.automaton
+    limit = enumeration_cap()
 
     def step(kids, height) -> dict:
         children = (table.items() for table in kids)
-        return _lift(_combine_children(children, auto), auto, height == 0)
+        table = _lift(_combine_children(children, auto), auto, height == 0)
+        _check_bits(table.values(), limit)
+        return table
 
     return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]
 

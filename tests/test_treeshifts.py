@@ -132,6 +132,17 @@ class TestCounting:
         for n in range(1, 6):
             assert c[n] == 1 + c[n - 1] ** 2
 
+    def test_counts_over_the_cap_in_bits_are_refused(self, monkeypatch):
+        # c_5 = 210066388901 has 38 bits, and c_6 = 1 + c_5^2 about 76; the golden
+        # base's surface counts on the binary tree have 33 bits at n = 5 and 65 at n = 6
+        monkeypatch.setenv("SHIFTLAB_CAP", "64")
+        assert treeshifts.count_series(TS_BIN_A, 5)[-1] == 210066388901
+        assert treeshifts.surface_series(TS_BIN_GOLDEN, 5)[-1].bit_length() == 33
+        with pytest.raises(CapExceeded, match="^a count over SHIFTLAB_CAP = 64 bits$"):
+            treeshifts.count_series(TS_BIN_A, 6)
+        with pytest.raises(CapExceeded, match="^a count over SHIFTLAB_CAP = 64 bits$"):
+            treeshifts.surface_series(TS_BIN_GOLDEN, 6)
+
     def test_full_shift_counts_everything(self):
         geo = TS_BIN_FULL.geometry()
         for n in range(4):
