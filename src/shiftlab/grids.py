@@ -11,7 +11,8 @@ rows (Calkin and Wilf's row transfer), read by the automaton of a
 so equal specs parsed from different configs share it and its class-DP
 memo.  A window wider than it is tall is read as the columns of the
 transposed spec instead, so the rows always run along the shorter side.
-The row automaton comes from ``words.pattern_automaton``, counts from
+The row automaton comes from ``words.pattern_automaton``, its state the
+live partial matches of the taller patterns, counts from
 ``words.block_counts``, and independence from the class DP of
 ``treeshifts`` walked up the rows.  Symbol maxima come from one (max, +)
 pass of counts per width, which gives M(k, w) for every height k;
@@ -388,7 +389,6 @@ class GridPositionSet:
 
     @classmethod
     def of(cls, cells) -> "GridPositionSet":
-        """The cells as (row, column) pairs of ints (``trees.read_ints``)."""
         pairs = frozenset(read_ints(cell, "grid cell") for cell in cells)
         for cell in pairs:
             if len(cell) != 2:

@@ -12,9 +12,7 @@ traversal.  The geometry alone writes them (``child_ids``), lists them
 (``levels``) and checks them (``is_vertex``, ``check_ids``).  Digit ids
 need d <= 9; the matrix operations themselves have no such bound.
 ``read_digits``, the one reader of symbols, reads the matrices here and
-the words and patterns of 1D and 2D specs; ``read_ints``, the one reader
-of positions, reads the position sets of lines, grids, sink lifts and
-binary families.
+the words and patterns of 1D and 2D specs; ``read_ints`` reads positions.
 
 Beyond level counting this module classifies the matrix:
 
@@ -55,8 +53,7 @@ def read_digits(value) -> tuple[int, ...] | None:
 
 
 def read_ints(values, field: str) -> tuple[int, ...]:
-    """The ints of a position list (or other iterable), in order; a value
-    that is no int, a bool too, raises DomainError naming it and ``field``."""
+    """The ints of a list of positions; anything else, a bool too, raises DomainError naming it."""
     try:
         out = tuple(values)
     except TypeError:

@@ -138,17 +138,14 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one walk.
 
     A vertex's table is a vector over automaton states: entry q counts
-    the labelings of its subtree below a parent in state q.  A count over
-    ``SHIFTLAB_CAP`` bits raises CapExceeded.
+    the labelings of its subtree below a parent in state q.
     """
     auto = ts.automaton
     limit = enumeration_cap()
 
     def step(kids, height) -> tuple[int, ...]:
         below = [math.prod(table[q] for table in kids) for q in range(auto.n_states)]
-        table = tuple(sum(below[q] for q in row if q is not None) for row in auto.table)
-        _check_bits(table, limit)
-        return table
+        return _bounded(tuple(sum(below[q] for q in row if q is not None) for row in auto.table), limit)
 
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
 
@@ -198,11 +195,11 @@ def _preimages(auto: WordAutomaton, mask: int, pinned) -> tuple:
     return hit
 
 
-def _check_bits(counts, limit: int) -> None:
-    """Refuse a count of more than ``limit`` bits: a tree count is a product
-    over children at every level, so its bits grow with the level sizes."""
+def _bounded(counts, limit: int):
+    """``counts``, refused if one has more than ``limit`` bits: its bits grow with |Delta_n|."""
     if max(counts, default=0).bit_length() > limit:
         raise CapExceeded(f"a count over SHIFTLAB_CAP = {limit} bits")
+    return counts
 
 
 def _capped(classes: dict) -> dict:
@@ -279,7 +276,7 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     def step(kids, height) -> dict:
         children = (table.items() for table in kids)
         table = _lift(_combine_children(children, auto), auto, height == 0)
-        _check_bits(table.values(), limit)
+        _bounded(table.values(), limit)
         return table
 
     return [_root_count(table.items()) for table in ts.geometry().walk_up(n, step)]

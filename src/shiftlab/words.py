@@ -11,7 +11,8 @@ A spec's alphabet is the int ``alphabet_size``; its words are read by
 
 Every spec compiles once into a ``WordAutomaton``: integer states and a
 ``table[state][symbol]`` successor lookup; forbidden words compile through
-``pattern_automaton``, as 2D row shifts do.  Provided quantities:
+``pattern_automaton``, as 2D row shifts do, whose states are the live
+partial matches of the patterns (Aho and Corasick).  Provided quantities:
 
 * exact block counts by a state DP over that table, never materializing
   beyond the cap;
@@ -173,15 +174,13 @@ class ShiftSpec1D:
 class WordAutomaton:
     """Compiled recognizer of words over the symbols ``0 .. size - 1``.
 
-    A breadth-first search from the state ``start``, where
-    ``next_state(state, s)`` gives the state after s or None when s is
-    inadmissible there, numbers each reachable state (0 initial);
-    ``table[q][s]`` is the successor of q under s, or None.  A forbidden
-    pattern spec's state is its live partial matches
-    (``pattern_automaton``), an at-most-k spec's the count so far.  A
-    table over ``SHIFTLAB_CAP`` entries (states times symbols) raises
-    CapExceeded.  ``memo`` is the class DP's memo (see ``treeshifts``),
-    shared by every spec compiled to this automaton.
+    A breadth-first search from the state ``start`` (the live partial
+    matches for ``pattern_automaton``), where ``next_state(state, s)`` is
+    the state after s or None when s is inadmissible there, numbers each
+    reachable state (0 initial); ``table[q][s]`` is the successor of q
+    under s, or None.  A table over ``SHIFTLAB_CAP`` entries (states times
+    symbols) raises CapExceeded.  ``memo`` is the class DP's memo (see
+    ``treeshifts``), shared by every spec compiled to this automaton.
     """
 
     initial = 0
@@ -230,20 +229,16 @@ def pattern_automaton(size: int, patterns) -> WordAutomaton:
 
     ``patterns[t][a][x]`` marks as bits the offsets where line a of pattern
     t lies in symbol x.  A state is the live partial matches (Aho and
-    Corasick's automaton): per pattern and per proper prefix of its lines,
-    the offsets where that prefix ends at the last symbol, the empty prefix
-    ending at every offset.  The state packs these masks into one int, a
-    field of ``bits`` bits per line, so on symbol x the prefix of a + 1
-    lines ends where the prefix of a lines ended and line a lies in x, one
-    ``&`` for every prefix at once; x is refused where a whole pattern
-    would end, and a shift moves each prefix one line on."""
+    Corasick's automaton): the offsets where each proper prefix of each
+    pattern's lines ends at the last symbol, all for the empty prefix, in
+    one int with a field of ``bits`` bits per line.  On x, prefix a + 1 ends
+    where prefix a ended and line a lies in x (one ``&``); x is refused where
+    a whole pattern would end, and a shift moves each prefix on one line."""
     lines = [line for pattern in patterns for line in pattern]
     bits = max((m.bit_length() for line in lines for m in line), default=0) or 1
-    starts = ends = at = 0
-    for pattern in patterns:
-        starts |= (1 << bits) - 1 << at
-        at += bits * len(pattern)
-        ends |= (1 << bits) - 1 << at - bits
+    bounds = list(accumulate(map(len, patterns), initial=0))  # each pattern's first line, then the end
+    starts = sum((1 << bits) - 1 << bits * a for a in bounds[:-1])
+    ends = sum((1 << bits) - 1 << bits * a for a in bounds[1:]) >> bits
     marks = [sum(line[x] << bits * a for a, line in enumerate(lines)) for x in range(size)]
 
     def next_state(state: int, x: int) -> int | None:
