@@ -486,8 +486,8 @@ def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int)
     """Every assignment on the positions extends to an admissible block.
 
     Explicit position sets must lie inside the window; generator sets are
-    clipped to it.  A row (or column) meeting the set is pinned by its
-    values there.
+    clipped to it.  Row (or column) i, the ray's vertex at depth i - 1, is
+    pinned by its values on the set, and the ray's pin walk decides.
     """
     if positions.kind == "explicit":
         for i, j in positions.cells:
@@ -497,11 +497,15 @@ def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int)
     cells = positions.window(k1, k2)
     if transposed:
         cells = frozenset((j, i) for i, j in cells)
-    pins = []
-    for i in range(length, 0, -1):
+    pins = {}
+    for i in range(1, length + 1):
         cols = [j for j in range(k1 if transposed else k2) if (i, j + 1) in cells]
-        pins.append(tuple(tuple(row[j] for j in cols) for row in shift.rows) if cols else False)
-    return treeshifts._walk(shift.automaton, pins) == spec.alphabet_size ** len(cells)
+        if cols:
+            labels = tuple(tuple(row[j] for j in cols) for row in shift.rows)
+            if len(set(labels)) < spec.alphabet_size ** len(cols):
+                return False  # an assignment of these cells lies in no admissible row
+            pins["1" * (i - 1)] = labels
+    return treeshifts._independent(shift.automaton, words.RAY, pins, length - 1)
 
 
 @record

@@ -14,41 +14,41 @@ along the geometry's ``walk_up``: a subtree's shape depends only on its
 vertex type (the last generator) and height, so each height keeps one
 table per vertex type, here a count per automaton state, and the DP is
 polynomial in depth even when the pattern counts have thousands of
-digits.  Surface counting and independence checking refine the same
-idea: instead of a single count per state they carry a map from "set of
-incoming states this partial labeling tolerates", an int bitmask over
-the states, to the number of distinct restrictions achieving it.  That
-stays exact while collapsing unpinned subtrees to one class.
+digits.  Surface and restriction counts refine the same idea: instead of
+a single count per state they carry a map from "set of incoming states
+this partial labeling tolerates", an int bitmask over the states, to the
+number of distinct restrictions achieving it, exact while collapsing
+unpinned subtrees to one class.
 
 Independence of a vertex set S: every assignment S -> alphabet extends
-to a full admissible labeling of Delta_n.  The check compares the exact
-number of distinct restrictions to S against r^|S| as big integers.
-Two walks take every S of Delta_n at once.  They need only the support
-of S's class map, its set of masks: whether S has lost a restriction,
-and whether the root tolerates all it has, depend on nothing else.
+to a full admissible labeling of Delta_n.  The support of S's class map,
+its set of masks, alone decides it: S is independent when the support
+never goes DEAD (a lost restriction) and the root tolerates each mask.
+``_independent`` so decides on the sparse pin walk for trees, and for
+lines and grids on the one-generator ray; ``distinct_restrictions``
+counts on that walk.  Two walks take every S of Delta_n at once.
 ``subset_census`` counts the sets per (independent, antichain); on the
-binary tree it checks all 2^63 subsets of Delta_5 with tables of at
-most 3 entries.  The pin-set walk keeps, per support, the lex-first
-largest independent S; it gives the exact maxima of
-``max_indep_series`` (every depth at once), of ``words.max_indep_J`` on
-the one-generator ray, and of ``bip_search`` on small boundaries.
-``entropy_chain_series`` reads the sink-ray entropy bound of every depth
-from one pattern-count series, one block-count series and one series of
-sink level counts.
+binary tree it checks all 2^63 subsets of Delta_5 with tables of at most
+3 entries.  The pin-set walk keeps, per support, the lex-first largest
+independent S; it gives the exact maxima of ``max_indep_series`` (every
+depth at once), of ``words.max_indep_J`` on the ray, and of
+``bip_search`` on small boundaries.  ``entropy_chain_series`` reads the
+sink-ray entropy bound of every depth from one pattern-count series, one
+block-count series and one series of sink level counts.
 
-The class DP's memo is a dict on the ``WordAutomaton``.  It has three
-kinds of keys.  A pin labels the symbols: True gives each its own label,
-False gives all one label, and a tuple gives symbol s the label pin[s].
-(a tolerated-state mask, a pin) maps to the mask's compiled lift: per
-label, the incoming states it tolerates, 0 where none.  (pin, the
-children's class maps, a tuple) maps to the class map of a node step;
-class maps are frozensets of (mask, multiplicity) pairs.  (step, a
-support) maps to the support after a step of the two walks; supports
-are frozensets of masks, and no other key has a frozenset second.  No
-key depends on the tree or on where a vertex sits, so every spec
-compiled to one automaton (lines, grid rows, and trees of any shape over
-one base) shares the memo and its steps.  The memo is cleared whenever
-it reaches MEMO_CAP entries, which bounds it and never changes a result.
+The DP's memo is a dict on the ``WordAutomaton``, with three kinds of
+keys and no class map.  A pin labels the symbols: True gives each its
+own label, False gives all one label, and a tuple gives symbol s the
+label pin[s].  (a tolerated-state mask, a pin) maps to the mask's
+compiled lift: per label, the incoming states it tolerates, 0 where
+none.  (pin, the children's supports, a tuple) maps to the support of a
+vertex.  (step, a support) maps to the support after a product or a pin
+step; supports are frozensets of masks, and no other key has a frozenset
+second.  No key depends on the tree or on where a vertex sits, so every
+spec compiled to one automaton (lines, grid rows, and trees of any shape
+over one base) shares the memo and its steps.  The memo is cleared
+whenever it reaches MEMO_CAP entries, which bounds it and never changes
+a result.
 """
 
 from __future__ import annotations
@@ -350,17 +350,20 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
 
 
 def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
-    """Class map of a vertex from its children's, the same wherever the vertex sits."""
+    """Support of a vertex from its children's supports, the same wherever the vertex sits."""
     key = (pinned, kids)
     hit = auto.memo.get(key)
     if hit is None:
-        hit = _remember(auto.memo, key, frozenset(_lift(_combine_children(kids, auto), auto, pinned).items()))
+        part = frozenset({auto.all_states})  # a leaf tolerates everything below it
+        for kid in kids:
+            part = _support_step(auto, part, kid)
+        hit = _remember(auto.memo, key, _support_step(auto, pinned, part))
     return hit
 
 
-# A pin set loses a restriction exactly where a mask 0 enters the support
-# of its class map (its set of masks): an empty product, or a label of a
-# pin without preimages.  DEAD, the support {0}, stands for every such pin set.
+# A pin set loses a restriction exactly where a mask 0 enters the support of
+# its class map (its set of masks), from an empty product or a pinned label
+# without preimages, or where no mask is left.  DEAD, the support {0}, is them all.
 DEAD = frozenset({0})
 
 
@@ -374,7 +377,7 @@ def _support_step(auto: WordAutomaton, step, support: frozenset) -> frozenset:
             hit = frozenset(x & y for x in step for y in support)
         else:
             hit = frozenset(compat for mask in support for compat in _preimages(auto, mask, step))
-        hit = _remember(auto.memo, key, DEAD if 0 in hit else hit)
+        hit = _remember(auto.memo, key, hit if hit and 0 not in hit else DEAD)
     return hit
 
 
@@ -383,47 +386,41 @@ def _tolerates_root(support: frozenset) -> bool:
     return all(mask & 1 for mask in support)
 
 
-def _walk(auto: WordAutomaton, pins) -> int:
-    """Restrictions to a path read from its far end, one pin per position.
-
-    A pin labels the symbols, as in ``_preimages``; the path is a window of
-    a line (``words``) or a stack of rows (``grids``).
-    """
-    classes = frozenset({(auto.all_states, 1)})  # past the far end
-    for pinned in pins:
-        classes = _node_step(auto, pinned, (classes,))
-    return _root_count(classes)
-
-
-def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
-    """Exact number of distinct labelings of S induced by Delta_n patterns.
-
-    Vertices outside S contribute existence only; whole subtrees without
-    pinned vertices collapse to a single viability class, so sparse pins
-    stay cheap even on deep trees.
-    """
-    if n < 0:
-        raise DomainError("depth must be >= 0")
-    geo = ts.geometry()
-    auto = ts.automaton
-    ids = S.ids if isinstance(S, VertexSet) else tuple(S)
-    geo.check_ids(ids, n)
-    pins = frozenset(ids)
-    # free[h] is the class map of a subtree of height h without pins.  It
-    # does not depend on the subtree's vertex type: every vertex has a
-    # child, and a class map of at most one entry (multiplicity 1), as a
-    # free subtree's is, combined with itself is itself.
-    free = [_node_step(auto, False, ())]
-    for _ in range(n):
-        free.append(_node_step(auto, False, (free[-1],)))
-    # step the pins' prefixes deepest first, so each one's children are done
+def _pin_walk(geo: TreeGeometry, pins: dict, n: int, node):
+    """The root's table of Delta_n from ``node(pin, kids)``, ``pins`` mapping ids to pins.
+    The pins' prefixes step deepest first; a free subtree's table (one support or class
+    of multiplicity 1, which combined with itself is itself) depends on its height alone."""
+    free = list(accumulate(range(n), lambda table, _: node(False, (table,)), initial=node(False, ())))
     done: dict = {}
     for vid in sorted({""} | {vid[:i] for vid in pins for i in range(len(vid) + 1)},
                       key=len, reverse=True):
         height = n - len(vid)
         kids = tuple([done.pop(kid, free[height - 1]) for kid in geo.child_ids(vid)]) if height else ()
-        done[vid] = _node_step(auto, vid in pins, kids)
-    return _root_count(done[""])
+        done[vid] = node(pins.get(vid, False), kids)
+    return done[""]
+
+
+def _independent(auto: WordAutomaton, geo: TreeGeometry, pins: dict, n: int) -> bool:
+    """Every assignment on the pins extends to Delta_n: the one decision of lines, grids and trees."""
+    return _tolerates_root(_pin_walk(geo, pins, n, lambda pinned, kids: _node_step(auto, pinned, kids)))
+
+
+def _checked_ids(geo: TreeGeometry, S, n: int) -> frozenset[str]:
+    """The ids of S, a ``VertexSet`` or a list of id strings, each a vertex of Delta_n."""
+    if n < 0:
+        raise DomainError("depth must be >= 0")
+    ids = S.ids if isinstance(S, VertexSet) else VertexSet.of(S).ids
+    geo.check_ids(sorted(ids), n)
+    return ids
+
+
+def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
+    """Exact number of distinct labelings of S induced by Delta_n patterns: the
+    pin walk of ``is_indep_tree`` with class maps, which stays cheap on deep trees."""
+    geo = ts.geometry()
+    auto = ts.automaton
+    return _root_count(_pin_walk(geo, dict.fromkeys(_checked_ids(geo, S, n), True), n, lambda pinned, kids:
+                                 _lift(_combine_children((k.items() for k in kids), auto), auto, pinned)).items())
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
@@ -431,9 +428,8 @@ def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
 
     S = empty is independent exactly when some labeling exists.
     """
-    if not isinstance(S, VertexSet):
-        S = VertexSet(frozenset(map(str, S)))
-    return distinct_restrictions(ts, S, n) == ts.alphabet_size ** len(S.ids)
+    geo = ts.geometry()
+    return _independent(ts.automaton, geo, dict.fromkeys(_checked_ids(geo, S, n), True), n)
 
 
 def subset_census(ts: TreeShiftSpec, n: int) -> dict:

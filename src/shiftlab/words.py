@@ -45,10 +45,11 @@ from itertools import accumulate
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError
 from .records import record
-from .trees import AdjacencyMatrix, TreeGeometry, read_digits, read_ints
+from .trees import AdjacencyMatrix, read_digits, read_ints
 
 FORBIDDEN = "forbidden"
 AT_MOST_K = "at_most_k"
+RAY = AdjacencyMatrix(((1,),)).geometry  # the one-generator ray: its Delta_{l - 1} is the window [1, l]
 
 Word = tuple[int, ...]
 
@@ -347,11 +348,11 @@ def is_hereditary_upto(spec: ShiftSpec1D, n: float) -> bool:
 def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
     """Every assignment on the positions extends to an admissible word.
 
-    Walks the window from its last position up to its first, one class
-    step per position, pinned when it lies in the set.  The empty set is
-    independent exactly when the length-``length`` language is nonempty.
+    Position p is the vertex at depth p - 1 of ``RAY``, pinned when in the
+    set, and the ray's pin walk decides.  The empty set is independent
+    exactly when the length-``length`` language is nonempty.
     """
-    from .treeshifts import _walk
+    from .treeshifts import _independent
 
     pos = frozenset(read_ints(positions, "position"))
     for p in sorted(pos):
@@ -359,7 +360,7 @@ def is_indep_1d(spec: ShiftSpec1D, positions, length: int) -> bool:
             raise DomainError(f"position {p} outside the window [1, {length}]")
     if length < 0:
         raise DomainError("length must be >= 0")
-    return _walk(spec.automaton, (p in pos for p in range(length, 0, -1))) == spec.alphabet_size ** len(pos)
+    return length == 0 or _independent(spec.automaton, RAY, {"1" * (p - 1): True for p in pos}, length - 1)
 
 
 @record
@@ -381,8 +382,7 @@ def max_indep_J_series(spec: ShiftSpec1D, length: int) -> list[MaxIndep1D]:
 
     if length < 1:
         raise DomainError("window length must be >= 1")
-    ray = TreeGeometry(AdjacencyMatrix(((1,),)))
-    windows = [_pin_ids(ray, top) for top in _max_pin_sets(spec.automaton, ray, length - 1, length)]
+    windows = [_pin_ids(RAY, top) for top in _max_pin_sets(spec.automaton, RAY, length - 1, length)]
     fekete = accumulate((Fraction(len(pins), m) for m, pins in enumerate(windows, start=1)), min)
     return [
         MaxIndep1D(J=len(pins), witness=tuple(len(v) + 1 for v in pins), fekete_limit_est=est)

@@ -577,15 +577,17 @@ class TestRestrictionMemo:
             treeshifts.surface_entropy_est(ts, 4)
             treeshifts.subset_census(ts, 2)
             treeshifts.distinct_restrictions(ts, ["1", "12", "2"], 6)
+            treeshifts.is_indep_tree(ts, ["1", "12", "2"], 6)
             treeshifts.max_indep_est(ts, 4)
         memo = base.automaton.memo
         assert comb.automaton is binary.automaton and memo
-        assert _memo_shapes(memo) == {"lift", "class map", "support"}
-        # a grid row shift's memo, after is_indep_2d, holds label-tuple pins too
+        assert _memo_shapes(memo) == {"lift", "node", "support"}
+        # a grid row shift's memo, after is_indep_2d, holds label-tuple pins too,
+        # and node supports in place of class maps: no class map is memoised
         spec = grids.ShiftSpec2D.hard_square()
         grids.is_indep_2d(spec, grids.GridPositionSet.of([(1, 1), (2, 3), (3, 2)]), 3, 3)
         memo = grids._window(spec, 3, 3)[0].automaton.memo
-        assert _memo_shapes(memo) == {"lift", "class map"}
+        assert _memo_shapes(memo) == {"lift", "node", "support"}
         assert any(type(key[0]) is int and isinstance(key[1], tuple) for key in memo)
 
 
@@ -604,9 +606,10 @@ def _memo_shapes(memo: dict) -> set:
         if type(first) is int:  # (a tolerated-state mask, a pin)
             assert first >= 0 and _is_pin(second), key
             shapes.add("lift")
-        elif isinstance(second, tuple):  # (pin, the children's class maps)
-            assert _is_pin(first) and all(isinstance(kid, frozenset) for kid in second), key
-            shapes.add("class map")
+        elif isinstance(second, tuple):  # (pin, the children's supports)
+            assert _is_pin(first) and all(isinstance(kid, frozenset) and all(type(mask) is int for mask in kid)
+                                          for kid in second), key
+            shapes.add("node")
         else:  # (support, support) for a product, (pin, support) for a step
             assert isinstance(first, frozenset) or _is_pin(first), key
             assert isinstance(second, frozenset) and all(type(mask) is int for mask in second), key
@@ -628,13 +631,17 @@ class TestPinLabels:
         masks = st.integers(1, auto.all_states)
         classes = data.draw(st.dictionaries(masks, st.integers(1, 5), min_size=1, max_size=4))
         support = data.draw(st.frozensets(masks, min_size=1, max_size=4))
-        path = data.draw(st.lists(st.booleans(), max_size=6))
+        path = data.draw(st.lists(st.booleans(), min_size=1, max_size=6))
         labels = {True: tuple(range(r)), False: (0,) * r}
         for pinned in (True, False):
             assert treeshifts._lift(classes, auto, labels[pinned]) == treeshifts._lift(classes, auto, pinned)
             assert (treeshifts._support_step(auto, labels[pinned], support)
                     == treeshifts._support_step(auto, pinned, support))
-        assert treeshifts._walk(auto, [labels[p] for p in path]) == treeshifts._walk(auto, path)
+        # the path is a window of the ray, position p its vertex at depth p - 1
+        as_bools = {"1" * i: pinned for i, pinned in enumerate(path)}
+        as_labels = {vid: labels[pinned] for vid, pinned in as_bools.items()}
+        assert (treeshifts._independent(auto, words.RAY, as_labels, len(path) - 1)
+                == treeshifts._independent(auto, words.RAY, as_bools, len(path) - 1))
 
 
 class TestDensity:
