@@ -42,7 +42,7 @@ from . import shatter, treeshifts, words
 from .caps import enumeration_cap
 from .errors import CapExceeded, DomainError, EmptyLanguage, NoWitness
 from .records import record
-from .trees import read_digits, read_ints
+from .trees import read_digits, read_ints, read_list
 
 Cell = tuple[int, int]
 Pattern = tuple[tuple[int, ...], ...]
@@ -389,7 +389,7 @@ class GridPositionSet:
 
     @classmethod
     def of(cls, cells) -> "GridPositionSet":
-        pairs = frozenset(read_ints(cell, "grid cell") for cell in cells)
+        pairs = frozenset(read_ints(cell, "grid cell") for cell in read_list(cells, "grid cells", "cells"))
         for cell in pairs:
             if len(cell) != 2:
                 raise DomainError(f"grid cell {cell}: expected a row and a column")

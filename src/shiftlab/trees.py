@@ -12,7 +12,8 @@ traversal.  The geometry alone writes them (``child_ids``), lists them
 (``levels``) and checks them (``is_vertex``, ``check_ids``).  Digit ids
 need d <= 9; the matrix operations themselves have no such bound.
 ``read_digits``, the one reader of symbols, reads the matrices here and
-the words and patterns of 1D and 2D specs; ``read_ints`` reads positions.
+the words and patterns of 1D and 2D specs; ``read_ints`` reads positions
+and ``read_ids`` vertex ids, both through ``read_list``.
 
 Beyond level counting this module classifies the matrix:
 
@@ -52,15 +53,29 @@ def read_digits(value) -> tuple[int, ...] | None:
     return None
 
 
+def read_list(values, field: str, noun: str) -> tuple:
+    """The entries of a list, or of any iterable but a string; anything else
+    raises DomainError naming ``field`` and a list of ``noun``."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise DomainError(f"{field}: expected a list of {noun}, got {values!r}")
+    return tuple(values)
+
+
 def read_ints(values, field: str) -> tuple[int, ...]:
     """The ints of a list of positions; anything else, a bool too, raises DomainError naming it."""
-    try:
-        out = tuple(values)
-    except TypeError:
-        raise DomainError(f"{field}: expected a list of integers, got {values!r}") from None
+    out = read_list(values, field, "integers")
     for value in out:
         if type(value) is not int:
             raise DomainError(f"{field} {value!r} is not an integer")
+    return out
+
+
+def read_ids(values, field: str) -> tuple[str, ...]:
+    """The strings of a list of vertex ids; anything else raises DomainError naming it."""
+    out = read_list(values, field, "strings")
+    for value in out:
+        if type(value) is not str:
+            raise DomainError(f"{field} {value!r} is not a string")
     return out
 
 

@@ -69,7 +69,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .records import record
-from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, read_bit_rows, read_ints
+from .trees import AdjacencyMatrix, TreeGeometry, is_expandable, read_bit_rows, read_ids, read_ints
 from .trees import sink_decomposition, sink_level_counts
 from .trees import entering_counts  # noqa: F401  the a_l of the chain's W, re-exported
 from .words import ShiftSpec1D, WordAutomaton, log_per_size
@@ -290,7 +290,7 @@ class VertexSet:
 
     @classmethod
     def of(cls, ids) -> "VertexSet":
-        return cls(frozenset(str(v) for v in ids))
+        return cls(frozenset(read_ids(ids, "vertex id")))
 
     def __len__(self) -> int:
         return len(self.ids)

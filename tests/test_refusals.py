@@ -48,6 +48,10 @@ DOMAIN_ERRORS = {
                         "grid cell True is not an integer"),
     "grids-cell-arity": (lambda: grids.GridPositionSet.of([(1, 2, 3)]),
                          "grid cell (1, 2, 3): expected a row and a column"),
+    # a list of cells is read by trees.read_list before each cell is read
+    "grids-cells-int": (lambda: grids.GridPositionSet.of(5), "grid cells: expected a list of cells, got 5"),
+    "grids-cells-json": (lambda: grids.GridPositionSet.from_json({"cells": 5}),
+                         "grid cells: expected a list of cells, got 5"),
     "shatter-not-binary": (lambda: shatter.BinaryFamily.from_words(["012"]), "word '012' is not binary"),
     "shatter-no-words": (lambda: shatter.BinaryFamily.from_words([]), "family needs words of positive length"),
     "shatter-tail-n": (lambda: shatter.entropy_tail_bound(0, Fraction(1, 4)), "tail bound needs n >= 1"),
@@ -66,6 +70,19 @@ DOMAIN_ERRORS = {
     "treeshifts-no-depths": (lambda: treeshifts.tree_density(treeshifts.LevelParity(0), COMB.geometry, []),
                              "depth range must be nonempty"),
     "treeshifts-pin-depth": (lambda: treeshifts.distinct_restrictions(COMB_GOLDEN, [], -1), "depth must be >= 0"),
+    # vertex ids are read by trees.read_ids: strings only, so the int 11 never names vertex "11"
+    "treeshifts-count-int-id": (lambda: treeshifts.distinct_restrictions(COMB_GOLDEN, [1], 3),
+                                "vertex id 1 is not a string"),
+    "treeshifts-indep-int-id": (lambda: treeshifts.is_indep_tree(COMB_GOLDEN, [11], 3),
+                                "vertex id 11 is not a string"),
+    "treeshifts-vertex-set-ids": (lambda: treeshifts.VertexSet.of([11, 1.5]), "vertex id 11 is not a string"),
+    "treeshifts-vertex-set-json": (lambda: treeshifts.VertexSet.from_json(5),
+                                   "vertex id: expected a list of strings, got 5"),
+    "treeshifts-vertex-set-string": (lambda: treeshifts.VertexSet.of("12"),
+                                     "vertex id: expected a list of strings, got '12'"),
+    "harness-vertex-id-int": (lambda: harness.run_config(harness.ExperimentConfig("density", {
+        "tree": {"d": 2, "rows": ["11", "01"]}, "base": GOLDEN.to_json(), "set": ["1", 2], "n_range": [2, 4, 2]})),
+        "vertex id 2 is not a string"),
     "treeshifts-ray-position": (lambda: treeshifts.sink_lift(COMB_GOLDEN, [0, 1]), "ray positions are 1-based"),
     "treeshifts-ray-float": (lambda: treeshifts.sink_lift(COMB_GOLDEN, [1.7, 3]), "ray position 1.7 is not an integer"),
     "treeshifts-ray-list": (lambda: treeshifts.sink_lift(COMB_GOLDEN, None),
@@ -80,6 +97,8 @@ DOMAIN_ERRORS = {
                           "position 1.5 is not an integer"),
     "words-indep-bool": (lambda: words.is_indep_1d(words.ShiftSpec1D.full(2), [True], 3),
                          "position True is not an integer"),
+    "words-indep-string": (lambda: words.is_indep_1d(words.ShiftSpec1D.full(2), "12", 3),
+                           "position: expected a list of integers, got '12'"),
     "words-entropy-n": (lambda: words.entropy_est_1d(GOLDEN, 0), "entropy estimate needs n >= 1"),
     "words-hereditary-n": (lambda: words.is_hereditary_upto(GOLDEN, 0), "hereditary check needs n >= 1"),
 }
