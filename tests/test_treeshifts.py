@@ -325,6 +325,22 @@ class TestIndependence:
                 want = len({tuple(lab[v] for v in S) for lab in pats}) == 2 ** k
                 assert treeshifts.is_indep_tree(TS_BIN_A, S, n) == want
 
+    @given(
+        tree=st.sampled_from([COMB, BINARY, TERNARY]),
+        base=st.integers(2, 3).flatmap(_bases),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_support_decision_matches_count_rule(self, tree, base, data):
+        # word, budget and step-matrix bases over 2 and 3 symbols
+        try:
+            ts = treeshifts.make_tree_shift(tree, base)
+        except EmptyBase:
+            assume(False)
+        n = data.draw(st.integers(0, 3))
+        S = data.draw(st.lists(st.sampled_from(ts.geometry().vertices(n)), unique=True, max_size=8))
+        assert treeshifts.is_indep_tree(ts, S, n) == _indep_by_count(ts, S, n)
+
     def test_empty_set_independent(self):
         assert treeshifts.is_indep_tree(TS_COMB_GOLDEN, [], 3)
 
@@ -348,11 +364,17 @@ def _is_antichain(S) -> bool:
     return not any(v.startswith(u) for u, v in itertools.permutations(S, 2))
 
 
+def _indep_by_count(ts: treeshifts.TreeShiftSpec, S, n: int) -> bool:
+    """The count rule: S is independent when it has all r^|S| restrictions.
+    It reads class maps, where ``is_indep_tree`` and the census read supports."""
+    return treeshifts.distinct_restrictions(ts, S, n) == ts.alphabet_size ** len(S)
+
+
 def _census_by_subsets(ts: treeshifts.TreeShiftSpec, n: int) -> dict:
-    """The census by brute force: ``is_indep_tree`` on every vertex set of Delta_n."""
+    """The census by brute force: the count rule on every vertex set of Delta_n."""
     want: dict = {}
     for S in _subsets(ts.geometry().vertices(n)):
-        key = (treeshifts.is_indep_tree(ts, S, n), _is_antichain(S))
+        key = (_indep_by_count(ts, S, n), _is_antichain(S))
         want[key] = want.get(key, 0) + 1
     return want
 
