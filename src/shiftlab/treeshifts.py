@@ -354,8 +354,8 @@ def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
     key = (pinned, kids)
     hit = auto.memo.get(key)
     if hit is None:
-        part = frozenset({auto.all_states})  # a leaf tolerates everything below it
-        for kid in kids:
+        part, *rest = kids or (frozenset({auto.all_states}),)  # a leaf tolerates everything below it
+        for kid in rest:
             part = _support_step(auto, part, kid)
         hit = _remember(auto.memo, key, _support_step(auto, pinned, part))
     return hit
