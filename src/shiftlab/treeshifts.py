@@ -244,6 +244,11 @@ def _lift(classes: dict, auto: WordAutomaton, pinned) -> dict:
     return _capped(out)
 
 
+def _class_step(auto: WordAutomaton, pinned, kids) -> dict:
+    """Class map of a vertex from its children's class maps."""
+    return _lift(_combine_children((table.items() for table in kids), auto), auto, pinned)
+
+
 def _root_count(classes) -> int:
     """Restrictions, among (mask, multiplicity) pairs, that tolerate the initial state 0."""
     return sum(m for compat, m in classes if compat & 1)
@@ -274,8 +279,7 @@ def surface_series(ts: TreeShiftSpec, n: int) -> list[int]:
     limit = enumeration_cap()
 
     def step(kids, height) -> dict:
-        children = (table.items() for table in kids)
-        table = _lift(_combine_children(children, auto), auto, height == 0)
+        table = _class_step(auto, height == 0, kids)
         _bounded(table.values(), limit)
         return table
 
@@ -386,23 +390,25 @@ def _tolerates_root(support: frozenset) -> bool:
     return all(mask & 1 for mask in support)
 
 
-def _pin_walk(geo: TreeGeometry, pins: dict, n: int, node):
-    """The root's table of Delta_n from ``node(pin, kids)``, ``pins`` mapping ids to pins.
+def _pin_walk(auto: WordAutomaton, geo: TreeGeometry, pins: dict, n: int, node):
+    """The root's table of Delta_n from ``node(auto, pin, kids)``, ``pins`` mapping ids to pins.
     The pins' prefixes step deepest first; a free subtree's table (one support or class
     of multiplicity 1, which combined with itself is itself) depends on its height alone."""
-    free = list(accumulate(range(n), lambda table, _: node(False, (table,)), initial=node(False, ())))
+    free = [node(auto, False, ())]
+    for _ in range(n):
+        free.append(node(auto, False, (free[-1],)))
     done: dict = {}
     for vid in sorted({""} | {vid[:i] for vid in pins for i in range(len(vid) + 1)},
                       key=len, reverse=True):
         height = n - len(vid)
         kids = tuple([done.pop(kid, free[height - 1]) for kid in geo.child_ids(vid)]) if height else ()
-        done[vid] = node(pins.get(vid, False), kids)
+        done[vid] = node(auto, pins.get(vid, False), kids)
     return done[""]
 
 
 def _independent(auto: WordAutomaton, geo: TreeGeometry, pins: dict, n: int) -> bool:
     """Every assignment on the pins extends to Delta_n: the one decision of lines, grids and trees."""
-    return _tolerates_root(_pin_walk(geo, pins, n, lambda pinned, kids: _node_step(auto, pinned, kids)))
+    return _tolerates_root(_pin_walk(auto, geo, pins, n, _node_step))
 
 
 def _checked_ids(geo: TreeGeometry, S, n: int) -> frozenset[str]:
@@ -418,9 +424,8 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     """Exact number of distinct labelings of S induced by Delta_n patterns: the
     pin walk of ``is_indep_tree`` with class maps, which stays cheap on deep trees."""
     geo = ts.geometry()
-    auto = ts.automaton
-    return _root_count(_pin_walk(geo, dict.fromkeys(_checked_ids(geo, S, n), True), n, lambda pinned, kids:
-                                 _lift(_combine_children((k.items() for k in kids), auto), auto, pinned)).items())
+    return _root_count(_pin_walk(ts.automaton, geo, dict.fromkeys(_checked_ids(geo, S, n), True), n,
+                                 _class_step).items())
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
