@@ -13,11 +13,12 @@ memo.  A window wider than it is tall is read as the columns of the
 transposed spec instead, so the rows always run along the shorter side.
 The row automaton comes from ``words.pattern_automaton``, its state the
 live partial matches of the taller patterns, counts from
-``words.block_counts``, and independence from the class DP of
-``treeshifts`` walked up the rows.  Symbol maxima come from one (max, +)
-pass of counts per width, which gives M(k, w) for every height k;
-``max_symbol_block`` keeps a pass per window that also builds its
-lex-first witness.  Only ``blocks_2d`` enumerates blocks.
+``words.block_counts``, and independence from the pin walk of
+``treeshifts`` up the rows, as up the one-generator ray ``words.RAY``.
+Symbol maxima come from one (max, +) pass of counts per width, which
+gives M(k, w) for every height k; ``max_symbol_block`` keeps a pass per
+window that also builds its lex-first witness.  Only ``blocks_2d``
+enumerates blocks.
 
 The symbol-frequency extreme M(k1, k2) = max occurrences of a symbol
 over admissible blocks is subadditive in each index, so

@@ -26,10 +26,10 @@ partial matches of the patterns (Aho and Corasick).  Provided quantities:
   converges; ``max_indep_J_series`` reports J_1 .. J_l with the running
   Fekete estimate, and ``max_indep_J`` its last entry.
 
-The window [1, l] is Delta_{l-1} of the one-generator ray (position p is
-the vertex at depth p - 1), so window independence and J come from the
-class DP of ``treeshifts`` walked up the ray, J_1 .. J_l in one walk; no
-word is materialized.
+The window [1, l] is Delta_{l-1} of the one-generator ray ``RAY`` (position
+p is the vertex at depth p - 1), so ``treeshifts`` decides window
+independence on the ray's pin walk, by support, and gives J_1 .. J_l from
+one pin-set walk up it; no word is materialized.
 A spec caches its automaton, and the automaton carries that DP's memo.
 
 Positions are 1-based throughout, matching the window notation [1, l].
@@ -180,8 +180,8 @@ class WordAutomaton:
     the state after s or None when s is inadmissible there, numbers each
     reachable state (0 initial); ``table[q][s]`` is the successor of q
     under s, or None.  A table over ``SHIFTLAB_CAP`` entries (states times
-    symbols) raises CapExceeded.  ``memo`` is the class DP's memo (see
-    ``treeshifts``), shared by every spec compiled to this automaton.
+    symbols) raises CapExceeded.  ``memo`` is the memo of the ``treeshifts``
+    DP, shared by every spec compiled to this automaton.
     """
 
     initial = 0
