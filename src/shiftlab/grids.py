@@ -8,9 +8,10 @@ Its alphabet is checked as a 1D spec's is, and its cells are read by
 A k1 x k2 window is a word of k1 rows over the admissible width-k2
 rows (Calkin and Wilf's row transfer), read by the automaton of a
 ``RowShift``.  A process keeps one row shift per (spec value, width),
-so equal specs parsed from different configs share it and its class-DP
-memo.  A window wider than it is tall is read as the columns of the
-transposed spec instead, so the rows always run along the shorter side.
+so equal specs parsed from different configs share it and the class-DP
+steps cached under its automaton.  A window wider than it is tall is
+read as the columns of the transposed spec instead, so the rows always
+run along the shorter side.
 The row automaton comes from ``words.pattern_automaton``, its state the
 live partial matches of the taller patterns, counts from
 ``words.block_counts``, and independence from the pin walk of

@@ -36,19 +36,17 @@ depth at once), of ``words.max_indep_J`` on the ray, and of
 sink-ray entropy bound of every depth from one pattern-count series, one
 block-count series and one series of sink level counts.
 
-The DP's memo is a dict on the ``WordAutomaton``, with three kinds of
-keys and no class map.  A pin labels the symbols: True gives each its
-own label, False gives all one label, and a tuple gives symbol s the
-label pin[s].  (a tolerated-state mask, a pin) maps to the mask's
-compiled lift: per label, the incoming states it tolerates, 0 where
-none.  (pin, the children's supports, a tuple) maps to the support of a
-vertex.  (step, a support) maps to the support after a product or a pin
-step; supports are frozensets of masks, and no other key has a frozenset
-second.  No key depends on the tree or on where a vertex sits, so every
-spec compiled to one automaton (lines, grid rows, and trees of any shape
-over one base) shares the memo and its steps.  The memo is cleared
-whenever it reaches MEMO_CAP entries, which bounds it and never changes
-a result.
+Three steps of the DP are cached, each an ``lru_cache`` of MEMO_CAP
+entries keyed by its arguments, the ``WordAutomaton`` first; no class
+map is cached.  A pin labels the symbols: True gives each its own label,
+False gives all one label, and a tuple gives symbol s the label pin[s].
+``_preimages`` compiles a tolerated-state mask's lift under a pin,
+``_node_step`` a vertex's support from its pin and its children's
+supports, and ``_support_step`` the support after a product or a pin
+step.  No step takes the tree or where a vertex sits, so every spec
+compiled to one automaton (lines, grid rows, and trees of any shape over
+one base) shares them; ``cache_info()`` counts their hits and misses.
+Evicting an entry never changes a result.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
 
 from . import words as words_mod
@@ -168,31 +167,19 @@ def tree_entropy_est(ts: TreeShiftSpec, n: int) -> TreeEntropy:
     return TreeEntropy(raw=raws[-1], running_max_tail=max(tail), counts=counts)
 
 
-def _remember(memo: dict, key, value):
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
+@lru_cache(maxsize=MEMO_CAP)
 def _preimages(auto: WordAutomaton, mask: int, pinned) -> tuple:
     """The lift of ``mask`` under a pin, compiled once: per label, the states
     whose successor on a symbol of that label lies in ``mask``, 0 where none.
     True's is read off the table; every other pin merges True's by label."""
-    key = (mask, pinned)
-    hit = auto.memo.get(key)
-    if hit is None:
-        if pinned is True:
-            hit = tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
-                            and mask >> row[s] & 1) for s in range(auto.size))
-        else:
-            labels = (0,) * auto.size if pinned is False else pinned
-            merged = dict.fromkeys(labels, 0)
-            for label, compat in zip(labels, _preimages(auto, mask, True)):
-                merged[label] |= compat
-            hit = tuple(merged.values())
-        hit = _remember(auto.memo, key, hit)
-    return hit
+    if pinned is True:
+        return tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
+                         and mask >> row[s] & 1) for s in range(auto.size))
+    labels = (0,) * auto.size if pinned is False else pinned
+    merged = dict.fromkeys(labels, 0)
+    for label, compat in zip(labels, _preimages(auto, mask, True)):
+        merged[label] |= compat
+    return tuple(merged.values())
 
 
 def _bounded(counts, limit: int):
@@ -353,16 +340,13 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
     return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail), counts=counts)
 
 
+@lru_cache(maxsize=MEMO_CAP)
 def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
     """Support of a vertex from its children's supports, the same wherever the vertex sits."""
-    key = (pinned, kids)
-    hit = auto.memo.get(key)
-    if hit is None:
-        part, *rest = kids or (frozenset({auto.all_states}),)  # a leaf tolerates everything below it
-        for kid in rest:
-            part = _support_step(auto, part, kid)
-        hit = _remember(auto.memo, key, _support_step(auto, pinned, part))
-    return hit
+    part, *rest = kids or (frozenset({auto.all_states}),)  # a leaf tolerates everything below it
+    for kid in rest:
+        part = _support_step(auto, part, kid)
+    return _support_step(auto, pinned, part)
 
 
 # A pin set loses a restriction exactly where a mask 0 enters the support of
@@ -371,18 +355,15 @@ def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
 DEAD = frozenset({0})
 
 
+@lru_cache(maxsize=MEMO_CAP)
 def _support_step(auto: WordAutomaton, step, support: frozenset) -> frozenset:
     """The support after one step: ``step`` is the support of a pin set
     to take the product with, or the vertex's pin (see ``_preimages``)."""
-    key = (step, support)  # a frozenset second: no lift or ``_node_step`` key has one
-    hit = auto.memo.get(key)
-    if hit is None:
-        if isinstance(step, frozenset):
-            hit = frozenset(x & y for x in step for y in support)
-        else:
-            hit = frozenset(compat for mask in support for compat in _preimages(auto, mask, step))
-        hit = _remember(auto.memo, key, hit if hit and 0 not in hit else DEAD)
-    return hit
+    if isinstance(step, frozenset):
+        out = frozenset(x & y for x in step for y in support)
+    else:
+        out = frozenset(compat for mask in support for compat in _preimages(auto, mask, step))
+    return out if out and 0 not in out else DEAD
 
 
 def _tolerates_root(support: frozenset) -> bool:

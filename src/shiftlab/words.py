@@ -30,7 +30,7 @@ The window [1, l] is Delta_{l-1} of the one-generator ray ``RAY`` (position
 p is the vertex at depth p - 1), so ``treeshifts`` decides window
 independence on the ray's pin walk, by support, and gives J_1 .. J_l from
 one pin-set walk up it; no word is materialized.
-A spec caches its automaton, and the automaton carries that DP's memo.
+A spec caches its automaton, and that DP's caches are keyed by it.
 
 Positions are 1-based throughout, matching the window notation [1, l].
 """
@@ -180,8 +180,9 @@ class WordAutomaton:
     the state after s or None when s is inadmissible there, numbers each
     reachable state (0 initial); ``table[q][s]`` is the successor of q
     under s, or None.  A table over ``SHIFTLAB_CAP`` entries (states times
-    symbols) raises CapExceeded.  ``memo`` is the memo of the ``treeshifts``
-    DP, shared by every spec compiled to this automaton.
+    symbols) raises CapExceeded.  The ``treeshifts`` DP caches its steps
+    under the automaton itself (equal by identity), so every spec compiled
+    to it shares them.
     """
 
     initial = 0
@@ -206,7 +207,6 @@ class WordAutomaton:
         self.table: tuple[tuple[int | None, ...], ...] = tuple(table)
         self.n_states = len(table)
         self.all_states = (1 << self.n_states) - 1
-        self.memo: dict = {}
 
     def step(self, state: int, symbol: int) -> int | None:
         return self.table[state][symbol]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -473,8 +475,32 @@ class TestSubsetCensus:
             treeshifts.surface_entropy_est(ts, 2)
 
 
+CACHED_STEPS = ("_preimages", "_node_step", "_support_step")
+
+
+@contextlib.contextmanager
+def _fresh_steps(maxsize: int, spy=None):
+    """The three cached DP steps, each swapped for an empty cache of ``maxsize``
+    entries; their callers look them up as module globals, so every call reaches
+    the new caches.  ``spy(name, args)``, if given, sees every miss."""
+    steps = {name: getattr(treeshifts, name) for name in CACHED_STEPS}
+    for step in steps.values():  # the caches these stand in for are bounded too
+        assert step.cache_parameters()["maxsize"] == treeshifts.MEMO_CAP
+
+    def missed(name, body):
+        def step(*args):
+            spy(name, args)
+            return body(*args)
+        return step
+
+    fresh = {name: lru_cache(maxsize=maxsize)(missed(name, step.__wrapped__) if spy else step.__wrapped__)
+             for name, step in steps.items()}
+    with mock.patch.multiple(treeshifts, **fresh):
+        yield fresh
+
+
 class TestRestrictionMemo:
-    """The memo on a base's automaton serves every later call, on any tree over that base."""
+    """The DP's step caches, keyed by a base's automaton, serve every later call on any tree over that base."""
 
     def _check_warm_calls(self, case, data, walks_first):
         ts, n = case
@@ -491,7 +517,7 @@ class TestRestrictionMemo:
             return patterns[i, m]
 
         def walks():
-            # the support-keyed steps share the memo with the class-map steps
+            # the support-keyed steps share the cached lifts with the class-map steps
             for i, (spec, top) in enumerate(specs):
                 verts = trees.TreeGeometry(spec.matrix).vertices(top)
                 est = treeshifts.max_indep_series(spec, top)[top]
@@ -528,7 +554,7 @@ class TestRestrictionMemo:
     @given(case=small_tree_shifts(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_tiny_memo_bound_keeps_counts_exact(self, walks_first, case, data):
-        with mock.patch.object(treeshifts, "MEMO_CAP", 2):
+        with _fresh_steps(2):
             self._check_warm_calls(case, data, walks_first)
 
     @pytest.mark.parametrize(
@@ -551,11 +577,11 @@ class TestRestrictionMemo:
                 with pytest.raises(DomainError) as err:
                     check(ts, pins, 3)
                 assert str(err.value) == message
-            treeshifts.max_indep_est(ts, 3)  # warms the memo for the second round
+            treeshifts.max_indep_est(ts, 3)  # warms the caches for the second round
         assert treeshifts.distinct_restrictions(ts, ["1", "12"], 3) == 3
 
     def test_invalid_pin_raises_before_the_walk_gives_up(self, monkeypatch):
-        # a fresh base, so its automaton's memo starts cold and the capped walk runs
+        # a fresh base, so no step is cached for its automaton and the capped walk runs
         ts = treeshifts.make_tree_shift(COMB, words.ShiftSpec1D.golden_mean())
         with pytest.raises(DomainError, match="'21' is not a vertex"):
             treeshifts.distinct_restrictions(ts, ["21"], 5000)  # deeper than the recursion limit
@@ -565,78 +591,62 @@ class TestRestrictionMemo:
         with pytest.raises(DomainError, match="'21' is not a vertex"):
             treeshifts.distinct_restrictions(ts, ["1", "21"], 3)
 
-    def test_memo_stays_within_its_bound_on_a_long_run(self, monkeypatch):
+    def test_memo_stays_within_its_bound_on_a_long_run(self):
         alternating = words.ShiftSpec1D.with_forbidden(2, ["00", "11"])
         want = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
         assert want.size == 1  # the root's label fixes every other one
-        # a fresh base, so the bounded memo fills from empty
-        alternating = words.ShiftSpec1D.with_forbidden(2, ["00", "11"])
-        sizes = []
-        remember = treeshifts._remember
-
-        def spy(memo, key, value):
-            out = remember(memo, key, value)
-            sizes.append(len(memo))
-            return out
-
-        monkeypatch.setattr(treeshifts, "MEMO_CAP", 8)
-        monkeypatch.setattr(treeshifts, "_remember", spy)
-        got = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
+        with _fresh_steps(8) as steps:
+            got = treeshifts.max_indep_est(treeshifts.make_tree_shift(COMB, alternating), 10)
+            infos = {name: step.cache_info() for name, step in steps.items()}
         assert got == want
-        assert max(sizes) == 8
-        assert sizes.count(1) > 1  # the memo filled up and was cleared
+        assert all(info.currsize <= 8 for info in infos.values()), infos
+        # more distinct steps than the bound holds: entries were evicted
+        assert infos["_support_step"].misses > 8, infos
 
     def test_valid_pins_far_below_the_recursion_limit(self):
         assert treeshifts.distinct_restrictions(TS_COMB_GOLDEN, ["1", "12"], 5000) == 3
 
     def test_memo_keys_do_not_depend_on_the_tree(self):
-        # two trees over one base share its automaton's memo, so a key that
-        # named a vertex type or height would answer for the wrong tree
+        # no step takes the tree, so two trees over one base share its
+        # automaton's cached steps: the comb's walks leave hits for the binary tree's
         base = words.ShiftSpec1D.golden_mean()
         comb, binary = (treeshifts.make_tree_shift(m, base) for m in (COMB, BINARY))
-        for ts in (comb, binary, comb):
+        assert comb.automaton is binary.automaton
+
+        def walks(ts):
             treeshifts.count_patterns(ts, 4)
             treeshifts.surface_entropy_est(ts, 4)
             treeshifts.subset_census(ts, 2)
             treeshifts.distinct_restrictions(ts, ["1", "12", "2"], 6)
             treeshifts.is_indep_tree(ts, ["1", "12", "2"], 6)
             treeshifts.max_indep_est(ts, 4)
-        memo = base.automaton.memo
-        assert comb.automaton is binary.automaton and memo
-        assert _memo_shapes(memo) == {"lift", "node", "support"}
-        # a grid row shift's memo, after is_indep_2d, holds label-tuple pins too,
-        # and node supports in place of class maps: no class map is memoised
-        spec = grids.ShiftSpec2D.hard_square()
-        grids.is_indep_2d(spec, grids.GridPositionSet.of([(1, 1), (2, 3), (3, 2)]), 3, 3)
-        memo = grids._window(spec, 3, 3)[0].automaton.memo
-        assert _memo_shapes(memo) == {"lift", "node", "support"}
-        assert any(type(key[0]) is int and isinstance(key[1], tuple) for key in memo)
 
+        def hits(steps) -> dict:
+            return {name: steps[name].cache_info().hits for name in ("_node_step", "_support_step")}
 
-def _is_pin(pin) -> bool:
-    """True, False or a nonempty tuple of labels, none of them a class map or a support."""
-    return type(pin) is bool or isinstance(pin, tuple) and pin != () and not any(
-        isinstance(label, frozenset) for label in pin)
+        with _fresh_steps(treeshifts.MEMO_CAP) as steps:
+            walks(binary)
+            alone = hits(steps)
+        with _fresh_steps(treeshifts.MEMO_CAP) as steps:
+            walks(comb)
+            before = hits(steps)
+            walks(binary)
+            after = hits(steps)
+        for name in alone:
+            assert after[name] - before[name] > alone[name], (name, alone, before, after)
+        assert not hasattr(treeshifts._class_step, "cache_info")  # no class map is cached
 
-
-def _memo_shapes(memo: dict) -> set:
-    """The kinds of key in a class DP memo, each key checked for its shape."""
-    shapes = set()
-    for key in memo:
-        assert type(key) is tuple and len(key) == 2, key
-        first, second = key
-        if type(first) is int:  # (a tolerated-state mask, a pin)
-            assert first >= 0 and _is_pin(second), key
-            shapes.add("lift")
-        elif isinstance(second, tuple):  # (pin, the children's supports)
-            assert _is_pin(first) and all(isinstance(kid, frozenset) and all(type(mask) is int for mask in kid)
-                                          for kid in second), key
-            shapes.add("node")
-        else:  # (support, support) for a product, (pin, support) for a step
-            assert isinstance(first, frozenset) or _is_pin(first), key
-            assert isinstance(second, frozenset) and all(type(mask) is int for mask in second), key
-            shapes.add("support")
-    return shapes
+    def test_grid_rows_cache_lifts_under_label_tuple_pins(self):
+        # a 3 x 3 window of the hard square pins its rows by label tuples:
+        # each such pin's lift is a miss of _preimages, compiled once
+        pins = []
+        with _fresh_steps(treeshifts.MEMO_CAP, lambda name, args: pins.append(args[2])
+                          if name == "_preimages" else None) as steps:
+            spec = grids.ShiftSpec2D.hard_square()
+            assert grids.is_indep_2d(spec, grids.GridPositionSet.of([(1, 1), (2, 3), (3, 2)]), 3, 3)
+            misses = steps["_preimages"].cache_info().misses
+        assert misses == len(pins) > 0
+        assert any(type(pin) is tuple and len(pin) > 2 for pin in pins), pins
 
 
 class TestPinLabels:
