@@ -334,7 +334,12 @@ def _run_surface(params: dict) -> tuple:
 def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> object:
     obj = _require(params, "set")
     if isinstance(obj, list):
-        return treeshifts.VertexSet.from_json(obj)
+        try:  # ids are read, and checked as ``members_in`` checks them, before any depth
+            vset = treeshifts.VertexSet.from_json(obj)
+            ts.geometry().check_ids(sorted(vset.ids), math.inf)
+        except DomainError as exc:
+            raise ConfigError(f"set: {exc}") from exc
+        return vset
     if isinstance(obj, dict) and obj.get("generator") == "level_parity":
         parity = obj.get("parity")
         if not words.is_int(parity) or parity not in (0, 1):

@@ -28,6 +28,11 @@ def _sink_lift_density(positions) -> harness.Report:
     return harness.run_config(harness.ExperimentConfig("density", params))
 
 
+def _listed_density(ids) -> harness.Report:
+    params = {"tree": COMB.to_json(), "base": GOLDEN.to_json(), "set": ids, "n_range": [2, 4, 2]}
+    return harness.run_config(harness.ExperimentConfig("density", params))
+
+
 # id -> (the call, the text of the DomainError it raises)
 DOMAIN_ERRORS = {
     "grids-row-widths": (lambda: grids.pattern_from_rows(["11", "1"]), "pattern rows must share one width"),
@@ -80,9 +85,6 @@ DOMAIN_ERRORS = {
                                    "vertex id: expected a list of strings, got 5"),
     "treeshifts-vertex-set-string": (lambda: treeshifts.VertexSet.of("12"),
                                      "vertex id: expected a list of strings, got '12'"),
-    "harness-vertex-id-int": (lambda: harness.run_config(harness.ExperimentConfig("density", {
-        "tree": {"d": 2, "rows": ["11", "01"]}, "base": GOLDEN.to_json(), "set": ["1", 2], "n_range": [2, 4, 2]})),
-        "vertex id 2 is not a string"),
     "treeshifts-ray-position": (lambda: treeshifts.sink_lift(COMB_GOLDEN, [0, 1]), "ray positions are 1-based"),
     "treeshifts-ray-float": (lambda: treeshifts.sink_lift(COMB_GOLDEN, [1.7, 3]), "ray position 1.7 is not an integer"),
     "treeshifts-ray-list": (lambda: treeshifts.sink_lift(COMB_GOLDEN, None),
@@ -107,6 +109,9 @@ CONFIG_ERRORS = {
                        "target: unknown target 'nope'"),
     "harness-format": (lambda: harness.emit_report(_golden_report(), "xml"),
                        "format: expected json or csv, got 'xml'"),
+    # a listed vertex set's errors name the field, as its generators' do
+    "harness-vertex-id-int": (lambda: _listed_density(["1", 2]), "set: vertex id 2 is not a string"),
+    "harness-vertex-not-a-vertex": (lambda: _listed_density(["21"]), "set: '21' is not a vertex of this tree"),
     "harness-ray-bool": (lambda: _sink_lift_density([1, True]), "set.positions: ray position True is not an integer"),
     "harness-ray-zero": (lambda: _sink_lift_density([0]), "set.positions: ray positions are 1-based"),
 }
