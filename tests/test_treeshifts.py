@@ -487,13 +487,13 @@ def _fresh_steps(maxsize: int, spy=None):
     for step in steps.values():  # the caches these stand in for are bounded too
         assert step.cache_parameters()["maxsize"] == treeshifts.MEMO_CAP
 
-    def missed(name, body):
-        def step(*args):
+    def spied(name, body):
+        def miss(*args):
             spy(name, args)
             return body(*args)
-        return step
+        return miss
 
-    fresh = {name: lru_cache(maxsize=maxsize)(missed(name, step.__wrapped__) if spy else step.__wrapped__)
+    fresh = {name: lru_cache(maxsize=maxsize)(spied(name, step.__wrapped__) if spy else step.__wrapped__)
              for name, step in steps.items()}
     with mock.patch.multiple(treeshifts, **fresh):
         yield fresh
