@@ -489,24 +489,20 @@ def is_indep_2d(spec: ShiftSpec2D, positions: GridPositionSet, k1: int, k2: int)
 
     Explicit position sets must lie inside the window; generator sets are
     clipped to it.  Row (or column) i, the ray's vertex at depth i - 1, is
-    pinned by its values on the set, and the ray's pin walk decides.
+    pinned by (its values on the set's cells C, r^|C|), and the ray's pin
+    walk decides.
     """
     if positions.kind == "explicit":
         for i, j in positions.cells:
             if not (1 <= i <= k1 and 1 <= j <= k2):
                 raise DomainError(f"position {(i, j)} outside the {k1}x{k2} window")
     shift, length, transposed = _window(spec, k1, k2)
-    cells = positions.window(k1, k2)
-    if transposed:
-        cells = frozenset((j, i) for i, j in cells)
-    pins = {}
-    for i in range(1, length + 1):
-        cols = [j for j in range(k1 if transposed else k2) if (i, j + 1) in cells]
-        if cols:
-            labels = tuple(tuple(row[j] for j in cols) for row in shift.rows)
-            if len(set(labels)) < spec.alphabet_size ** len(cols):
-                return False  # an assignment of these cells lies in no admissible row
-            pins["1" * (i - 1)] = labels
+    cols: dict = {}  # word row -> its cells' 0-based columns, ascending
+    for i, j in sorted(positions.window(k1, k2)):
+        i, j = (j, i) if transposed else (i, j)
+        cols.setdefault(i, []).append(j - 1)
+    pins = {"1" * (i - 1): (tuple(tuple(row[j] for j in js) for row in shift.rows),
+                            spec.alphabet_size ** len(js)) for i, js in cols.items()}
     return treeshifts._independent(shift.automaton, words.RAY, pins, length - 1)
 
 

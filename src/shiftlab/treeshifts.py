@@ -171,15 +171,16 @@ def tree_entropy_est(ts: TreeShiftSpec, n: int) -> TreeEntropy:
 def _preimages(auto: WordAutomaton, mask: int, pinned) -> tuple:
     """The lift of ``mask`` under a pin, compiled once: per label, the states
     whose successor on a symbol of that label lies in ``mask``, 0 where none.
-    True's is read off the table; every other pin merges True's by label."""
+    True's is read off the table; every other pin merges True's by label, and
+    a (labels, count) pin with fewer labels than ``count`` adds one 0."""
     if pinned is True:
         return tuple(sum(1 << q for q, row in enumerate(auto.table) if row[s] is not None
                          and mask >> row[s] & 1) for s in range(auto.size))
-    labels = (0,) * auto.size if pinned is False else pinned
+    labels, count = ((0,) * auto.size, 1) if pinned is False else pinned
     merged = dict.fromkeys(labels, 0)
     for label, compat in zip(labels, _preimages(auto, mask, True)):
         merged[label] |= compat
-    return tuple(merged.values())
+    return tuple(merged.values()) + (0,) * (len(merged) < count)
 
 
 def _bounded(counts, limit: int):

@@ -637,7 +637,7 @@ class TestRestrictionMemo:
         assert not hasattr(treeshifts._class_step, "cache_info")  # no class map is cached
 
     def test_grid_rows_cache_lifts_under_label_tuple_pins(self):
-        # a 3 x 3 window of the hard square pins its rows by label tuples:
+        # a 3 x 3 window of the hard square pins its rows by (labels, count):
         # each such pin's lift is a miss of _preimages, compiled once
         pins = []
         with _fresh_steps(treeshifts.MEMO_CAP, lambda name, args: pins.append(args[2])
@@ -646,11 +646,14 @@ class TestRestrictionMemo:
             assert grids.is_indep_2d(spec, grids.GridPositionSet.of([(1, 1), (2, 3), (3, 2)]), 3, 3)
             misses = steps["_preimages"].cache_info().misses
         assert misses == len(pins) > 0
-        assert any(type(pin) is tuple and len(pin) > 2 for pin in pins), pins
+        labelled = [pin for pin in pins if type(pin) is tuple]
+        assert labelled and all(len(labels) > 2 and count == 2 ** len(labels[0])
+                                for labels, count in labelled), pins
 
 
 class TestPinLabels:
-    """A pin labels the symbols: True and False are the tuples of all labels distinct and all equal."""
+    """A pin labels the symbols: True and False are the (labels, count) pins of
+    all labels distinct and all equal."""
 
     @given(base=st.integers(2, 3).flatmap(_bases), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -664,7 +667,7 @@ class TestPinLabels:
         classes = data.draw(st.dictionaries(masks, st.integers(1, 5), min_size=1, max_size=4))
         support = data.draw(st.frozensets(masks, min_size=1, max_size=4))
         path = data.draw(st.lists(st.booleans(), min_size=1, max_size=6))
-        labels = {True: tuple(range(r)), False: (0,) * r}
+        labels = {True: (tuple(range(r)), r), False: ((0,) * r, 1)}
         for pinned in (True, False):
             assert treeshifts._lift(classes, auto, labels[pinned]) == treeshifts._lift(classes, auto, pinned)
             assert (treeshifts._support_step(auto, labels[pinned], support)
@@ -674,6 +677,39 @@ class TestPinLabels:
         as_labels = {vid: labels[pinned] for vid, pinned in as_bools.items()}
         assert (treeshifts._independent(auto, words.RAY, as_labels, len(path) - 1)
                 == treeshifts._independent(auto, words.RAY, as_bools, len(path) - 1))
+
+    @given(base=st.integers(2, 3).flatmap(_bases), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_labels_no_symbol_carries_lose_a_restriction(self, base, data):
+        try:
+            auto = treeshifts.make_tree_shift(COMB, base).automaton
+        except EmptyBase:
+            assume(False)
+        r = auto.size
+        labels = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=r, max_size=r)))
+        count = data.draw(st.integers(len(set(labels)), r))
+        support = data.draw(st.frozensets(st.integers(1, auto.all_states), min_size=1, max_size=4))
+        mask = min(support)
+        # per distinct label, the states stepping into the mask on a symbol of
+        # that label, then one 0 for every label of the count no symbol carries
+        want = tuple(sum(1 << q for q, row in enumerate(auto.table)
+                         if any(labels[s] == label and row[s] is not None and mask >> row[s] & 1
+                                for s in range(r)))
+                     for label in dict.fromkeys(labels))
+        lost = len(set(labels)) < count
+        assert treeshifts._preimages(auto, mask, (labels, count)) == want + (0,) * lost
+        assert treeshifts._lift({mask: 1}, auto, (labels, count)) == treeshifts._lift({mask: 1}, auto, (labels, 0))
+        if lost:
+            assert treeshifts._support_step(auto, (labels, count), support) is treeshifts.DEAD
+
+    def test_a_row_pin_missing_a_label_goes_dead(self):
+        # the golden mean's rows of width 2 carry 00, 01 and 10 but never 11
+        auto = grids.RowShift(grids.ShiftSpec2D.from_patterns(2, [["11"]]), 2).automaton
+        rows = ((0, 0), (0, 1), (1, 0))
+        start = frozenset({auto.all_states})
+        assert treeshifts._support_step(auto, (rows, 4), start) is treeshifts.DEAD
+        assert treeshifts._support_step(auto, (rows, 3), start) is not treeshifts.DEAD
+        assert treeshifts._preimages(auto, auto.all_states, (rows, 4))[-1] == 0
 
 
 class TestDensity:
