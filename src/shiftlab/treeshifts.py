@@ -430,9 +430,11 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     restriction shares the support DEAD.  S is independent when its root
     support is not DEAD and every mask in it holds the initial state, as
     ``is_indep_tree`` asks of the root class map.  A table past
-    CLASS_CAP entries raises CapExceeded.
+    CLASS_CAP entries, or a count of more than ``SHIFTLAB_CAP`` bits,
+    raises CapExceeded.
     """
     auto = ts.automaton
+    limit = enumeration_cap()
 
     def step(children, height) -> dict:
         acc = {(frozenset({auto.all_states}), False, True): 1}
@@ -448,7 +450,8 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
             for pinned in (False, True):
                 k = (_support_step(auto, pinned, part), below or pinned, anti and not (pinned and below))
                 out[k] = out.get(k, 0) + m
-        return _capped(out)
+        _bounded(_capped(out).values(), limit)
+        return out
 
     *_, root = ts.geometry().walk_up(n, step)
     census: dict = {}
@@ -607,16 +610,16 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
         )
 
     kept = list(islice(geo.levels(n), top, None))
-    leaves = kept[-1]
     boundary = [vid for level in reversed(kept) for vid in level]
-    chosen = list(leaves) if is_indep_tree(ts, leaves, n) else []
-    for vid in boundary[len(chosen):]:
-        if is_indep_tree(ts, chosen + [vid], n):
-            chosen.append(vid)
-    if not chosen:
+    leaves = dict.fromkeys(kept[-1], True)
+    pins = leaves if _independent(ts.automaton, geo, leaves, n) else {}
+    for vid in boundary[len(pins):]:
+        if _independent(ts.automaton, geo, {**pins, vid: True}, n):
+            pins[vid] = True
+    if not pins:
         return None
     return BipResult(
-        S_n=VertexSet.of(chosen), ratio=Fraction(len(chosen), delta), certified=False
+        S_n=VertexSet.of(pins), ratio=Fraction(len(pins), delta), certified=False
     )
 
 

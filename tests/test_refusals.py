@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from shiftlab import grids, harness, shatter, trees, treeshifts, words
-from shiftlab.errors import ConfigError, DomainError
+from shiftlab.errors import CapExceeded, ConfigError, DomainError
 
 HARD_SQUARE = grids.ShiftSpec2D.hard_square()
 CHECKERBOARD = grids.GridPositionSet.checkerboard()
@@ -16,6 +16,7 @@ GOLDEN = words.ShiftSpec1D.golden_mean()
 BINARY = trees.AdjacencyMatrix.binary_tree()
 COMB = trees.AdjacencyMatrix.comb()
 COMB_GOLDEN = treeshifts.make_tree_shift(COMB, GOLDEN)
+BINARY_GOLDEN = treeshifts.make_tree_shift(BINARY, GOLDEN)
 
 
 def _golden_report() -> harness.Report:
@@ -126,3 +127,16 @@ def test_refusal_raises_its_type_and_text(call, error, text):
         call()
     assert type(info.value) is error
     assert str(info.value) == text
+
+
+def test_census_counts_over_the_bit_cap_are_refused(monkeypatch):
+    # the census splits the 2^|Delta_n| vertex sets of Delta_n, and |Delta_n| = 2^(n+1) - 1
+    # on the binary tree: at most 4,095 bits at n = 11 and 8,191 at n = 12
+    monkeypatch.setenv("SHIFTLAB_CAP", "4096")
+    census = treeshifts.subset_census(BINARY_GOLDEN, 11)
+    assert sum(census.values()) == 2 ** 4095
+    assert max(census.values()).bit_length() == 4095
+    for call in (treeshifts.subset_census, treeshifts.count_patterns):
+        with pytest.raises(CapExceeded) as info:
+            call(BINARY_GOLDEN, 12)
+        assert str(info.value) == "a count over SHIFTLAB_CAP = 4096 bits"

@@ -1198,6 +1198,16 @@ class TestGeometryOwnsIds:
         else:
             assert whole.S_n.ids == _greedy_over_delta(ts, n)
 
+    @pytest.mark.parametrize("ts", [TS_BIN_A, TS_BIN_ZEROS, treeshifts.make_tree_shift(BINARY, [[0, 1], [1, 0]])])
+    def test_greedy_pass_steps_its_own_pins(self, ts):
+        # past 20 boundary vertices the pass grows a pin map and asks _independent;
+        # it reads no ids through is_indep_tree, which the oracle calls
+        want = _greedy_over_delta(ts, 5)
+        with mock.patch.object(treeshifts, "is_indep_tree", side_effect=AssertionError("called")):
+            got = treeshifts.bip_search(ts, 6, 5)
+        assert (got and got.S_n.ids) == want
+        assert got is None or not got.certified
+
     @pytest.mark.parametrize("parity", [0, 1])
     @pytest.mark.parametrize("matrix", [COMB, BINARY, GOLDEN_TREE_MATRIX])
     def test_level_parity_members_filter_the_vertices(self, matrix, parity):
