@@ -15,7 +15,8 @@ run along the shorter side.
 The row automaton comes from ``words.pattern_automaton``, its state the
 live partial matches of the taller patterns, counts from
 ``words.block_counts``, and independence from the pin walk of
-``treeshifts`` up the rows, as up the one-generator ray ``words.RAY``.
+``treeshifts`` up the rows, as up the one-generator ray ``words.RAY``,
+each row pinned by its values on its cells C and the count r^|C|.
 Symbol maxima come from one (max, +) pass of counts per width, which
 gives M(k, w) for every height k; ``max_symbol_block`` keeps a pass per
 window that also builds its lex-first witness.  Only ``blocks_2d``

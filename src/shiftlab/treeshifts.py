@@ -38,8 +38,11 @@ block-count series and one series of sink level counts.
 
 Three steps of the DP are cached, each an ``lru_cache`` of MEMO_CAP
 entries keyed by its arguments, the ``WordAutomaton`` first; no class
-map is cached.  A pin labels the symbols: True gives each its own label,
-False gives all one label, and a tuple gives symbol s the label pin[s].
+map is cached, and an entry keeps its automaton alive until evicted.  A
+pin labels the symbols: True gives each its own label, False gives all
+one, and a grid row's (labels, count) gives symbol s the label labels[s]
+of ``count`` in all; a label no symbol carries lifts to 0, so the
+support goes DEAD, the one rule for a lost restriction.
 ``_preimages`` compiles a tolerated-state mask's lift under a pin,
 ``_node_step`` a vertex's support from its pin and its children's
 supports, and ``_support_step`` the support after a product or a pin
@@ -352,7 +355,8 @@ def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
 
 # A pin set loses a restriction exactly where a mask 0 enters the support of
 # its class map (its set of masks), from an empty product or a pinned label
-# without preimages, or where no mask is left.  DEAD, the support {0}, is them all.
+# without preimages or carried by no symbol, or where no mask is left.  DEAD,
+# the support {0}, is them all.
 DEAD = frozenset({0})
 
 
