@@ -334,12 +334,10 @@ def _run_surface(params: dict) -> tuple:
 def _vertex_set_field(params: dict, ts: treeshifts.TreeShiftSpec) -> object:
     obj = _require(params, "set")
     if isinstance(obj, list):
-        try:  # ids are read, and checked as ``members_in`` checks them, before any depth
-            vset = treeshifts.VertexSet.from_json(obj)
-            ts.geometry().check_ids(sorted(vset.ids), math.inf)
+        try:  # ids are read here; ``tree_density`` checks them once, before any depth
+            return treeshifts.VertexSet.from_json(obj)
         except DomainError as exc:
             raise ConfigError(f"set: {exc}") from exc
-        return vset
     if isinstance(obj, dict) and obj.get("generator") == "level_parity":
         parity = obj.get("parity")
         if not words.is_int(parity) or parity not in (0, 1):
@@ -371,7 +369,10 @@ def _run_density(params: dict) -> tuple:
     ):
         raise ConfigError("n_range: expected [start, stop, step] positive integers")
     ns = list(range(rng[0], rng[1] + 1, rng[2]))
-    dens = treeshifts.tree_density(vset, geo, ns)
+    try:  # on checked depths, its one DomainError is a listed id that is no vertex
+        dens = treeshifts.tree_density(vset, geo, ns)
+    except DomainError as exc:
+        raise ConfigError(f"set: {exc}") from exc
     rows = [{"n": n, "count": count, "ratio": ratio}
             for n, count, ratio in zip(ns, dens.counts, dens.ratios)]
     summary = {"upper": dens.upper, "lower": dens.lower}

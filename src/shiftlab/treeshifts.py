@@ -334,11 +334,16 @@ class TreeDensity:
 
 
 def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
-    """counts |S inside Delta_n| and ratios to |Delta_n| per depth, extremes over the tail half."""
+    """counts |S inside Delta_n| and ratios to |Delta_n| per depth, extremes over the tail half;
+    a ``VertexSet``'s ids are checked once, not at every depth."""
     depths = list(n_range)
     if not depths:
         raise DomainError("depth range must be nonempty")
-    counts = tuple(vertex_set.count_in(geometry, n) for n in depths)
+    if isinstance(vertex_set, VertexSet):
+        lengths = sorted(map(len, vertex_set.members_in(geometry, math.inf)))
+        counts = tuple(bisect_right(lengths, n) for n in depths)
+    else:
+        counts = tuple(vertex_set.count_in(geometry, n) for n in depths)
     ratios = tuple(Fraction(c, geometry.delta_size(n)) for c, n in zip(counts, depths))
     tail = ratios[len(ratios) // 2:]
     return TreeDensity(ratios=ratios, upper=max(tail), lower=min(tail), counts=counts)
@@ -376,25 +381,35 @@ def _tolerates_root(support: frozenset) -> bool:
     return all(mask & 1 for mask in support)
 
 
-def _pin_walk(auto: WordAutomaton, geo: TreeGeometry, pins: dict, n: int, node):
-    """The root's table of Delta_n from ``node(auto, pin, kids)``, ``pins`` mapping ids to pins.
-    The pins' prefixes step deepest first; a free subtree's table (one support or class
-    of multiplicity 1, which combined with itself is itself) depends on its height alone."""
-    free = [node(auto, False, ())]
-    for _ in range(n):
-        free.append(node(auto, False, (free[-1],)))
+def _free_tables(auto: WordAutomaton, n: int, node) -> list:
+    """A pin-free subtree's table per height 0 .. n: one support or class of multiplicity 1,
+    which combined with itself is itself, so each height steps from one child's."""
+    return list(accumulate(range(n), lambda table, _: node(auto, False, (table,)),
+                           initial=node(auto, False, ())))
+
+
+def _pin_walk(auto: WordAutomaton, geo: TreeGeometry, pins: dict, n: int, node,
+              known=None, free=None) -> dict:
+    """The tables of the pins' prefixes in Delta_n from ``node(auto, pin, kids)``, the root's at "".
+    ``pins`` maps ids to pins; the prefixes step deepest first.  Any other child's table is its
+    entry in ``known``, if given, else its height's in ``free`` (``_free_tables``).  DEAD absorbs
+    every step above it, so a prefix whose support is DEAD ends the walk with {"": DEAD}."""
+    known, free = known or {}, free or _free_tables(auto, n, node)
     done: dict = {}
     for vid in sorted({""} | {vid[:i] for vid in pins for i in range(len(vid) + 1)},
                       key=len, reverse=True):
         height = n - len(vid)
-        kids = tuple([done.pop(kid, free[height - 1]) for kid in geo.child_ids(vid)]) if height else ()
+        kids = tuple([done.get(kid, known.get(kid, free[height - 1]))
+                      for kid in geo.child_ids(vid)]) if height else ()
         done[vid] = node(auto, pins.get(vid, False), kids)
-    return done[""]
+        if done[vid] is DEAD:
+            return {"": DEAD}
+    return done
 
 
 def _independent(auto: WordAutomaton, geo: TreeGeometry, pins: dict, n: int) -> bool:
     """Every assignment on the pins extends to Delta_n: the one decision of lines, grids and trees."""
-    return _tolerates_root(_pin_walk(auto, geo, pins, n, _node_step))
+    return _tolerates_root(_pin_walk(auto, geo, pins, n, _node_step)[""])
 
 
 def _checked_ids(geo: TreeGeometry, S, n: int) -> frozenset[str]:
@@ -411,7 +426,7 @@ def distinct_restrictions(ts: TreeShiftSpec, S, n: int) -> int:
     pin walk of ``is_indep_tree`` with class maps, which stays cheap on deep trees."""
     geo = ts.geometry()
     return _root_count(_pin_walk(ts.automaton, geo, dict.fromkeys(_checked_ids(geo, S, n), True), n,
-                                 _class_step).items())
+                                 _class_step)[""].items())
 
 
 def is_indep_tree(ts: TreeShiftSpec, S, n: int) -> bool:
@@ -590,11 +605,15 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     pinning only those levels, gives the lex-first largest set and the
     outcome (including None) is certified.  Past that it is one greedy
     pass over the boundary, leaves first, starting from the whole level
-    n when it is independent and from nothing otherwise; not certified.
-    Returns None when no nonempty candidate passes.  The walk, keyed by
-    support, would finish past 20 vertices too; the pass stays only
-    because the recorded ray-sweep reports read ``certified`` false on
-    the 12 searches past the threshold, and the walk would certify them.
+    n when it is independent (one walk per vertex type decides) and from
+    nothing otherwise; not certified.  The pass keeps the tables its
+    accepted pins leave on their root paths, so each candidate steps only
+    its own root path over them: no prefix of it is pinned yet, since
+    deeper levels go first.  Returns None when no nonempty candidate
+    passes.  The walk, keyed by support, would finish past 20 vertices
+    too; the pass stays only because the recorded ray-sweep reports read
+    ``certified`` false on the 12 searches past the threshold, and the
+    walk would certify them.
     """
     if boundary_levels < 1:
         raise DomainError("boundary depth must be >= 1")
@@ -613,13 +632,18 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
             S_n=VertexSet.of(best), ratio=Fraction(len(best), delta), certified=True
         )
 
+    auto = ts.automaton
+    *_, root = geo.walk_up(n, lambda kids, height: _node_step(auto, height == 0, kids))
     kept = list(islice(geo.levels(n), top, None))
     boundary = [vid for level in reversed(kept) for vid in level]
-    leaves = dict.fromkeys(kept[-1], True)
-    pins = leaves if _independent(ts.automaton, geo, leaves, n) else {}
-    for vid in boundary[len(pins):]:
-        if _independent(ts.automaton, geo, {**pins, vid: True}, n):
+    pins = dict.fromkeys(kept[-1], True) if _tolerates_root(root) else {}
+    free = _free_tables(auto, n, _node_step)
+    known = _pin_walk(auto, geo, pins, n, _node_step, free=free) if len(boundary) > len(pins) else {}
+    for vid in boundary[len(pins):]:  # no prefix of vid is pinned yet
+        path = _pin_walk(auto, geo, {vid: True}, n, _node_step, known, free)
+        if _tolerates_root(path[""]):
             pins[vid] = True
+            known.update(path)
     if not pins:
         return None
     return BipResult(

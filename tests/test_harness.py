@@ -564,6 +564,15 @@ class TestOneWalkPerSeries:
         assert [(row["n"], row["count"]) for row in rep.rows] == [
             (n, len(members(geo, n))) for n in range(2, 9, 2)]
 
+    def test_density_checks_listed_ids_once(self, monkeypatch):
+        calls = []
+        check = trees.TreeGeometry.check_ids
+        monkeypatch.setattr(trees.TreeGeometry, "check_ids",
+                            lambda geo, ids, n: calls.append(list(ids)) or check(geo, ids, n))
+        rep = run({**DENSITY_CFG, "set": ["", "1", "12", "122"], "n_range": [1, 10, 1]})
+        assert [row["count"] for row in rep.rows] == [2, 3] + [4] * 8
+        assert calls == [["", "1", "12", "122"]]  # once over the 4 ids, not at each of the 10 depths
+
     def test_thm1_rows_match_the_count_walk(self):
         rep = harness.reproduce("thm1", depth=12)
         ts = treeshifts.make_tree_shift(trees.AdjacencyMatrix.comb(), words.ShiftSpec1D.golden_mean())

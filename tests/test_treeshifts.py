@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -1156,11 +1157,12 @@ GOLDEN_TREE_MATRIX = trees.AdjacencyMatrix.from_rows(["11", "10"])
 TEN_GENERATORS = trees.AdjacencyMatrix.from_rows(["1" * 10] * 10)
 
 
-def _greedy_over_delta(ts: treeshifts.TreeShiftSpec, n: int) -> frozenset[str] | None:
-    """The greedy pass over all of Delta_n, leaves first, each level in lex order."""
+def _greedy_over_boundary(ts: treeshifts.TreeShiftSpec, l: int, n: int) -> frozenset[str] | None:
+    """The greedy pass over levels n - l + 1 .. n of Delta_n, leaves first, each level
+    in lex order, asking ``is_indep_tree`` of each candidate with the set chosen so far."""
     geo = ts.geometry()
     leaves = geo.level_vertices(n)
-    boundary = [vid for k in range(n, -1, -1) for vid in geo.level_vertices(k)]
+    boundary = [vid for k in range(n, max(n - l, -1), -1) for vid in geo.level_vertices(k)]
     chosen = list(leaves) if treeshifts.is_indep_tree(ts, leaves, n) else []
     for vid in boundary[len(chosen):]:
         if treeshifts.is_indep_tree(ts, chosen + [vid], n):
@@ -1196,17 +1198,50 @@ class TestGeometryOwnsIds:
         if whole.certified:
             assert len(whole.S_n) == treeshifts.max_indep_est(ts, n).size
         else:
-            assert whole.S_n.ids == _greedy_over_delta(ts, n)
+            assert whole.S_n.ids == _greedy_over_boundary(ts, n + 1, n)
 
     @pytest.mark.parametrize("ts", [TS_BIN_A, TS_BIN_ZEROS, treeshifts.make_tree_shift(BINARY, [[0, 1], [1, 0]])])
     def test_greedy_pass_steps_its_own_pins(self, ts):
-        # past 20 boundary vertices the pass grows a pin map and asks _independent;
+        # past 20 boundary vertices the pass steps each candidate's root path;
         # it reads no ids through is_indep_tree, which the oracle calls
-        want = _greedy_over_delta(ts, 5)
+        want = _greedy_over_boundary(ts, 6, 5)
         with mock.patch.object(treeshifts, "is_indep_tree", side_effect=AssertionError("called")):
             got = treeshifts.bip_search(ts, 6, 5)
         assert (got and got.S_n.ids) == want
         assert got is None or not got.certified
+
+    def test_greedy_pass_matches_the_oracle_on_random_steps(self):
+        rng = random.Random(30)
+        outcomes = set()
+        for matrix in (BINARY, GOLDEN_TREE, TWO_OF_THREE):
+            geo = matrix.geometry
+            for l in (1, 2, 3):
+                # the shallowest depth whose boundary is past the 20 vertices of the exact walk
+                n = next(m for m in itertools.count(l) if geo.delta_size(m) - geo.delta_size(m - l) > 20)
+                for _ in range(30):
+                    r = rng.choice((2, 3))
+                    try:
+                        ts = treeshifts.make_tree_shift(matrix, [[rng.randint(0, 1) for _ in range(r)]
+                                                                 for _ in range(r)])
+                    except (DeadSymbol, EmptyBase):
+                        continue
+                    got = treeshifts.bip_search(ts, l, n)
+                    want = _greedy_over_boundary(ts, l, n)
+                    assert (got and got.S_n.ids) == want, (matrix, ts.base, l, n)
+                    assert got is None or not got.certified
+                    boundary = geo.delta_size(n) - geo.delta_size(n - l)
+                    outcomes.add("none" if want is None else "full" if len(want) == boundary else "partial")
+        assert outcomes == {"none", "full", "partial"}
+
+    def test_greedy_pass_steps_one_root_path_per_candidate(self):
+        # binary o zeros at n = 9: no leaf is independent, so 512 candidates; a
+        # candidate may step n + 1 prefixes, and the start check and the free
+        # tables (d + 1)(n + 1) more, where a whole walk per candidate takes thousands
+        n, d = 9, 2
+        with _fresh_steps(treeshifts.MEMO_CAP) as steps:
+            assert treeshifts.bip_search(TS_BIN_ZEROS, 1, n) is None
+            info = steps["_node_step"].cache_info()
+        assert info.hits + info.misses <= (n + 1) * 512 + 2 * (d + 1) * (n + 1), info
 
     @pytest.mark.parametrize("parity", [0, 1])
     @pytest.mark.parametrize("matrix", [COMB, BINARY, GOLDEN_TREE_MATRIX])
