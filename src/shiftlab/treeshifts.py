@@ -43,10 +43,10 @@ pin labels the symbols: True gives each its own label, False gives all
 one, and a grid row's (labels, count) gives symbol s the label labels[s]
 of ``count`` in all; a label no symbol carries lifts to 0, so the
 support goes DEAD, the one rule for a lost restriction.
-``_preimages`` compiles a tolerated-state mask's lift under a pin,
-``_node_step`` a vertex's support from its pin and its children's
-supports, and ``_support_step`` the support after a product or a pin
-step.  No step takes the tree or where a vertex sits, so every spec
+``_preimages`` compiles a tolerated-state mask's lift under a pin, and
+``_support_step`` the support after one more factor, a support or a pin:
+every support walk, ``_node_step`` too, folds a vertex's children and
+then its pin.  No step takes the tree or where a vertex sits, so every spec
 compiled to one automaton (lines, grid rows, and trees of any shape over
 one base) shares them; ``cache_info()`` counts their hits and misses.
 Evicting an entry never changes a result.
@@ -353,9 +353,9 @@ def tree_density(vertex_set, geometry: TreeGeometry, n_range) -> TreeDensity:
 def _node_step(auto: WordAutomaton, pinned, kids: tuple) -> frozenset:
     """Support of a vertex from its children's supports, the same wherever the vertex sits."""
     part, *rest = kids or (frozenset({auto.all_states}),)  # a leaf tolerates everything below it
-    for kid in rest:
-        part = _support_step(auto, part, kid)
-    return _support_step(auto, pinned, part)
+    for factor in (*rest, pinned):
+        part = _support_step(auto, factor, part)
+    return part
 
 
 # A pin set loses a restriction exactly where a mask 0 enters the support of
@@ -442,66 +442,57 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     """Vertex sets S of Delta_n counted by (S is independent, S is an antichain).
 
     One bottom-up walk takes every S at once.  Each vertex keeps a table
-    from (support of S's class map, S has a pin, S is an antichain) to
-    the number of pin sets S of its subtree with the key: the children's
-    tables folded one at a time into a partial support, then stepped
-    free and pinned, all by ``_support_step``.  Every S that has lost a
-    restriction shares the support DEAD.  S is independent when its root
-    support is not DEAD and every mask in it holds the initial state, as
-    ``is_indep_tree`` asks of the root class map.  A table past
-    CLASS_CAP entries, or a count of more than ``SHIFTLAB_CAP`` bits,
-    raises CapExceeded.
+    from (support of S's class map, the most pins of S on one root path,
+    capped at 2) to the number of pin sets S of its subtree with the
+    key: the children's tables, then the pins free and pinned, folded
+    one at a time by ``_support_step``; children combine the ints by
+    max, a pin adds 1, and S is an antichain iff its int is <= 1.  Every
+    S that has lost a restriction shares the support DEAD.  S is
+    independent when its root support is not DEAD and every mask in it
+    holds the initial state, as ``is_indep_tree`` asks of the root class
+    map.  A table past CLASS_CAP entries, or a count of more than
+    ``SHIFTLAB_CAP`` bits, raises CapExceeded.
     """
     auto = ts.automaton
     limit = enumeration_cap()
+    pins = {(False, 0): 1, (True, 1): 1}
 
     def step(children, height) -> dict:
-        acc = {(frozenset({auto.all_states}), False, True): 1}
-        for table in children:
+        acc = {(frozenset({auto.all_states}), 0): 1}
+        for table in (*children, pins):
             nxt: dict = {}
-            for (part, below, anti), m1 in acc.items():
-                for (support, below2, anti2), m2 in table.items():
-                    k = (_support_step(auto, part, support), below or below2, anti and anti2)
+            for (part, path), m1 in acc.items():
+                for (factor, path2), m2 in table.items():
+                    k = (_support_step(auto, factor, part),
+                         min(path + path2, 2) if table is pins else max(path, path2))
                     nxt[k] = nxt.get(k, 0) + m1 * m2
             acc = _capped(nxt)
-        out: dict = {}
-        for (part, below, anti), m in acc.items():
-            for pinned in (False, True):
-                k = (_support_step(auto, pinned, part), below or pinned, anti and not (pinned and below))
-                out[k] = out.get(k, 0) + m
-        _bounded(_capped(out).values(), limit)
-        return out
+        _bounded(acc.values(), limit)
+        return acc
 
     *_, root = ts.geometry().walk_up(n, step)
     census: dict = {}
-    for (support, _, anti), m in root.items():
-        k = (_tolerates_root(support), anti)
+    for (support, path), m in root.items():
+        k = (_tolerates_root(support), path <= 1)
         census[k] = census.get(k, 0) + m
     return census
 
 
-def _pin_table(auto: WordAutomaton, tables, pinnable: bool) -> list:
-    """One vertex's table from its children's tables, in digit order; see ``_max_pin_sets``."""
-    # partial support -> (-size, the children's ranks) of the best pin set folded so far
+def _pin_table(auto: WordAutomaton, tables, pins) -> list:
+    """One vertex's table from its children's tables, in digit order, and its pins; see ``_max_pin_sets``."""
+    # partial support -> (-size, the ranks of the factors folded so far, the last folded first)
     acc = {frozenset({auto.all_states}): (0, ())}
-    for table in tables:
+    for table in (*reversed(tables), pins):
         nxt: dict = {}
         for part, (neg, ranks) in acc.items():
-            for rank, (support, size, _, _) in enumerate(table):
-                key = _support_step(auto, part, support)
-                best = (neg - size, ranks + (rank,))
+            for rank, (factor, size, _, _) in enumerate(table):
+                key = _support_step(auto, factor, part)
+                best = (neg - size, (rank,) + ranks)
                 if key is not DEAD and (key not in nxt or best < nxt[key]):
                     nxt[key] = best
         acc = _capped(nxt)
-    out: dict = {}
-    for part, (neg, ranks) in acc.items():
-        for pinned in (True, False) if pinnable else (False,):
-            key = _support_step(auto, pinned, part)
-            best = (neg - pinned, not pinned, ranks)
-            if key is not DEAD and (key not in out or best < out[key]):
-                out[key] = best
-    return [(support, -neg, not free, tuple(table[i] for table, i in zip(tables, ranks)))
-            for support, (neg, free, ranks) in sorted(_capped(out).items(), key=lambda item: item[1][1:])]
+    return [(support, -neg, pins[pin][0], tuple(table[i] for table, i in zip(tables, ranks)))
+            for support, (neg, (pin, *ranks)) in sorted(acc.items(), key=lambda item: item[1][1])]
 
 
 def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
@@ -525,23 +516,28 @@ def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int, pin_levels: in
     the future of any other depends only on its support.  So a vertex
     keeps one entry per support: the largest pin set of its subtree
     reaching it and, among equal sizes, the lex-first one (ids relative
-    to the subtree root, sorted).  Its children's tables, which
-    ``walk_up`` hands over in digit order, the order of their ids, fold
-    into a partial support one at a time, which is then stepped free
-    and, where allowed, pinned.
+    to the subtree root, sorted).  Its children's tables, in digit order
+    from ``walk_up``, and then its pins, entries shaped like a child's
+    (pin, size, None, None), fold into a partial support one at a time:
+    pinned (True, 1) and free (False, 0), or free alone past the levels.
 
     An entry is (support, size, pinned, the children's entries), so no
     ids are built while the tables are.  A table lists its entries in
     the order of their pin sets with a sentinel above every id appended
     (a proper prefix sorts after, as its next id comes from a later
-    child): the order of (not pinned, rank of child 1, rank of child 2,
-    ...).  Returns, per depth m, the root entry for Delta_m: the first
-    of the largest whose masks all hold the initial state.  ``_pin_ids``
-    reads its ids.  A table past CLASS_CAP entries raises CapExceeded.
+    child): the order of their ranks (pin, child 1, child 2, ...), built
+    by folding the children last first, then the pins, each rank put in
+    front; one comparison of (-size, ranks) keeps the lex-first largest.
+    Returns, per depth m, the root entry for Delta_m: the first of the
+    largest whose masks all hold the initial state.  ``_pin_ids`` reads
+    its ids.  A table past CLASS_CAP entries raises CapExceeded.
     """
     geo.check_digits()  # ids are digit strings
+    free = ((False, 0, None, None),)
+    pinned = ((True, 1, None, None), *free)
     return [max((entry for entry in root if _tolerates_root(entry[0])), key=lambda e: e[1], default=None)
-            for root in geo.walk_up(n, lambda kids, height: _pin_table(auto, kids, height < pin_levels))]
+            for root in geo.walk_up(n, lambda kids, height: _pin_table(
+                auto, kids, pinned if height < pin_levels else free))]
 
 
 @record

@@ -441,8 +441,8 @@ class TestSubsetCensus:
         assert sum(census.values()) == 2 ** len(ts.geometry().vertices(2))
 
     def test_widest_table_is_capped(self, monkeypatch):
-        # the widest census table of Delta_3 has 3 entries: (support, has a
-        # pin, antichain) takes few values, and every dependent set is DEAD
+        # the widest census table of Delta_3 has 3 entries: (support, most
+        # pins on a root path) takes few values, and every dependent set is DEAD
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 3)
         assert treeshifts.subset_census(TS_BIN_A, 3)[True, True] == 677
         monkeypatch.setattr(treeshifts, "CLASS_CAP", 2)
