@@ -1,7 +1,8 @@
 """Enumeration caps.
 
 Materializing operations (block sets, automaton tables, shattered-subset scans,
-tree vertex ids, tree count bits) refuse to build more than the cap: CapExceeded.
+tree vertex ids and witnesses, tree count bits) refuse to build more than the cap:
+CapExceeded.
 The default is 2**24 objects; the SHIFTLAB_CAP environment variable
 overrides it process-wide and is read at call time so tests can adjust it;
 a value that is not a positive integer raises ConfigError.

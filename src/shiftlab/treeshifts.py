@@ -140,13 +140,17 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one walk.
 
     A vertex's table is a vector over automaton states: entry q counts
-    the labelings of its subtree below a parent in state q.
+    the labelings of its subtree below a parent in state q.  A count of
+    more than ``SHIFTLAB_CAP`` bits is refused, before the product of
+    children's entries that forces it is formed.
     """
     auto = ts.automaton
     limit = enumeration_cap()
+    read = {q for row in auto.table for q in row if q is not None}  # the products a row sums
 
     def step(kids, height) -> tuple[int, ...]:
-        below = [math.prod(table[q] for table in kids) for q in range(auto.n_states)]
+        below = [_bounded_product([table[q] for table in kids], limit) if q in read else 0
+                 for q in range(auto.n_states)]
         return _bounded(tuple(sum(below[q] for q in row if q is not None) for row in auto.table), limit)
 
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
@@ -186,11 +190,24 @@ def _preimages(auto: WordAutomaton, mask: int, pinned) -> tuple:
     return tuple(merged.values()) + (0,) * (len(merged) < count)
 
 
-def _bounded(counts, limit: int):
-    """``counts``, refused if one has more than ``limit`` bits: its bits grow with |Delta_n|."""
-    if max(counts, default=0).bit_length() > limit:
+def _refuse_bits(bits: int, limit: int) -> None:
+    """Refuse a count of ``bits`` bits past ``limit``: a count's bits grow with |Delta_n|."""
+    if bits > limit:
         raise CapExceeded(f"a count over SHIFTLAB_CAP = {limit} bits")
+
+
+def _bounded(counts, limit: int):
+    """``counts``, refused if one has more than ``limit`` bits."""
+    _refuse_bits(max(counts, default=0).bit_length(), limit)
     return counts
+
+
+def _bounded_product(factors: list, limit: int) -> int:
+    """The product of ``factors``, refused before it is formed when it must have more than
+    ``limit`` bits: nonzero factors of b_1 .. b_k bits multiply to at least sum b_i - k + 1."""
+    if all(factors):  # else the product is 0
+        _refuse_bits(sum(f.bit_length() - 1 for f in factors) + 1, limit)
+    return math.prod(factors)
 
 
 def _capped(classes: dict) -> dict:
@@ -496,7 +513,11 @@ def _pin_table(auto: WordAutomaton, tables, pins) -> list:
 
 
 def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
-    """The sorted ids of a table entry's pin set, read down the paths to its pins."""
+    """The sorted ids of a table entry's pin set, read down the paths to its pins; more
+    than ``SHIFTLAB_CAP`` ids, read off the entry's size, are refused before any is listed."""
+    limit = enumeration_cap()
+    if entry and entry[1] > limit:
+        raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} ids in a witness")
     ids = []
     stack = [("", entry)] if entry else []
     while stack:  # preorder, children by ascending digit: sorted ids
@@ -659,7 +680,8 @@ def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
     """Largest independence sets of Delta_0 .. Delta_n, exact, from one walk.
 
     Each witness is the lex-first maximum set over sorted vertex ids, so
-    every answer is certified.
+    every answer is certified.  A witness of more than ``SHIFTLAB_CAP``
+    ids is refused before its ids are listed.
     """
     geo = ts.geometry()
     return [

@@ -140,3 +140,45 @@ def test_census_counts_over_the_bit_cap_are_refused(monkeypatch):
         with pytest.raises(CapExceeded) as info:
             call(BINARY_GOLDEN, 12)
         assert str(info.value) == "a count over SHIFTLAB_CAP = 4096 bits"
+
+
+def test_products_are_refused_before_they_pass_the_bit_cap():
+    # nonzero factors of b_1 .. b_k bits multiply to at least b_1 + ... + b_k - k + 1
+    # bits, which powers of two meet: 2^7 * 2^8 = 2^15 has 8 + 9 - 1 = 16 bits
+    assert treeshifts._bounded_product([2 ** 7, 2 ** 8], 16) == 2 ** 15
+    with pytest.raises(CapExceeded) as info:
+        treeshifts._bounded_product([2 ** 7, 2 ** 8], 15)
+    assert str(info.value) == "a count over SHIFTLAB_CAP = 15 bits"
+    # a zero factor makes the product 0, however long the other factors are
+    assert treeshifts._bounded_product([2 ** 7, 0, 2 ** 8], 15) == 0
+    assert treeshifts._bounded_product([0, 1 << 10_000], 1) == 0
+
+
+@pytest.mark.parametrize("forbidden, bits", [
+    ([], 16),  # the full shift: 2^15 labelings of the 15 vertices of Delta_3
+    ([(1, 0), (1, 1)], 9),  # 1 only on the 8 leaves; a 1 below a vertex is a zero factor
+])
+def test_tree_counts_of_exactly_the_cap_bits_pass(monkeypatch, forbidden, bits):
+    ts = treeshifts.make_tree_shift(BINARY, words.ShiftSpec1D.with_forbidden(2, forbidden))
+    monkeypatch.setenv("SHIFTLAB_CAP", str(bits))
+    assert treeshifts.count_series(ts, 3)[-1].bit_length() == bits
+    monkeypatch.setenv("SHIFTLAB_CAP", str(bits - 1))
+    with pytest.raises(CapExceeded) as info:
+        treeshifts.count_series(ts, 3)
+    assert str(info.value) == f"a count over SHIFTLAB_CAP = {bits - 1} bits"
+
+
+def test_tree_counts_are_refused_before_they_are_multiplied(monkeypatch):
+    # each level about squares these counts: under the default cap the last
+    # products were formed, millions of bits past it, before the refusal
+    base = words.ShiftSpec1D.with_forbidden(2, [(1, 1, 1), (1, 1, 0), (0, 1, 1)])
+    ts = treeshifts.make_tree_shift(BINARY, base)
+    limit = 1 << 16
+    monkeypatch.setenv("SHIFTLAB_CAP", str(limit))
+    formed = []
+    prod = treeshifts.math.prod
+    monkeypatch.setattr(treeshifts.math, "prod", lambda factors: formed.append(prod(factors)) or formed[-1])
+    with pytest.raises(CapExceeded) as info:
+        treeshifts.tree_entropy_est(ts, 40)
+    assert str(info.value) == f"a count over SHIFTLAB_CAP = {limit} bits"
+    assert formed and max(formed).bit_length() <= limit

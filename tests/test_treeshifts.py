@@ -991,6 +991,22 @@ class TestMaxIndepEstimate:
         est = treeshifts.max_indep_est(TS_COMB_ATMOST, 4)
         assert treeshifts.is_indep_tree(TS_COMB_ATMOST, est.witness.ids, 4)
 
+    def test_witness_past_the_cap_is_refused_before_its_ids(self, monkeypatch):
+        # every vertex set of Delta_m is independent over the full shift: the
+        # witness of Delta_6 has 127 ids and that of Delta_7 255
+        monkeypatch.setenv("SHIFTLAB_CAP", "127")
+        assert treeshifts.max_indep_series(TS_BIN_FULL, 6)[6].size == 127
+        monkeypatch.setenv("SHIFTLAB_CAP", "100")
+        with pytest.raises(CapExceeded) as info:
+            treeshifts.max_indep_series(TS_BIN_FULL, 7)
+        assert str(info.value) == "more than SHIFTLAB_CAP = 100 ids in a witness"
+        assert treeshifts.max_indep_sizes(TS_BIN_FULL, 7)[6:] == [127, 255]  # sizes list no ids
+        geo = TS_BIN_FULL.geometry()
+        top = treeshifts._max_pin_sets(TS_BIN_FULL.automaton, geo, 7, 8)[7]
+        monkeypatch.setattr(geo, "child_ids", lambda vid: pytest.fail(f"{vid!r}'s children were listed"))
+        with pytest.raises(CapExceeded):
+            treeshifts._pin_ids(geo, top)
+
     def test_comb_golden_maxima(self):
         # the leaf level alone gives 7 and 11
         series = treeshifts.max_indep_series(TS_COMB_GOLDEN, 10)
