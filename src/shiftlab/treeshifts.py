@@ -43,13 +43,14 @@ pin labels the symbols: True gives each its own label, False gives all
 one, and a grid row's (labels, count) gives symbol s the label labels[s]
 of ``count`` in all; a label no symbol carries lifts to 0, so the
 support goes DEAD, the one rule for a lost restriction.
-``_preimages`` compiles a tolerated-state mask's lift under a pin, and
-``_support_step`` the support after one more factor, a support or a pin:
-every support walk, ``_node_step`` too, folds a vertex's children and
-then its pin.  No step takes the tree or where a vertex sits, so every spec
-compiled to one automaton (lines, grid rows, and trees of any shape over
-one base) shares them; ``cache_info()`` counts their hits and misses.
-Evicting an entry never changes a result.
+``_preimages`` compiles a tolerated-state mask's lift under a pin,
+``_node_step`` a vertex's support, and ``_support_step`` the support
+after one more factor, a support or a pin: every support walk folds a
+vertex's children and then its pin, as the last factor.  No step takes
+the tree or where a vertex sits, so every spec compiled to one
+automaton (lines, grid rows, and trees of any shape over one base)
+shares them; ``cache_info()`` counts their hits and misses.  Evicting
+an entry never changes a result.
 """
 
 from __future__ import annotations
@@ -496,7 +497,8 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
 
 
 def _pin_table(auto: WordAutomaton, tables, pins) -> list:
-    """One vertex's table from its children's tables, in digit order, and its pins; see ``_max_pin_sets``."""
+    """One vertex's table from its children's tables, in digit order, and its pins;
+    see ``_max_pin_sets``."""
     # partial support -> (-size, the ranks of the factors folded so far, the last folded first)
     acc = {frozenset({auto.all_states}): (0, ())}
     for table in (*reversed(tables), pins):
