@@ -141,18 +141,24 @@ def count_series(ts: TreeShiftSpec, n: int) -> list[int]:
     """Exact numbers of admissible labelings of Delta_0 .. Delta_n, from one walk.
 
     A vertex's table is a vector over automaton states: entry q counts
-    the labelings of its subtree below a parent in state q.  A count of
-    more than ``SHIFTLAB_CAP`` bits is refused, before the product of
-    children's entries that forces it is formed.
+    the labelings of its subtree below a parent in state q; one more
+    entry holds the bits of its largest count.  A count of more than
+    ``SHIFTLAB_CAP`` bits is refused, before the product of children's
+    entries that forces it is formed.
     """
     auto = ts.automaton
     limit = enumeration_cap()
     read = {q for row in auto.table for q in row if q is not None}  # the products a row sums
 
     def step(kids, height) -> tuple[int, ...]:
-        below = [_bounded_product([table[q] for table in kids], limit) if q in read else 0
-                 for q in range(auto.n_states)]
-        return _bounded(tuple(sum(below[q] for q in row if q is not None) for row in auto.table), limit)
+        if sum([table[-1] for table in kids]) > limit:  # else no product passes the cap
+            for q in read:
+                _refuse_product([table[q] for table in kids], limit)
+        below = [math.prod(table[q] for table in kids) for q in range(auto.n_states)]
+        counts = [sum(below[q] for q in row if q is not None) for row in auto.table]
+        bits = max(counts).bit_length()
+        _refuse_bits(bits, limit)
+        return (*counts, bits)
 
     return [table[auto.initial] for table in ts.geometry().walk_up(n, step)]
 
@@ -203,12 +209,11 @@ def _bounded(counts, limit: int):
     return counts
 
 
-def _bounded_product(factors: list, limit: int) -> int:
-    """The product of ``factors``, refused before it is formed when it must have more than
-    ``limit`` bits: nonzero factors of b_1 .. b_k bits multiply to at least sum b_i - k + 1."""
+def _refuse_product(factors: list, limit: int) -> None:
+    """Refuse, before it is formed, a product that must have more than ``limit`` bits:
+    nonzero factors of b_1 .. b_k bits multiply to at least sum b_i - k + 1."""
     if all(factors):  # else the product is 0
         _refuse_bits(sum(f.bit_length() - 1 for f in factors) + 1, limit)
-    return math.prod(factors)
 
 
 def _capped(classes: dict) -> dict:
@@ -475,14 +480,16 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
     limit = enumeration_cap()
     pins = {(False, 0): 1, (True, 1): 1}
 
+    most, plus = ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 2, 2))  # max, capped sum
+
     def step(children, height) -> dict:
         acc = {(frozenset({auto.all_states}), 0): 1}
         for table in (*children, pins):
+            join = plus if table is pins else most
             nxt: dict = {}
             for (part, path), m1 in acc.items():
                 for (factor, path2), m2 in table.items():
-                    k = (_support_step(auto, factor, part),
-                         min(path + path2, 2) if table is pins else max(path, path2))
+                    k = (_support_step(auto, factor, part), join[path2][path])
                     nxt[k] = nxt.get(k, 0) + m1 * m2
             acc = _capped(nxt)
         _bounded(acc.values(), limit)
@@ -499,19 +506,28 @@ def subset_census(ts: TreeShiftSpec, n: int) -> dict:
 def _pin_table(auto: WordAutomaton, tables, pins) -> list:
     """One vertex's table from its children's tables, in digit order, and its pins;
     see ``_max_pin_sets``."""
-    # partial support -> (-size, the ranks of the factors folded so far, the last folded first)
-    acc = {frozenset({auto.all_states}): (0, ())}
+    # partial support -> (-size, ranks) of the best pin set folded so far: ranks is one int whose
+    # digits are the factors' ranks, each of radix its table's length, the last folded on top
+    acc = {frozenset({auto.all_states}): (0, 0)}
+    scale = 1
     for table in (*reversed(tables), pins):
         nxt: dict = {}
         for part, (neg, ranks) in acc.items():
             for rank, (factor, size, _, _) in enumerate(table):
                 key = _support_step(auto, factor, part)
-                best = (neg - size, (rank,) + ranks)
+                best = (neg - size, rank * scale + ranks)
                 if key is not DEAD and (key not in nxt or best < nxt[key]):
                     nxt[key] = best
         acc = _capped(nxt)
-    return [(support, -neg, pins[pin][0], tuple(table[i] for table, i in zip(tables, ranks)))
-            for support, (neg, (pin, *ranks)) in sorted(acc.items(), key=lambda item: item[1][1])]
+        scale *= len(table)
+    entries = []
+    for support, (neg, ranks) in sorted(acc.items(), key=lambda item: item[1][1]):
+        kids = []
+        for table in reversed(tables):  # the lowest digit first
+            ranks, rank = divmod(ranks, len(table))
+            kids.append(table[rank])
+        entries.append((support, -neg, pins[ranks][0], tuple(reversed(kids))))
+    return entries
 
 
 def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
@@ -548,9 +564,10 @@ def _max_pin_sets(auto: WordAutomaton, geo: TreeGeometry, n: int, pin_levels: in
     ids are built while the tables are.  A table lists its entries in
     the order of their pin sets with a sentinel above every id appended
     (a proper prefix sorts after, as its next id comes from a later
-    child): the order of their ranks (pin, child 1, child 2, ...), built
-    by folding the children last first, then the pins, each rank put in
-    front; one comparison of (-size, ranks) keeps the lex-first largest.
+    child): the order of their ranks (pin, child 1, child 2, ...), read
+    as the digits of one int, which the fold builds by taking the
+    children last first, then the pins, each rank put on top; one
+    comparison of (-size, ranks) keeps the lex-first largest.
     Returns, per depth m, the root entry for Delta_m: the first of the
     largest whose masks all hold the initial state.  ``_pin_ids`` reads
     its ids.  A table past CLASS_CAP entries raises CapExceeded.
