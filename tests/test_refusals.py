@@ -157,7 +157,7 @@ def test_products_are_refused_before_they_pass_the_bit_cap():
 
 @pytest.mark.parametrize("forbidden, bits", [
     ([], 16),  # the full shift: 2^15 labelings of the 15 vertices of Delta_3
-    ([(1, 0), (1, 1)], 9),  # 1 only on the 8 leaves; a 1 below a vertex is a zero factor
+    ([(1, 0), (1, 1)], 9),  # 1 only on the 8 leaves: below a 1 every product is 0
 ])
 def test_tree_counts_of_exactly_the_cap_bits_pass(monkeypatch, forbidden, bits):
     ts = treeshifts.make_tree_shift(BINARY, words.ShiftSpec1D.with_forbidden(2, forbidden))
@@ -170,8 +170,8 @@ def test_tree_counts_of_exactly_the_cap_bits_pass(monkeypatch, forbidden, bits):
 
 
 def test_tree_counts_are_refused_before_they_are_multiplied(monkeypatch):
-    # each level about squares these counts: under the default cap the last
-    # products were formed, millions of bits past it, before the refusal
+    # each level about squares these counts, so the first depth past the cap
+    # would form products of about twice the cap's bits: none may be formed
     base = words.ShiftSpec1D.with_forbidden(2, [(1, 1, 1), (1, 1, 0), (0, 1, 1)])
     ts = treeshifts.make_tree_shift(BINARY, base)
     limit = 1 << 16
