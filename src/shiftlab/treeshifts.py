@@ -530,10 +530,10 @@ def _pin_table(auto: WordAutomaton, tables, pins) -> list:
     return entries
 
 
-def _pin_ids(geo: TreeGeometry, entry) -> tuple[str, ...]:
+def _pin_ids(geo: TreeGeometry, entry, limit: int) -> tuple[str, ...]:
     """The sorted ids of a table entry's pin set, read down the paths to its pins; more
-    than ``SHIFTLAB_CAP`` ids, read off the entry's size, are refused before any is listed."""
-    limit = enumeration_cap()
+    than ``limit`` (``SHIFTLAB_CAP``) ids, read off the entry's size, are refused before
+    any is listed."""
     if entry and entry[1] > limit:
         raise CapExceeded(f"more than SHIFTLAB_CAP = {limit} ids in a witness")
     ids = []
@@ -661,7 +661,7 @@ def bip_search(ts: TreeShiftSpec, boundary_levels: int, n: int) -> BipResult | N
     delta = geo.delta_size(n)
     top = max(n - boundary_levels + 1, 0)  # the boundary is levels top .. n
     if delta - (geo.delta_size(top - 1) if top else 0) <= 20:
-        best = _pin_ids(geo, _max_pin_sets(ts.automaton, geo, n, boundary_levels)[n])
+        best = _pin_ids(geo, _max_pin_sets(ts.automaton, geo, n, boundary_levels)[n], enumeration_cap())
         if not best:
             return None
         return BipResult(
@@ -702,11 +702,12 @@ def max_indep_series(ts: TreeShiftSpec, n: int) -> list[MaxIndepEstimate]:
     every answer is certified.  A witness of more than ``SHIFTLAB_CAP``
     ids is refused before its ids are listed.
     """
-    geo = ts.geometry()
+    geo, limit = ts.geometry(), enumeration_cap()
+    tops = _max_pin_sets(ts.automaton, geo, n, n + 1)
     return [
         MaxIndepEstimate(size=len(pins), witness=VertexSet.of(pins),
                          ratio=Fraction(len(pins), geo.delta_size(m)), certified=True)
-        for m, pins in enumerate(_pin_ids(geo, top) for top in _max_pin_sets(ts.automaton, geo, n, n + 1))
+        for m, pins in enumerate(_pin_ids(geo, top, limit) for top in tops)
     ]
 
 

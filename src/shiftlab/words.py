@@ -382,7 +382,8 @@ def max_indep_J_series(spec: ShiftSpec1D, length: int) -> list[MaxIndep1D]:
 
     if length < 1:
         raise DomainError("window length must be >= 1")
-    windows = [_pin_ids(RAY, top) for top in _max_pin_sets(spec.automaton, RAY, length - 1, length)]
+    limit = enumeration_cap()
+    windows = [_pin_ids(RAY, top, limit) for top in _max_pin_sets(spec.automaton, RAY, length - 1, length)]
     fekete = accumulate((Fraction(len(pins), m) for m, pins in enumerate(windows, start=1)), min)
     return [
         MaxIndep1D(J=len(pins), witness=tuple(len(v) + 1 for v in pins), fekete_limit_est=est)

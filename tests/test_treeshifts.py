@@ -1005,7 +1005,7 @@ class TestMaxIndepEstimate:
         top = treeshifts._max_pin_sets(TS_BIN_FULL.automaton, geo, 7, 8)[7]
         monkeypatch.setattr(geo, "child_ids", lambda vid: pytest.fail(f"{vid!r}'s children were listed"))
         with pytest.raises(CapExceeded):
-            treeshifts._pin_ids(geo, top)
+            treeshifts._pin_ids(geo, top, 100)
 
     def test_comb_golden_maxima(self):
         # the leaf level alone gives 7 and 11
